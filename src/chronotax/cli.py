@@ -93,6 +93,9 @@ _DEFAULTS = {
     "make-figures": {"outdir": "figures", "threads": None},
 }
 
+_THREADS_HELP = ("thread count, validated but without effect: region maps are "
+                 "classified serially (default: CHRONOTAX_THREADS or 1)")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
@@ -161,8 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-a-max", type=float)
     sp.add_argument("--resolution", type=int, help="cells per axis (default 150)")
     sp.add_argument("--beta", type=float)
-    sp.add_argument("--threads", type=int,
-                    help="worker threads (default: CHRONOTAX_THREADS or 1)")
+    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     sp.add_argument("--out", help="CSV output path (default region_map.csv)")
 
     sp = sub.add_parser("verify", help="chronotaxicity certificate for a schedule")
@@ -192,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="regenerate the canonical data sets at desk scale")
     cfg_flag(sp)
     sp.add_argument("--outdir", help="output directory (default figures)")
-    sp.add_argument("--threads", type=int)
+    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
 
     return root
 
@@ -393,7 +395,8 @@ def cmd_regionmap(m: dict) -> int:
         int(m["resolution"]), p, beta=float(m["beta"]), workers=_threads(m),
     )
     rm.to_csv(m["out"])
-    print(f"wrote {m['out']} (classes present: {sorted(rm.labels_present())})")
+    print(f"wrote {m['out']} (classes present: {sorted(rm.labels_present())}, "
+          f"failed cells: {rm.failed})")
     return 0
 
 

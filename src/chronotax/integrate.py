@@ -139,7 +139,7 @@ def rk4_path(field: FieldFn, x0: float, y0: float, times: FloatArray,
 
     Returns the full (n, 2) state array when ``record`` is set, otherwise
     only the final ``(x, y)`` pair.  Aborts with :class:`BlowUpError` when
-    the state leaves the guard radius.
+    the state leaves the guard radius or stops being finite.
     """
     n = times.size
     out = np.empty((n, 2), dtype=float) if record else None
@@ -159,9 +159,9 @@ def rk4_path(field: FieldFn, x0: float, y0: float, times: FloatArray,
         k4x, k4y = field(te, x + h * k3x, y + h * k3y)
         x += (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
         y += (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if x * x + y * y > _BLOWUP_SQ:
-            raise BlowUpError(f"trajectory radius exceeded {BLOWUP_RADIUS:g} at t={te:g}",
-                              time=float(te))
+        if not (x * x + y * y <= _BLOWUP_SQ):  # NaN fails this test too
+            raise BlowUpError(f"trajectory left radius {BLOWUP_RADIUS:g} or became "
+                              f"non-finite at t={te:g}", time=float(te))
         if record:
             out[i + 1, 0] = x
             out[i + 1, 1] = y
@@ -190,9 +190,10 @@ def em_path(field: FieldFn, x0: float, y0: float, times: FloatArray, sigma: floa
         fx, fy = field(t, x, y)
         x += hi * fx + kicks[i, 0]
         y += hi * fy + kicks[i, 1]
-        if x * x + y * y > _BLOWUP_SQ:
+        if not (x * x + y * y <= _BLOWUP_SQ):  # NaN fails this test too
             raise BlowUpError(
-                f"trajectory radius exceeded {BLOWUP_RADIUS:g} at t={times[i + 1]:g}",
+                f"trajectory left radius {BLOWUP_RADIUS:g} or became non-finite "
+                f"at t={times[i + 1]:g}",
                 time=float(times[i + 1]),
             )
         if record:

@@ -10,22 +10,34 @@ In co-rotating Cartesian coordinates (u, v) the frozen field is
     du/dt = eps_gamma (r_p - r) u - delta_omega v - eps_a (u - r_p)
     dv/dt = eps_gamma (r_p - r) v + delta_omega u - eps_a v
 
-with the drive point pinned at (r_p, 0).  Fixed points solve a pair of
-scalar reductions: the phase equation gives sin(psi) = delta_omega * r /
-(eps_a * r_p), and each cosine branch turns the radial equation into a
-one-variable root problem.
+with the drive point pinned at (r_p, 0).  Write k = eps_gamma (r_p - r) -
+eps_a for the net radial rate.  A fixed point solves the linear system
+k u - delta_omega v = -eps_a r_p, delta_omega u + k v = 0, so
+
+    (u, v) = eps_a r_p (-k, delta_omega) / (k^2 + delta_omega^2),
+
+and its radius eps_a r_p / sqrt(k^2 + delta_omega^2) must equal
+(b - k) / eps_gamma with b = eps_gamma r_p - eps_a.  Squaring gives the
+radius quartic
+
+    eps_gamma^2 r^4 - 2 eps_gamma b r^3 + (b^2 + delta_omega^2) r^2
+        - (eps_a r_p)^2 = 0,
+
+or, in the shifted variable k = b - eps_gamma r,
+
+    (b - k)^2 (k^2 + delta_omega^2) = (eps_gamma eps_a r_p)^2.
+
+Every real root with r > 0 maps to exactly one point.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import export
 from .contraction import DEFAULT_BETA, global_contraction_threshold, sym_eigs_radial
@@ -46,7 +58,6 @@ from .model import (
 log = logging.getLogger(__name__)
 
 DEFAULT_R_MAX = 2.5
-DEFAULT_BRACKETS = 400
 #: residual bound |dr/dt| + r |dpsi/dt| accepted for a fixed point
 RESIDUAL_TOL = 1e-10
 
@@ -253,19 +264,19 @@ def _residual_polar(fp: FrozenParams, u: float, v: float) -> float:
 
 
 def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX,
-                      brackets: int = DEFAULT_BRACKETS,
                       dedupe_tol: float = 1e-8) -> list[FixedPoint]:
     """All equilibria of the frozen co-rotating flow with radius in (0, r_max].
 
-    The phase condition sin(psi) = delta_omega * r / (eps_a * r_p) is solved
-    jointly with the radial balance by substituting both cosine branches and
-    bracketing sign changes of the resulting scalar functions on a dense
-    radius grid, refining each bracket with a guarded root solver and a final
-    planar Newton polish.  Zero pull is the degenerate uncoupled case: the
-    origin is the only isolated equilibrium and is reported as unstable.
+    Solves the radius quartic of the module docstring in the radial rate k
+    (companion-matrix eigenvalues via ``np.roots``), maps each real root
+    with positive radius to its point in closed form, and polishes it with
+    planar Newton steps.  The roots are taken in k, not r: under a weak pull
+    the node and saddle near r_p have radii within ~sqrt(eps) of each other
+    but well separated rates, while the near-double root in k (the inner
+    point and its negative-radius image) maps to a single point either way.
+    Zero pull is the degenerate uncoupled case: the origin is the only
+    isolated equilibrium and is reported as unstable.
     """
-    if brackets < 8:
-        raise InvalidInputError("need at least 8 brackets")
     p = fp.params
     ea = fp.eps_a
     dw = fp.delta_omega
@@ -273,46 +284,22 @@ def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX,
     if ea == 0.0:
         return [_point_from_uv(fp, 0.0, 0.0)]
 
-    s_coef = dw / (ea * p.r_p)
-    r_hi = r_max if s_coef == 0.0 else min(r_max, 1.0 / abs(s_coef))
-
-    lin = np.linspace(r_hi / brackets, r_hi, brackets)
-    fine = np.geomspace(max(r_hi * 1e-9, 1e-12), r_hi / brackets, 64)
-    grid = np.unique(np.concatenate([fine, lin]))
-
     eg = p.eps_gamma
-    rp = p.r_p
-    candidates: list[tuple[float, float]] = []
-    for sign in (1.0, -1.0):
-
-        def f(r, _sign=sign):
-            s = s_coef * r
-            c = math.sqrt(max(0.0, 1.0 - s * s))
-            return eg * (rp - r) * r - ea * r + ea * rp * _sign * c
-
-        vals = np.array([f(r) for r in grid])
-        sgn = np.sign(vals)
-        for i in range(grid.size - 1):
-            a, b = grid[i], grid[i + 1]
-            va, vb = vals[i], vals[i + 1]
-            if va == 0.0:
-                root = a
-            elif sgn[i] * sgn[i + 1] < 0.0:
-                root = brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
-            else:
-                continue
-            s = s_coef * root
-            c = sign * math.sqrt(max(0.0, 1.0 - s * s))
-            candidates.append((root * c, root * s))
-        # endpoint roots (exact grid hits at the far end, fold point included)
-        if abs(vals[-1]) < 1e-12:
-            s = s_coef * grid[-1]
-            c = sign * math.sqrt(max(0.0, 1.0 - s * s))
-            candidates.append((grid[-1] * c, grid[-1] * s))
+    pull = ea * p.r_p
+    b = eg * p.r_p - ea
+    roots = np.roots([1.0, -2.0 * b, b * b + dw * dw, -2.0 * b * dw * dw,
+                      b * b * dw * dw - (eg * pull) ** 2])
+    # real roots with radius r = (b - k) / eps_gamma > 0, both tests loose by
+    # the ~sqrt(eps) spread of a double root
+    spread = 1e-6 * np.maximum(1.0, np.abs(roots))
+    keep = (np.abs(roots.imag) <= spread) & (roots.real - b <= spread)
 
     polished: list[tuple[float, float]] = []
-    for u, v in candidates:
-        u, v = _polish_newton(fp, u, v)
+    for k in roots.real[keep].tolist():
+        den = k * k + dw * dw
+        if den == 0.0:  # only when (eps_gamma eps_a r_p)^2 underflows
+            continue
+        u, v = _polish_newton(fp, -pull * k / den, pull * dw / den)
         r = math.hypot(u, v)
         if not (0.0 < r <= r_max * (1.0 + 1e-9)):
             continue
@@ -330,22 +317,21 @@ def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX,
 # --- continuation ---
 
 
-def _count_fixed_points(p: OscillatorParams, delta_omega: float, eps_a: float,
-                        brackets: int) -> int:
+def _count_fixed_points(p: OscillatorParams, delta_omega: float, eps_a: float) -> int:
     fp = FrozenParams(eps_a=eps_a, delta_omega=delta_omega, params=p)
-    return len(find_fixed_points(fp, brackets=brackets))
+    return len(find_fixed_points(fp))
 
 
 def continuation_sweep(delta_omega: float, eps_a_range: tuple[float, float],
                        step: float, p: OscillatorParams,
-                       brackets: int = 2000, tol: float = 1e-4) -> BifurcationResult:
+                       tol: float = 1e-4) -> BifurcationResult:
     """Locate the saddle-node thresholds by tracking the fixed-point count.
 
-    Scans a monotone pull-strength grid, brackets every count change, and
-    refines each bracket by bisection on the count down to ``tol``.  The
-    first 1 -> 3 change is the pair-creation threshold, the first 3 -> 1
-    change the annihilation threshold; the global-contraction threshold is
-    analytic.  Thresholds outside the range come back as None.
+    Scans a monotone pull-strength grid for count changes and refines each
+    by bisection on the count down to ``tol``.  The first 1 -> 3 change is
+    the pair-creation threshold, the first 3 -> 1 change the annihilation
+    threshold; the global-contraction threshold is analytic.  Thresholds
+    outside the range come back as None.
     """
     lo, hi = (float(eps_a_range[0]), float(eps_a_range[1]))
     if not (0.0 < lo < hi):
@@ -355,13 +341,13 @@ def continuation_sweep(delta_omega: float, eps_a_range: tuple[float, float],
 
     grid = np.arange(lo, hi + 0.5 * step, step)
     grid[-1] = min(grid[-1], hi)
-    counts = [_count_fixed_points(p, delta_omega, e, brackets) for e in grid]
+    counts = [_count_fixed_points(p, delta_omega, e) for e in grid]
 
     def refine(a: float, b: float, ca: int, cb: int) -> list[tuple[float, int, int]]:
         if b - a <= tol:
             return [(0.5 * (a + b), ca, cb)]
         mid = 0.5 * (a + b)
-        cm = _count_fixed_points(p, delta_omega, mid, brackets)
+        cm = _count_fixed_points(p, delta_omega, mid)
         out = []
         if cm != ca:
             out.extend(refine(a, mid, ca, cm))
@@ -599,6 +585,8 @@ class RegionMap:
     delta_omegas: FloatArray
     eps_as: FloatArray
     codes: np.ndarray  # (n_delta, n_eps) uint8 indexing CLASSES_BY_CODE
+    #: cells labelled not-chronotaxic because their classification raised
+    failed: int = 0
 
     def class_at(self, i: int, j: int) -> ChronotaxicClass:
         return CLASSES_BY_CODE[int(self.codes[i, j])]
@@ -622,11 +610,11 @@ def region_map(delta_omega_range: tuple[float, float],
                beta: float = DEFAULT_BETA, workers: int | None = None) -> RegionMap:
     """Classify a full lattice of frozen parameter sets.
 
-    ``resolution`` is points per axis (int or ``(n_delta, n_eps)``).  Rows
-    are distributed over a thread pool when ``workers`` exceeds one, and the
-    result is assembled by row index, so the output is identical for any
-    worker count.  Cells whose classification fails are tagged
-    not-chronotaxic and logged.
+    ``resolution`` is points per axis (int or ``(n_delta, n_eps)``).  Cells
+    are classified serially with :func:`classify`; ``workers`` is accepted
+    for compatibility and has no effect on the work or the result.  Cells
+    whose classification fails are tagged not-chronotaxic, logged, and
+    counted in ``RegionMap.failed``.
     """
     if np.ndim(resolution) == 0:
         nd = ne = int(resolution)
@@ -639,27 +627,19 @@ def region_map(delta_omega_range: tuple[float, float],
     if np.any(eas < 0.0):
         raise InvalidInputError("eps_a range must be non-negative")
 
-    def classify_row(i: int) -> np.ndarray:
-        row = np.empty(ne, dtype=np.uint8)
+    codes = np.empty((nd, ne), dtype=np.uint8)
+    failed = 0
+    for i, dw in enumerate(dws):
         for j, ea in enumerate(eas):
             try:
-                cls = classify(FrozenParams(float(ea), float(dws[i]), p), beta=beta)
+                cls = classify(FrozenParams(float(ea), float(dw), p), beta=beta)
             except Exception:
                 log.warning("classification failed at delta_omega=%g eps_a=%g",
-                            dws[i], ea, exc_info=True)
+                            dw, ea, exc_info=True)
                 cls = ChronotaxicClass.NOT_CHRONOTAXIC
-            row[j] = CLASS_CODES[cls]
-        return row
-
-    codes = np.empty((nd, ne), dtype=np.uint8)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, row in enumerate(pool.map(classify_row, range(nd))):
-                codes[i] = row
-    else:
-        for i in range(nd):
-            codes[i] = classify_row(i)
-    return RegionMap(dws, eas, codes)
+                failed += 1
+            codes[i, j] = CLASS_CODES[cls]
+    return RegionMap(dws, eas, codes, failed)
 
 
 # --- attractor tracking ---

@@ -81,6 +81,10 @@ def test_blow_up_exit_code(tmp_path):
         "simulate", "--t1", "10.0", "--dt", "0.5",
         "--x0", "800000", "--out", str(tmp_path / "t.csv"),
     ]) == 3
+    # a state that turns NaN is a numerical failure, not a configuration error
+    assert main([
+        "simulate", "--t1", "1", "--x0", "1e150", "--out", str(tmp_path / "n.csv"),
+    ]) == 3
 
 
 def test_params_file_round_trip(tmp_path):

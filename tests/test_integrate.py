@@ -174,6 +174,17 @@ def test_blow_up_detected():
     assert err.value.time >= 0.0
 
 
+def test_non_finite_state_is_blow_up():
+    # from 1e150 the first RK4 stages overflow to inf - inf = NaN
+    with pytest.raises(BlowUpError) as err:
+        pullback(CartesianState(1e150, 0.0), [-1.0], 0.0, 1e-3, P, D17)
+    assert -1.0 < err.value.time <= 0.0
+    rng = np.random.Generator(np.random.Philox(0))
+    with pytest.raises(BlowUpError) as err:
+        em_path(lambda t, x, y: (math.nan, 0.0), 1.0, 0.0, time_grid(0.0, 1.0, 0.1), 0.1, rng)
+    assert err.value.time == pytest.approx(0.1)
+
+
 def test_trajectory_validation():
     with pytest.raises(Exception):
         Trajectory(0.0, 0.1, np.array([0.0, 0.1]), np.zeros((3, 2)), "lab")

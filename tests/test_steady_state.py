@@ -1,19 +1,24 @@
 """Fixed points, saddle-node continuation, closed-curve tracing, classes.
 
-The independent cross-check for the root finder: eliminate the angle from
-the co-rotating stationarity conditions.  With a = eps_gamma and
-b = eps_gamma*r_p - eps_a, stationary radii are positive roots of
+Two cross-checks for the fixed points.  Eliminating the angle from the
+co-rotating stationarity conditions gives, with a = eps_gamma and
+b = eps_gamma*r_p - eps_a, stationary radii as positive roots of
 
     a^2 r^4 - 2ab r^3 + (b^2 + dw^2) r^2 - eps_a^2 r_p^2 = 0
 
-restricted to sin(psi) = dw*r/(eps_a*r_p) being admissible.  The test
-builds that quartic from scratch and matches roots against the library.
+restricted to sin(psi) = dw*r/(eps_a*r_p) being admissible.  The library
+solves the same quartic, so the second oracle shares nothing with it: sign
+changes of the radial balance on both cosine branches over a dense radius
+grid, each refined with a bracketing root solver.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from chronotax import (
     CartesianState,
@@ -31,8 +36,10 @@ from chronotax import (
     frozen_at,
     gamma_exists_structural,
     region_map,
+    steady_state,
     trace_gamma,
 )
+from chronotax.steady_state import CLASS_CODES
 
 P = OscillatorParams(7.0, 1.0, 1.0)
 
@@ -43,6 +50,9 @@ CANONICAL = {
     1.7: 1,
     7.2: 1,
 }
+
+#: seeded, database-free property runs, so every run draws the same cases
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def quartic_radii(fp):
@@ -75,6 +85,33 @@ def quartic_radii(fp):
         if ok:
             out.append(r)
     return out
+
+
+def bracket_radii(fp, n=2000, r_max=2.5):
+    """Stationary radii by sign changes of the radial balance on a grid.
+
+    On each cosine branch c = +-sqrt(1 - s^2), s = dw*r/(eps_a*r_p), the
+    radial balance eps_gamma (r_p - r) r - eps_a r + eps_a r_p c vanishes
+    at a fixed point; every sign change on the grid is refined with brentq.
+    """
+    eg, rp, ea = fp.params.eps_gamma, fp.params.r_p, fp.eps_a
+    s_coef = fp.delta_omega / (ea * rp)
+    r_hi = r_max if s_coef == 0.0 else min(r_max, 1.0 / abs(s_coef))
+    grid = np.unique(np.concatenate([
+        np.geomspace(max(r_hi * 1e-9, 1e-12), r_hi / n, 64),
+        np.linspace(r_hi / n, r_hi, n),
+    ]))
+    out = []
+    for sign in (1.0, -1.0):
+
+        def balance(r, sign=sign):
+            c = sign * np.sqrt(np.maximum(0.0, 1.0 - (s_coef * r) ** 2))
+            return eg * (rp - r) * r - ea * r + ea * rp * c
+
+        vals = balance(grid)
+        for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
+            out.append(brentq(balance, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16))
+    return sorted(out)
 
 
 def rotating_rhs(fp, u, v):
@@ -129,11 +166,32 @@ def test_fixed_points_match_quartic_oracle():
             r_edge = fp.eps_a * fp.params.r_p / fp.delta_omega
             if any(abs(r - r_edge) < 1e-3 for r in oracle):
                 continue  # root grazing the admissible-angle boundary
-        found = [q.location.r for q in find_fixed_points(fp)]
-        assert len(found) == len(oracle), (fp, found, oracle)
-        for r_lib, r_orc in zip(sorted(found), oracle):
+        found = sorted(q.location.r for q in find_fixed_points(fp))
+        bracketed = bracket_radii(fp)
+        assert len(found) == len(oracle) == len(bracketed), (fp, found, oracle, bracketed)
+        for r_lib, r_orc, r_brk in zip(found, oracle, bracketed):
             assert abs(r_lib - r_orc) < 1e-6
+            assert abs(r_lib - r_brk) < 1e-6
         checked += 1
+
+
+@PROPERTY
+@given(
+    eps_a=st.floats(0.05, 9.0),
+    delta_omega=st.floats(-1.5, 1.5),
+    eps_gamma=st.floats(1.0, 10.0),
+    r_p=st.floats(0.5, 2.0),
+)
+def test_fixed_point_count_is_odd_away_from_folds(eps_a, delta_omega, eps_gamma, r_p):
+    # index theory: nodes and foci outnumber saddles by one when no point is
+    # degenerate, and every fixed point has r <= r_p < r_max
+    fp = FrozenParams(eps_a, delta_omega, OscillatorParams(eps_gamma, 1.0, r_p))
+    a = eps_gamma
+    b = a * r_p - eps_a
+    roots = np.roots([a * a, -2.0 * a * b, b * b + delta_omega**2, 0.0, -(eps_a * r_p) ** 2])
+    gaps = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(roots.size, 1)]
+    assume(gaps.min() >= 1e-3)  # within 1e-3 of a double root, i.e. of a fold
+    assert len(find_fixed_points(fp)) % 2 == 1
 
 
 def test_stationary_angle_identity():
@@ -247,11 +305,15 @@ def test_classify_canonical():
         assert classify(FrozenParams(eps_a, 0.5, P)) is cls
 
 
-def test_classify_mirror_symmetry():
-    for eps_a in (0.3, 0.5, 1.7):
-        a = classify(FrozenParams(eps_a, 0.5, P))
-        b = classify(FrozenParams(eps_a, -0.5, P))
-        assert a is b
+@PROPERTY
+@given(eps_a=st.floats(0.0, 9.0), delta_omega=st.floats(0.0, 1.5))
+@example(eps_a=0.3, delta_omega=0.5)
+@example(eps_a=0.5, delta_omega=0.5)
+@example(eps_a=1.7, delta_omega=0.5)
+def test_classify_mirror_symmetry(eps_a, delta_omega):
+    a = classify(FrozenParams(eps_a, delta_omega, P))
+    b = classify(FrozenParams(eps_a, -delta_omega, P))
+    assert a is b
 
 
 def test_marginal_band_between_fold_and_contraction():
@@ -279,6 +341,38 @@ def test_region_map_workers_agree():
     a = region_map((0.0, 1.0), (0.0, 4.0), 13, P, workers=1)
     b = region_map((0.0, 1.0), (0.0, 4.0), 13, P, workers=4)
     np.testing.assert_array_equal(a.codes, b.codes)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(
+    dw_lo=st.floats(-1.5, 1.5),
+    dw_span=st.floats(0.01, 1.0),
+    ea_lo=st.floats(0.0, 6.0),
+    ea_span=st.floats(0.01, 3.0),
+    shape=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+)
+def test_region_map_cells_equal_pointwise_classify(dw_lo, dw_span, ea_lo, ea_span, shape):
+    rm = region_map((dw_lo, dw_lo + dw_span), (ea_lo, ea_lo + ea_span), shape, P)
+    assert rm.codes.shape == shape and rm.failed == 0
+    for i, dw in enumerate(rm.delta_omegas):
+        for j, ea in enumerate(rm.eps_as):
+            cls = classify(FrozenParams(float(ea), float(dw), P))
+            assert rm.codes[i, j] == CLASS_CODES[cls], (dw, ea)
+
+
+def test_region_map_counts_failed_cells(monkeypatch):
+    real = steady_state.classify
+
+    def flaky(fp, **kw):
+        if fp.eps_a == 2.0 and fp.delta_omega == 0.5:
+            raise FloatingPointError("injected")
+        return real(fp, **kw)
+
+    monkeypatch.setattr(steady_state, "classify", flaky)
+    rm = region_map((0.0, 1.0), (0.0, 4.0), 3, P)
+    assert rm.failed == 1
+    assert rm.class_at(1, 1) is ChronotaxicClass.NOT_CHRONOTAXIC
+    assert region_map((0.0, 1.0), (0.0, 4.0), 3, P, workers=2).failed == 1
 
 
 def test_region_map_csv(tmp_path):
