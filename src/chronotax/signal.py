@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 from . import export
 from .errors import InvalidInputError
@@ -181,6 +180,10 @@ def ridge(s: Scalogram, smooth: int = 5) -> Ridge:
         idx[j] = pick
         prev = pick
     if smooth > 1:
+        # imported here: scipy.ndimage adds about 28 MB to every process that
+        # imports chronotax, and only ridge smoothing needs it
+        from scipy.ndimage import median_filter
+
         idx = median_filter(idx, size=smooth, mode="nearest")
     coi = s.coi_mask()
     cols = np.arange(nt)

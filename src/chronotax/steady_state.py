@@ -46,7 +46,7 @@ from .errors import (
     NotChronotaxicError,
     TraceFailureError,
 )
-from .integrate import Trajectory, rk4_path, time_grid
+from .integrate import LabField, Trajectory, make_lab_field, rk4_blocks, rk4_path, time_grid
 from .model import (
     DriveSchedule,
     FloatArray,
@@ -178,7 +178,11 @@ class BifurcationResult:
 
 
 def rotating_field_frozen(fp: FrozenParams):
-    """Co-rotating Cartesian field closure (t, u, v) -> (du, dv) at frozen parameters."""
+    """Co-rotating Cartesian field closure (t, u, v) -> (du, dv) at frozen parameters.
+
+    For pointwise evaluation (Newton polishing, residuals); integration runs
+    the same arithmetic on the lab-field kernel, see :func:`_frozen_lab_field`.
+    """
     eg = fp.params.eps_gamma
     rp = fp.params.r_p
     ea = fp.eps_a
@@ -376,32 +380,37 @@ def continuation_sweep(delta_omega: float, eps_a_range: tuple[float, float],
 # --- attracting closed curve ---
 
 
-def _integrate_to_target(field, start, target, dt: float, max_time: float,
+def _frozen_lab_field(fp: FrozenParams) -> LabField:
+    """The frozen co-rotating field as a lab field: omega0 -> delta_omega, drive at angle 0.
+
+    ``r_p cos(0) == r_p`` and ``r_p sin(0) == 0`` exactly, so the integrators'
+    kernel computes with it the same numbers as :func:`rotating_field_frozen`.
+    """
+    p = fp.params
+    return make_lab_field(OscillatorParams(p.eps_gamma, fp.delta_omega, p.r_p),
+                          DriveSchedule.constant(fp.eps_a, 0.0))
+
+
+def _integrate_to_target(field: LabField, start, target, dt: float, max_time: float,
                          reach_tol: float, stride: int):
     """March the rotating flow until within reach_tol of target; polyline samples."""
-    u, v = start
     tu, tv = target
-    pts = [(u, v)]
+    pts = [start]
     t = 0.0
     k = 0
-    while t < max_time:
-        # one RK4 step
-        k1u, k1v = field(t, u, v)
-        k2u, k2v = field(t, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-        k3u, k3v = field(t, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-        k4u, k4v = field(t, u + dt * k3u, v + dt * k3v)
-        u += (dt / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
-        v += (dt / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
-        t += dt
-        k += 1
-        if k % stride == 0:
-            pts.append((u, v))
-        if (u - tu) ** 2 + (v - tv) ** 2 < reach_tol * reach_tol:
-            pts.append((u, v))
-            return np.array(pts)
-    raise TraceFailureError(
-        f"manifold branch did not reach the node within {max_time:g} time units"
-    )
+    for xs, ys in rk4_blocks(field, start[0], start[1], dt):
+        for u, v in zip(xs, ys):
+            if not t < max_time:
+                raise TraceFailureError(
+                    f"manifold branch did not reach the node within {max_time:g} time units"
+                )
+            t += dt
+            k += 1
+            if k % stride == 0:
+                pts.append((u, v))
+            if (u - tu) ** 2 + (v - tv) ** 2 < reach_tol * reach_tol:
+                pts.append((u, v))
+                return np.array(pts)
 
 
 def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
@@ -424,7 +433,7 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
     points = find_fixed_points(fp)
     stable = [q for q in points if q.is_stable]
     saddles = [q for q in points if q.kind == PointKind.SADDLE]
-    field = rotating_field_frozen(fp)
+    field = _frozen_lab_field(fp)
     stride = max(1, int(round(0.01 / dt)))
 
     if len(points) == 3 and saddles and stable:
@@ -490,41 +499,36 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
     return curve
 
 
-def _trace_one_turn(field, start, dt: float, max_time: float, stride: int):
+def _trace_one_turn(field: LabField, start, dt: float, max_time: float, stride: int):
     """Integrate until the accumulated polar angle advances one full turn."""
     u, v = start
-    theta0 = math.atan2(v, u)
+    prev = math.atan2(v, u)
     acc = 0.0
-    prev = theta0
     pts = [(u, v)]
     t = 0.0
     k = 0
-    while t < max_time:
-        k1u, k1v = field(t, u, v)
-        k2u, k2v = field(t, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-        k3u, k3v = field(t, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-        k4u, k4v = field(t, u + dt * k3u, v + dt * k3v)
-        un = u + (dt / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
-        vn = v + (dt / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
-        theta = math.atan2(vn, un)
-        dth = theta - prev
-        if dth > math.pi:
-            dth -= _TWO_PI
-        elif dth < -math.pi:
-            dth += _TWO_PI
-        if abs(acc) < _TWO_PI <= abs(acc + dth):
-            # interpolate the crossing of the full turn
-            frac = (_TWO_PI - abs(acc)) / abs(dth)
-            pts.append((u + frac * (un - u), v + frac * (vn - v)))
-            return np.array(pts)
-        acc += dth
-        prev = theta
-        u, v = un, vn
-        t += dt
-        k += 1
-        if k % stride == 0:
-            pts.append((u, v))
-    raise TraceFailureError(f"no full turn within {max_time:g} time units")
+    for xs, ys in rk4_blocks(field, u, v, dt):
+        for un, vn in zip(xs, ys):
+            if not t < max_time:
+                raise TraceFailureError(f"no full turn within {max_time:g} time units")
+            theta = math.atan2(vn, un)
+            dth = theta - prev
+            if dth > math.pi:
+                dth -= _TWO_PI
+            elif dth < -math.pi:
+                dth += _TWO_PI
+            if abs(acc) < _TWO_PI <= abs(acc + dth):
+                # interpolate the crossing of the full turn
+                frac = (_TWO_PI - abs(acc)) / abs(dth)
+                pts.append((u + frac * (un - u), v + frac * (vn - v)))
+                return np.array(pts)
+            acc += dth
+            prev = theta
+            u, v = un, vn
+            t += dt
+            k += 1
+            if k % stride == 0:
+                pts.append((u, v))
 
 
 # --- classification ---
@@ -612,10 +616,12 @@ def region_map(delta_omega_range: tuple[float, float],
 
     ``resolution`` is points per axis (int or ``(n_delta, n_eps)``).  Cells
     are classified serially with :func:`classify`; ``workers`` is accepted
-    for compatibility and has no effect on the work or the result.  Cells
-    whose classification fails are tagged not-chronotaxic, logged, and
-    counted in ``RegionMap.failed``.
+    for compatibility (``None`` or at least 1) and has no effect on the work
+    or the result.  Cells whose classification fails are tagged
+    not-chronotaxic, logged, and counted in ``RegionMap.failed``.
     """
+    if workers is not None and workers < 1:
+        raise InvalidInputError(f"workers must be at least 1, got {workers}")
     if np.ndim(resolution) == 0:
         nd = ne = int(resolution)
     else:
@@ -696,8 +702,6 @@ def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     a = float(d.alpha_p(t0 - window))
     x0 = u * math.cos(a) - v * math.sin(a)
     y0 = u * math.sin(a) + v * math.cos(a)
-
-    from .integrate import make_lab_field
 
     field = make_lab_field(p, d)
     x, y = rk4_path(field, x0, y0, time_grid(t0 - window, t0, dt), record=False)

@@ -1,6 +1,7 @@
 """Command-line interface: files produced, config precedence, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,16 @@ def test_blow_up_exit_code(tmp_path):
     assert main([
         "simulate", "--t1", "1", "--x0", "1e150", "--out", str(tmp_path / "n.csv"),
     ]) == 3
+
+
+def test_overflow_blow_up_warns_nothing(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([
+            "simulate", "--t1", "1", "--x0", "1e150", "--out", str(tmp_path / "n.csv"),
+        ]) == 3
+    assert caught == []
+    assert capsys.readouterr().err.startswith("numerical failure")
 
 
 def test_params_file_round_trip(tmp_path):

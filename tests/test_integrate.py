@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronotax import (
     BlowUpError,
@@ -11,6 +13,7 @@ from chronotax import (
     DriveSchedule,
     NoiseSpec,
     OscillatorParams,
+    Schedule,
     Trajectory,
     cocycle_check,
     integrate_det,
@@ -18,12 +21,14 @@ from chronotax import (
     pullback,
     time_grid,
 )
-from chronotax.integrate import em_path
+from chronotax.integrate import TAPE_BLOCK, em_path, make_lab_field, rk4_path
 
 P = OscillatorParams(7.0, 1.0, 1.0)
 D17 = DriveSchedule.constant(1.7, 0.5)
 D03 = DriveSchedule.constant(0.3, 0.5)
 FREE = DriveSchedule.constant(0.0, 0.5)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def test_time_grid_exact_endpoints():
@@ -70,8 +75,6 @@ def test_cocycle_split():
 
 
 def test_cocycle_with_scheduled_drive():
-    from chronotax import Schedule
-
     d = DriveSchedule(
         Schedule.sampled([0.0, 4.0, 8.0], [1.6, 3.0, 2.0]),
         Schedule.sampled([0.0, 8.0], [0.4, 0.7]),
@@ -188,3 +191,105 @@ def test_non_finite_state_is_blow_up():
 def test_trajectory_validation():
     with pytest.raises(Exception):
         Trajectory(0.0, 0.1, np.array([0.0, 0.1]), np.zeros((3, 2)), "lab")
+
+
+# --- drive tape against the per-call reference ---
+
+
+def reference_field(p, d):
+    """The lab field with both schedules evaluated at every call, run through
+    the generic integrator loops: the reference the drive tape must match."""
+    eg, w0, rp = p.eps_gamma, p.omega0, p.r_p
+
+    def field(t, x, y):
+        r = math.sqrt(x * x + y * y)
+        g = eg * (rp - r)
+        ea = float(d.eps_a(t))
+        a = float(d.alpha_p(t))
+        return (
+            g * x - w0 * y - ea * (x - rp * math.cos(a)),
+            g * y + w0 * x - ea * (y - rp * math.sin(a)),
+        )
+
+    return field
+
+
+@st.composite
+def schedules(draw, lo, hi):
+    kind = draw(st.sampled_from(["constant", "linear", "previous"]))
+    if kind == "constant":
+        return Schedule.constant(draw(st.floats(lo, hi)))
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1))
+    knots = draw(st.floats(-3.0, 3.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    values = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+    return Schedule.sampled(knots, values, kind)
+
+
+@st.composite
+def drives(draw):
+    return DriveSchedule(draw(schedules(0.0, 6.0)), draw(schedules(-1.0, 2.0)),
+                         draw(st.floats(-10.0, 10.0)))
+
+
+@st.composite
+def grids(draw):
+    """``(t0, t1, dt)`` with a step that does not divide the span (a short last
+    step), over up to two tape blocks and a part of a third."""
+    dt = draw(st.floats(1e-3, 0.05))
+    steps = draw(st.integers(1, 2 * TAPE_BLOCK + 300))
+    t0 = draw(st.floats(-4.0, 4.0))
+    return t0, t0 + dt * (steps + draw(st.floats(0.1, 0.9))), dt
+
+
+starts = st.tuples(st.floats(0.5, 2.0), st.floats(-math.pi, math.pi))
+
+
+@PROPERTY
+@given(d=drives(), grid=grids(), start=starts, record=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=DriveSchedule(Schedule.sampled([0.0, 1.0, 2.5], [1.6, 3.0, 0.2], "previous"),
+                         Schedule.sampled([-1.0, 3.0], [0.4, 0.9]), alpha0=2.0),
+         grid=(-0.3, 2.2537, 1e-3), start=(1.3, 0.4), record=True, seed=7)
+def test_tape_matches_per_call_reference(d, grid, start, record, seed):
+    times = time_grid(*grid)
+    x0, y0 = start[0] * math.cos(start[1]), start[0] * math.sin(start[1])
+    lab = make_lab_field(P, d)
+    ref = reference_field(P, d)
+    assert lab(times[-1], x0, y0) == ref(times[-1], x0, y0)
+    tape = rk4_path(lab, x0, y0, times, record=record)
+    assert np.array_equal(tape, rk4_path(ref, x0, y0, times, record=record))
+    tape = em_path(lab, x0, y0, times, 0.3, np.random.Generator(np.random.Philox(seed)),
+                   record=record)
+    assert np.array_equal(tape, em_path(ref, x0, y0, times, 0.3,
+                                        np.random.Generator(np.random.Philox(seed)),
+                                        record=record))
+
+
+def test_tape_takes_integer_parameters():
+    times = time_grid(0.0, 1.0, 0.01)
+    assert rk4_path(make_lab_field(OscillatorParams(7, 1, 1), D17), 1.0, 0.0, times) \
+        .tolist() == rk4_path(make_lab_field(P, D17), 1.0, 0.0, times).tolist()
+
+
+@PROPERTY
+@given(d=drives(), t0=st.floats(-4.0, 4.0), dt=st.floats(1e-3, 0.02),
+       steps=st.integers(2, 3000), split=st.floats(0.0, 1.0), start=starts)
+def test_cocycle_at_random_grid_splits(d, t0, dt, steps, split, start):
+    t2 = t0 + dt * (steps + 0.5)
+    t1 = t0 + dt * int(split * steps)
+    s0 = CartesianState(start[0] * math.cos(start[1]), start[0] * math.sin(start[1]))
+    assert cocycle_check(s0, t0, t1, t2, dt, P, d) <= 1e-9
+
+
+@PROPERTY
+@given(d=drives(), grid=grids(), start=starts, phi=st.floats(-math.pi, math.pi))
+def test_rotation_equivariance_under_alpha0_shift(d, grid, start, phi):
+    r, th = start
+    base = integrate_det(CartesianState(r * math.cos(th), r * math.sin(th)), *grid, P, d)
+    turned = integrate_det(CartesianState(r * math.cos(th + phi), r * math.sin(th + phi)),
+                           *grid, P, DriveSchedule(d.eps_a, d.omega_p, d.alpha0 + phi))
+    c, s = math.cos(phi), math.sin(phi)
+    x, y = base.states[:, 0], base.states[:, 1]
+    assert np.max(np.hypot(c * x - s * y - turned.states[:, 0],
+                           s * x + c * y - turned.states[:, 1])) <= 1e-12

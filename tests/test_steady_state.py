@@ -25,6 +25,7 @@ from chronotax import (
     ChronotaxicClass,
     DriveSchedule,
     FrozenParams,
+    InvalidInputError,
     NotChronotaxicError,
     OscillatorParams,
     PointKind,
@@ -39,6 +40,7 @@ from chronotax import (
     steady_state,
     trace_gamma,
 )
+from chronotax.integrate import rk4_blocks
 from chronotax.steady_state import CLASS_CODES
 
 P = OscillatorParams(7.0, 1.0, 1.0)
@@ -250,6 +252,30 @@ def test_counts_change_by_two_at_thresholds():
         assert abs(lo - hi) == 2
 
 
+def test_frozen_flow_blocks_match_per_call_rk4():
+    # trace_gamma's RK4 with h = dt on the lab-field kernel, against the
+    # per-call co-rotating field, across three tape blocks
+    fp = FrozenParams(0.5, 0.5, P)
+    field = steady_state.rotating_field_frozen(fp)
+    dt = 1e-3
+    u, v = 1.2, 0.1
+    ref = []
+    for _ in range(600):
+        k1u, k1v = field(0.0, u, v)
+        k2u, k2v = field(0.0, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+        k3u, k3v = field(0.0, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+        k4u, k4v = field(0.0, u + dt * k3u, v + dt * k3v)
+        u += (dt / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
+        v += (dt / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
+        ref.append((u, v))
+    got = []
+    for xs, ys in rk4_blocks(steady_state._frozen_lab_field(fp), 1.2, 0.1, dt):
+        got += zip(xs, ys)
+        if len(got) >= len(ref):
+            break
+    assert got[:len(ref)] == ref
+
+
 def test_trace_gamma_free_oscillator_is_unit_circle():
     g = trace_gamma(FrozenParams(0.0, 0.5, P))
     assert g.exists
@@ -341,6 +367,13 @@ def test_region_map_workers_agree():
     a = region_map((0.0, 1.0), (0.0, 4.0), 13, P, workers=1)
     b = region_map((0.0, 1.0), (0.0, 4.0), 13, P, workers=4)
     np.testing.assert_array_equal(a.codes, b.codes)
+
+
+def test_region_map_rejects_workers_below_one():
+    # the same rule as --threads / CHRONOTAX_THREADS in the CLI
+    for workers in (0, -3):
+        with pytest.raises(InvalidInputError):
+            region_map((0.0, 1.0), (0.0, 4.0), 3, P, workers=workers)
 
 
 @settings(PROPERTY, max_examples=25)
