@@ -32,7 +32,24 @@ DEFAULT_F0 = 1.0
 COI_EFOLD = math.sqrt(2.0)
 
 DWELL_BAND = 0.5
+#: samples searched at once by :func:`count_slips`.  It bounds the walk's
+#: cost by O(n + events * SLIP_WINDOW), where searching the whole rest of the
+#: record for each event costs O(n * events), quadratic in the length of a
+#: drifting record.  On the 12 records of 50001 samples and 8-31 events of the
+#: noisy read-out benchmark: 0.03 s, against 0.12 s for the rest-of-record
+#: search and 0.26 s for a sample-by-sample walk.
+SLIP_WINDOW = 4096
 _TWO_PI = 2.0 * math.pi
+
+#: frequency rows per inverse-FFT block in :func:`cwt`.  Record lengths with
+#: a large prime factor (5001 = 3 * 1667) run through Bluestein's algorithm,
+#: which pocketfft applies to several rows at once in SIMD lanes.  Kernels and
+#: inverse FFTs of 213 x 5001 on a 2-vCPU Xeon host (numpy 2.4, median of 21):
+#: 0.16 s row by row, 0.085 s in 8-row blocks (1.3 MB of temporaries), 0.080 s
+#: in 16-row blocks (2.6 MB, which raises the peak RSS of a read-out pass by
+#: about 0.3 MB over row by row) and 0.094 s as one 2-D transform of all rows
+#: (26 MB).
+CWT_ROWS = 8
 
 
 def morlet_fourier(omega: FloatArray, f0: float = DEFAULT_F0) -> FloatArray:
@@ -70,12 +87,12 @@ class Scalogram:
 
     def coi_mask(self) -> np.ndarray:
         """True where a cell is clear of both record edges (valid region)."""
-        margin = COI_EFOLD * self.central_freq / self.freqs  # seconds, per row
-        t0 = self.times[0]
-        t1 = self.times[-1]
-        lo = self.times[None, :] >= t0 + margin[:, None]
-        hi = self.times[None, :] <= t1 - margin[:, None]
-        return lo & hi
+        return self._clear_of_edges(self.freqs[:, None], self.times[None, :])
+
+    def _clear_of_edges(self, freqs: FloatArray, times: FloatArray) -> np.ndarray:
+        """Cone-of-influence test of cells at ``freqs`` and ``times`` (broadcast)."""
+        margin = COI_EFOLD * self.central_freq / freqs  # seconds
+        return (times >= self.times[0] + margin) & (times <= self.times[-1] - margin)
 
     def to_csv(self, path) -> None:
         nt = self.times.size
@@ -104,10 +121,14 @@ def cwt(series: FloatArray, fs: float, freqs: FloatArray | None = None,
         f0: float = DEFAULT_F0) -> Scalogram:
     """Continuous wavelet transform of a uniformly sampled real signal.
 
-    One FFT of the input and one inverse FFT per frequency row; the kernel
-    for frequency f is the wavelet's Fourier transform evaluated at scale
-    f0/f, which is the L1 normalization.  The record must cover at least
-    four cycles of the lowest requested frequency.
+    One FFT of the input, then one batched inverse FFT per block of
+    :data:`CWT_ROWS` frequency rows; the kernel for frequency f is the
+    wavelet's Fourier transform evaluated at scale f0/f, which is the L1
+    normalization.  A block only runs its rows side by side: each row goes
+    through the same operations as on its own, so the magnitudes equal those
+    of one inverse FFT per row bit for bit, and the temporaries stay a few
+    rows in size.  The record must cover at least four cycles of the lowest
+    requested frequency.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -132,10 +153,13 @@ def cwt(series: FloatArray, fs: float, freqs: FloatArray | None = None,
         )
     spectrum = np.fft.fft(x)
     omega = _TWO_PI * np.fft.fftfreq(x.size, d=1.0 / fs)
+    scale = f0 / freqs
     mag = np.empty((freqs.size, x.size), dtype=float)
-    for i, f in enumerate(freqs):
-        scale = f0 / f
-        mag[i] = np.abs(np.fft.ifft(spectrum * morlet_fourier(scale * omega, f0)))
+    for i0 in range(0, freqs.size, CWT_ROWS):
+        rows = slice(i0, i0 + CWT_ROWS)
+        # one expression, so no block's temporaries outlive it
+        np.abs(np.fft.ifft(spectrum * morlet_fourier(scale[rows, None] * omega, f0), axis=-1),
+               out=mag[rows])
     times = np.arange(x.size) / fs
     return Scalogram(times, freqs, mag, f0)
 
@@ -161,33 +185,37 @@ class Ridge:
 def ridge(s: Scalogram, smooth: int = 5) -> Ridge:
     """Per-time dominant frequency of a scalogram.
 
-    Column argmax with exact ties broken toward the previous column's pick,
+    Column argmax with exact ties broken toward the previous column's pick
+    (the lower bin at equal distance; in the first column the lowest bin),
     then a short median filter over the bin indices to suppress single-column
-    jumps.  Validity flags come from the cone of influence at the ridge's own
-    frequency row.
+    jumps.  One pass over the frequency rows keeps a running column maximum
+    and the first and last row that reach it; only columns where the two
+    differ hold a tie and are resolved one by one, in column order.  Validity
+    flags come from the cone of influence at the ridge's own frequency row.
     """
     mag = s.magnitude
     nt = s.times.size
-    idx = np.empty(nt, dtype=np.int64)
-    prev = None
-    for j in range(nt):
-        col = mag[:, j]
-        top = np.flatnonzero(col == col.max())
-        if prev is None or top.size == 1:
-            pick = int(top[0])
-        else:
-            pick = int(top[np.argmin(np.abs(top - prev))])
-        idx[j] = pick
-        prev = pick
+    best = mag[0].copy()
+    idx = np.zeros(nt, dtype=np.int64)
+    last = np.zeros(nt, dtype=np.int64)
+    for i in range(1, mag.shape[0]):
+        row = mag[i]
+        np.copyto(idx, i, where=row > best)
+        np.copyto(last, i, where=row >= best)
+        np.maximum(best, row, out=best)
+    for j in np.flatnonzero(idx != last):
+        if j > 0:
+            top = np.flatnonzero(mag[:, j] == best[j])
+            idx[j] = top[np.argmin(np.abs(top - idx[j - 1]))]
     if smooth > 1:
         # imported here: scipy.ndimage adds about 28 MB to every process that
         # imports chronotax, and only ridge smoothing needs it
         from scipy.ndimage import median_filter
 
         idx = median_filter(idx, size=smooth, mode="nearest")
-    coi = s.coi_mask()
-    cols = np.arange(nt)
-    return Ridge(s.times, s.freqs[idx], mag[idx, cols], coi[idx, cols])
+    freqs = s.freqs[idx]
+    return Ridge(s.times, freqs, mag[idx, np.arange(nt)],
+                 s._clear_of_edges(freqs, s.times))
 
 
 @dataclass(frozen=True)
@@ -210,6 +238,14 @@ def count_slips(traj: Trajectory, attractor_psi: float,
     turn back, and drift that never completes the full turn, produce no
     events.  Adding any multiple of 2*pi to the whole record only shifts the
     level, so the events are unchanged.
+
+    The walk jumps from event to event: over the next :data:`SLIP_WINDOW`
+    samples it marks the samples in each band at once, finds the anchor each
+    sample would see (the last dwelling sample before it) with a running
+    maximum of indices, takes the first sample that completes a slip, and
+    starts again after it, or after the window if none does.  The comparisons
+    are those of a sample-by-sample walk, so the events are the same bit for
+    bit.
     """
     if traj.frame != "rotating":
         raise InvalidInputError("slip counting expects a rotating-frame trajectory")
@@ -219,18 +255,25 @@ def count_slips(traj: Trajectory, attractor_psi: float,
     anchor_t = float(times[0])
     anchor_d = float(d[0])
     events: list[SlipEvent] = []
-    for i in range(d.size):
-        di = float(d[i])
-        if abs(di - level) < dwell_band:
-            anchor_t = float(times[i])
-            anchor_d = di
-            continue
-        for sign in (1.0, -1.0):
-            shifted = level + sign * _TWO_PI
-            if abs(di - shifted) < dwell_band and abs(di - anchor_d) >= _TWO_PI - 0.5:
-                events.append(SlipEvent(anchor_t, float(times[i]), int(sign)))
-                level = shifted
-                anchor_t = float(times[i])
-                anchor_d = di
-                break
+    k = 0
+    while k < d.size:
+        seg = d[k:k + SLIP_WINDOW]
+        dwell = np.abs(seg - level) < dwell_band
+        up = np.abs(seg - (level + _TWO_PI)) < dwell_band
+        down = np.abs(seg - (level - _TWO_PI)) < dwell_band
+        # the anchor seen by each sample: the last dwelling sample up to it
+        pos = np.maximum.accumulate(np.where(dwell, np.arange(seg.size), -1))
+        anchor = np.where(pos >= 0, seg[pos], anchor_d)
+        hit = np.flatnonzero(~dwell & (up | down) & (np.abs(seg - anchor) >= _TWO_PI - 0.5))
+        i = int(hit[0]) if hit.size else seg.size - 1
+        if pos[i] >= 0:
+            anchor_t = float(times[k + pos[i]])
+            anchor_d = float(seg[pos[i]])
+        if hit.size:
+            sign = 1 if up[i] else -1
+            events.append(SlipEvent(anchor_t, float(times[k + i]), sign))
+            level += sign * _TWO_PI
+            anchor_t = float(times[k + i])
+            anchor_d = float(seg[i])
+        k += i + 1
     return events

@@ -28,8 +28,6 @@ D17 = DriveSchedule.constant(1.7, 0.5)
 D03 = DriveSchedule.constant(0.3, 0.5)
 FREE = DriveSchedule.constant(0.0, 0.5)
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-
 
 def test_time_grid_exact_endpoints():
     g = time_grid(0.0, 1.0, 0.1)
@@ -245,7 +243,7 @@ def grids(draw):
 starts = st.tuples(st.floats(0.5, 2.0), st.floats(-math.pi, math.pi))
 
 
-@PROPERTY
+@settings(max_examples=40)
 @given(d=drives(), grid=grids(), start=starts, record=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 @example(d=DriveSchedule(Schedule.sampled([0.0, 1.0, 2.5], [1.6, 3.0, 0.2], "previous"),
@@ -272,7 +270,7 @@ def test_tape_takes_integer_parameters():
         .tolist() == rk4_path(make_lab_field(P, D17), 1.0, 0.0, times).tolist()
 
 
-@PROPERTY
+@settings(max_examples=40)
 @given(d=drives(), t0=st.floats(-4.0, 4.0), dt=st.floats(1e-3, 0.02),
        steps=st.integers(2, 3000), split=st.floats(0.0, 1.0), start=starts)
 def test_cocycle_at_random_grid_splits(d, t0, dt, steps, split, start):
@@ -282,7 +280,7 @@ def test_cocycle_at_random_grid_splits(d, t0, dt, steps, split, start):
     assert cocycle_check(s0, t0, t1, t2, dt, P, d) <= 1e-9
 
 
-@PROPERTY
+@settings(max_examples=40)
 @given(d=drives(), grid=grids(), start=starts, phi=st.floats(-math.pi, math.pi))
 def test_rotation_equivariance_under_alpha0_shift(d, grid, start, phi):
     r, th = start

@@ -8,9 +8,14 @@ f0 = 1 (the admissibility correction kappa is then ~2.7e-9).
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import median_filter
 
 from chronotax import (
     InvalidInputError,
@@ -23,9 +28,12 @@ from chronotax import (
     morlet_freq_grid,
     ridge,
 )
+from chronotax import signal as readout
 from chronotax.integrate import Trajectory
+from chronotax.signal import COI_EFOLD, CWT_ROWS, DWELL_BAND, SLIP_WINDOW
 
 RIDGE_MAG = 0.9414  # see module docstring
+TWO_PI = 2.0 * math.pi
 
 
 def tone(freq, fs=10.0, duration=400.0, amp=1.0, phase=0.0):
@@ -234,3 +242,197 @@ def test_slip_event_fields():
     ev = SlipEvent(1.0, 2.0, 1)
     assert ev.t_end > ev.t_start
     assert ev.winding in (-1, 1)
+
+
+# --- loop references ---------------------------------------------------
+# The read-out kernels as first written: one inverse FFT per frequency row,
+# one argmax per column, one step of the dwell walk per sample.  The library
+# must give the same results bit for bit.
+
+
+def cwt_per_row(x, fs, freqs, f0=1.0):
+    spectrum = np.fft.fft(x)
+    omega = TWO_PI * np.fft.fftfreq(x.size, d=1.0 / fs)
+    mag = np.empty((freqs.size, x.size), dtype=float)
+    for i, f in enumerate(freqs):
+        scale = f0 / f
+        mag[i] = np.abs(np.fft.ifft(spectrum * morlet_fourier(scale * omega, f0)))
+    return mag
+
+
+def ridge_per_column(s, smooth=5):
+    mag = s.magnitude
+    nt = s.times.size
+    idx = np.empty(nt, dtype=np.int64)
+    prev = None
+    for j in range(nt):
+        col = mag[:, j]
+        top = np.flatnonzero(col == col.max())
+        if prev is None or top.size == 1:
+            pick = int(top[0])
+        else:
+            pick = int(top[np.argmin(np.abs(top - prev))])
+        idx[j] = pick
+        prev = pick
+    if smooth > 1:
+        idx = median_filter(idx, size=smooth, mode="nearest")
+    margin = COI_EFOLD * s.central_freq / s.freqs
+    coi = ((s.times[None, :] >= s.times[0] + margin[:, None])
+           & (s.times[None, :] <= s.times[-1] - margin[:, None]))
+    cols = np.arange(nt)
+    return Ridge(s.times, s.freqs[idx], mag[idx, cols], coi[idx, cols])
+
+
+def slips_per_sample(traj, attractor_psi, dwell_band=DWELL_BAND):
+    d = traj.states[:, 1] - attractor_psi
+    times = traj.times
+    level = TWO_PI * round(float(d[0]) / TWO_PI)
+    anchor_t = float(times[0])
+    anchor_d = float(d[0])
+    events = []
+    for i in range(d.size):
+        di = float(d[i])
+        if abs(di - level) < dwell_band:
+            anchor_t = float(times[i])
+            anchor_d = di
+            continue
+        for sign in (1.0, -1.0):
+            shifted = level + sign * TWO_PI
+            if abs(di - shifted) < dwell_band and abs(di - anchor_d) >= TWO_PI - 0.5:
+                events.append(SlipEvent(anchor_t, float(times[i]), int(sign)))
+                level = shifted
+                anchor_t = float(times[i])
+                anchor_d = di
+                break
+    return events
+
+
+def same_ridge(a, b):
+    return (np.array_equal(a.frequency, b.frequency)
+            and np.array_equal(a.magnitude, b.magnitude)
+            and np.array_equal(a.valid, b.valid))
+
+
+@settings(max_examples=40)
+@given(n=st.one_of(st.sampled_from([5001, 4099, 1031, 4096]), st.integers(64, 3000)),
+       rows=st.integers(1, 3 * CWT_ROWS + 3), voices=st.integers(1, 32),
+       f0=st.sampled_from([1.0, 0.75, 1.3]), seed=st.integers(0, 2**32 - 1))
+@example(n=5001, rows=2 * CWT_ROWS + 5, voices=32, f0=1.0, seed=1)
+def test_cwt_blocks_equal_per_row_reference(n, rows, voices, f0, seed):
+    fs = 10.0
+    x = np.random.default_rng(seed).standard_normal(n)
+    fmin = 4.0 * fs / n * 1.01  # four cycles of the lowest frequency fit
+    freqs = fmin * 2.0 ** (np.arange(rows) / voices)
+    sc = cwt(x, fs, freqs, f0)
+    assert np.array_equal(sc.magnitude, cwt_per_row(x, fs, freqs, f0))
+    assert same_ridge(ridge(sc), ridge_per_column(sc))
+
+
+@settings(max_examples=200)
+@given(nf=st.integers(1, 40), nt=st.integers(1, 300), levels=st.integers(0, 4),
+       smooth=st.sampled_from([1, 3, 5]), edges=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_ridge_equals_per_column_reference(nf, nt, levels, smooth, edges, seed):
+    # levels > 0 draws integer magnitudes in [0, levels), dense in exact ties;
+    # with edges, every cone-of-influence margin is a power of two that falls
+    # exactly on a sample time
+    rng = np.random.default_rng(seed)
+    mag = (rng.integers(0, levels, (nf, nt)).astype(float) if levels
+           else rng.random((nf, nt)))
+    if edges:
+        freqs, central = 2.0 ** (np.arange(nf) - nf + 2.0), 1.0 / COI_EFOLD
+    else:
+        freqs, central = 0.1 * 2.0 ** (np.arange(nf) / 8.0), 1.0
+    sc = Scalogram(np.arange(nt) / 4.0, freqs, mag, central)
+    assert same_ridge(ridge(sc, smooth), ridge_per_column(sc, smooth))
+
+
+def test_ridge_tie_break():
+    # columns: tie in column 0, a unique peak, then ties in consecutive columns
+    top = [(1, 3), (2,), (1, 3), (0, 4), (3, 4), (0, 4)]
+    mag = np.zeros((5, len(top)))
+    for j, rows in enumerate(top):
+        mag[list(rows), j] = 1.0
+    sc = Scalogram(np.arange(len(top)) / 4.0, 0.1 * 2.0 ** np.arange(5), mag, 1.0)
+    rg = ridge(sc, smooth=1)
+    # first index wins in column 0; (1, 3) after 2 is equidistant, the lower
+    # wins; then the nearest to each previous pick
+    assert np.array_equal(rg.frequency, sc.freqs[[1, 2, 1, 0, 3, 4]])
+    assert same_ridge(rg, ridge_per_column(sc, smooth=1))
+
+
+excursions = st.lists(
+    st.tuples(st.one_of(st.sampled_from([TWO_PI, -TWO_PI]), st.floats(-7.0, 7.0)),
+              st.booleans()),  # turn back to where the excursion started
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200)
+@given(steps=excursions, start=st.floats(-math.pi, math.pi), winds=st.integers(-3, 3),
+       seg=st.integers(3, 120), noise=st.sampled_from([0.0, 0.05, 0.3]),
+       grid=st.sampled_from([0.0, 0.125]), band=st.sampled_from([DWELL_BAND, 0.2, 1.0, 3.5]),
+       window=st.sampled_from([1, 2, 7, 64, SLIP_WINDOW]), seed=st.integers(0, 2**32 - 1))
+@example(steps=[(TWO_PI, False), (-TWO_PI, False), (-TWO_PI, False)], start=1.9, winds=2,
+         seg=40, noise=0.05, grid=0.0, band=DWELL_BAND, window=SLIP_WINDOW, seed=3)
+def test_count_slips_equals_per_sample_reference(steps, start, winds, seg, noise, grid,
+                                                 band, window, seed):
+    # start > band puts the first sample outside the dwell band; winds adds a
+    # 2*pi-shifted copy; grid > 0 rounds phases so band edges are hit exactly;
+    # short search windows put window edges inside excursions
+    knots = [start]
+    for step, back in steps:
+        knots.append(knots[-1] + step)
+        if back:
+            knots.append(knots[-1] - step)
+    knots = np.asarray(knots) + TWO_PI * winds
+    t = np.arange((len(knots) + 1) * seg) * 0.01 + 3.0
+    psi = np.interp(t, t[seg::seg][:len(knots)], knots)
+    psi += noise * np.random.default_rng(seed).standard_normal(t.size)
+    if grid:
+        psi = np.round(psi / grid) * grid
+    traj = make_rotating(t, psi)
+    with mock.patch.object(readout, "SLIP_WINDOW", window):
+        events = count_slips(traj, 0.0, band)
+    assert events == slips_per_sample(traj, 0.0, band)
+
+
+def test_count_slips_window_edges():
+    # a staircase many windows long, 40 risers up then 40 down, each riser
+    # 300 samples wide, after a start outside the dwell band
+    n = np.arange(20 * SLIP_WINDOW)
+    stairs = np.floor(n / 1000.0)
+    stairs = np.where(stairs <= 40, stairs, np.maximum(80 - stairs, 0))
+    psi = TWO_PI * np.convolve(stairs, np.ones(301) / 301.0, mode="same")
+    psi[:300] = 1.2
+    traj = make_rotating(n * 0.01, psi)
+    events = count_slips(traj, 0.0)
+    assert [ev.winding for ev in events] == [1] * 40 + [-1] * 40
+    assert events == slips_per_sample(traj, 0.0)
+
+
+# --- memory --------------------------------------------------------------
+
+
+def test_readout_memory_stays_below_the_scalogram():
+    # one scalogram of the noisy read-out's size: 213 rows of 5001 samples
+    x = np.random.default_rng(3).standard_normal(5001)
+    freqs = morlet_freq_grid(0.01, 1.0, 32)
+    sc = cwt(x, 10.0, freqs)
+    ridge(sc)  # once first, so one-time imports and caches are not counted
+    tracemalloc.start()
+    try:
+        ridge(sc)
+        _, ridge_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        again = cwt(x, 10.0, freqs)
+        _, cwt_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sc.magnitude.nbytes
+    # no copy of the magnitudes and no (n_freqs, n_times) mask in ridge; a few
+    # rows of temporaries per block in cwt
+    assert ridge_peak < 0.25 * nbytes
+    assert cwt_peak - again.magnitude.nbytes < 0.5 * nbytes

@@ -53,9 +53,6 @@ CANONICAL = {
     7.2: 1,
 }
 
-#: seeded, database-free property runs, so every run draws the same cases
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-
 
 def quartic_radii(fp):
     a = fp.params.eps_gamma
@@ -177,7 +174,7 @@ def test_fixed_points_match_quartic_oracle():
         checked += 1
 
 
-@PROPERTY
+@settings(max_examples=200)
 @given(
     eps_a=st.floats(0.05, 9.0),
     delta_omega=st.floats(-1.5, 1.5),
@@ -331,7 +328,7 @@ def test_classify_canonical():
         assert classify(FrozenParams(eps_a, 0.5, P)) is cls
 
 
-@PROPERTY
+@settings(max_examples=200)
 @given(eps_a=st.floats(0.0, 9.0), delta_omega=st.floats(0.0, 1.5))
 @example(eps_a=0.3, delta_omega=0.5)
 @example(eps_a=0.5, delta_omega=0.5)
@@ -376,7 +373,7 @@ def test_region_map_rejects_workers_below_one():
             region_map((0.0, 1.0), (0.0, 4.0), 3, P, workers=workers)
 
 
-@settings(PROPERTY, max_examples=25)
+@settings(max_examples=25)
 @given(
     dw_lo=st.floats(-1.5, 1.5),
     dw_span=st.floats(0.01, 1.0),
