@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -78,7 +77,7 @@ _DEFAULTS = {
         "eps_gamma": 7.0, "omega0": 1.0, "r_p": 1.0,
         "delta_omega_min": 0.0, "delta_omega_max": 1.5,
         "eps_a_min": 0.0, "eps_a_max": 8.0, "resolution": 150,
-        "beta": 1e-3, "threads": None, "out": "region_map.csv",
+        "beta": 1e-3, "out": "region_map.csv",
     },
     "verify": {
         **_MODEL_DEFAULTS,
@@ -90,11 +89,8 @@ _DEFAULTS = {
         "voices": 32, "f0": 1.0, "out": "scalogram.csv",
         "ridge_out": "ridge.csv", "format": "csv",
     },
-    "make-figures": {"outdir": "figures", "threads": None},
+    "make-figures": {"outdir": "figures"},
 }
-
-_THREADS_HELP = ("thread count, validated but without effect: region maps are "
-                 "classified serially (default: CHRONOTAX_THREADS or 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,7 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-a-max", type=float)
     sp.add_argument("--resolution", type=int, help="cells per axis (default 150)")
     sp.add_argument("--beta", type=float)
-    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
     sp.add_argument("--out", help="CSV output path (default region_map.csv)")
 
     sp = sub.add_parser("verify", help="chronotaxicity certificate for a schedule")
@@ -194,7 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="regenerate the canonical data sets at desk scale")
     cfg_flag(sp)
     sp.add_argument("--outdir", help="output directory (default figures)")
-    sp.add_argument("--threads", type=int, help=_THREADS_HELP)
 
     return root
 
@@ -278,22 +272,6 @@ def _resolve_system(m: dict) -> tuple[OscillatorParams, DriveSchedule]:
         if isinstance(exc, ChronotaxError):
             raise
         raise ConfigError(f"bad model parameters: {exc}") from exc
-
-
-def _threads(m: dict) -> int:
-    value = m.get("threads")
-    if value is None:
-        raw = os.environ.get("CHRONOTAX_THREADS", "")
-        if not raw:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"CHRONOTAX_THREADS must be an integer, got {raw!r}") from exc
-    value = int(value)
-    if value < 1:
-        raise ConfigError("thread count must be at least 1")
-    return value
 
 
 # --- subcommand bodies ---
@@ -392,7 +370,7 @@ def cmd_regionmap(m: dict) -> int:
     rm = region_map(
         (float(m["delta_omega_min"]), float(m["delta_omega_max"])),
         (float(m["eps_a_min"]), float(m["eps_a_max"])),
-        int(m["resolution"]), p, beta=float(m["beta"]), workers=_threads(m),
+        int(m["resolution"]), p, beta=float(m["beta"]),
     )
     rm.to_csv(m["out"])
     print(f"wrote {m['out']} (classes present: {sorted(rm.labels_present())}, "
@@ -492,7 +470,7 @@ def cmd_make_figures(m: dict) -> int:
         cmd_portrait(sub)
         written.append(Path(sub["outdir"]))
 
-    rm = region_map((0.0, 1.5), (0.0, 8.0), 75, p, workers=_threads(m))
+    rm = region_map((0.0, 1.5), (0.0, 8.0), 75, p)
     path = outdir / "region_map.csv"
     rm.to_csv(path)
     written.append(path)
@@ -500,6 +478,7 @@ def cmd_make_figures(m: dict) -> int:
     # noisy runs on the slow drive used for the spectral studies
     omega_p = 2.0 * math.pi * 0.08
     p_slow = OscillatorParams(7.0, omega_p + DEFAULT_DELTA_OMEGA, 1.0)
+    records = {}
     for tag, eps_a, sigma, seed in (
         ("drifting", 0.3, 0.1, 11),
         ("locked", 0.47, 0.3, 12),
@@ -507,6 +486,7 @@ def cmd_make_figures(m: dict) -> int:
         d = DriveSchedule.constant(eps_a, omega_p)
         traj = integrate_sde(CartesianState(p_slow.r_p, 0.0), 0.0, 500.0, 0.01,
                              p_slow, d, NoiseSpec(sigma, seed))
+        records[tag] = (traj, d)
         path = outdir / f"trajectory_{tag}.csv"
         traj.to_csv(path)
         written.append(path)
@@ -519,9 +499,7 @@ def cmd_make_figures(m: dict) -> int:
 
     fp = FrozenParams(0.47, DEFAULT_DELTA_OMEGA, p_slow)
     stable = [q for q in find_fixed_points(fp) if q.is_stable]
-    d = DriveSchedule.constant(0.47, omega_p)
-    traj = integrate_sde(CartesianState(p_slow.r_p, 0.0), 0.0, 500.0, 0.01, p_slow, d,
-                         NoiseSpec(0.3, 12))
+    traj, d = records["locked"]
     events = sig.count_slips(traj.to_rotating(d), stable[0].location.psi)
     path = outdir / "slip_events.json"
     path.write_text(

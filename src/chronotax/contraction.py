@@ -214,8 +214,7 @@ def contraction_map(bounds, resolution, t: float, p: OscillatorParams,
 
     ``resolution`` is the number of grid points per axis (one int, or a pair
     ``(nx, ny)``), at least 2.  The eigenvalues come from the radial closed
-    form, so the evaluation is elementwise and independent of how the grid
-    might be partitioned across workers; cells at the origin use the
+    form, evaluated elementwise over the grid; cells at the origin use the
     continuous r -> 0 limit.
     """
     b = _normalize_bounds(bounds)

@@ -137,6 +137,8 @@ def cwt(series: FloatArray, fs: float, freqs: FloatArray | None = None,
         raise InvalidInputError("series must be finite")
     if fs <= 0.0:
         raise InvalidInputError("sampling rate must be positive")
+    if not (math.isfinite(f0) and f0 > 0.0):
+        raise InvalidInputError(f"wavelet central frequency must be positive, got {f0!r}")
     if freqs is None:
         freqs = morlet_freq_grid()
     freqs = np.asarray(freqs, dtype=float)

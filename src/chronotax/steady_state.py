@@ -553,33 +553,39 @@ def gamma_exists_structural(fp: FrozenParams,
     return False
 
 
-def classify(fp: FrozenParams, beta: float = DEFAULT_BETA,
-             gamma_by_trace: bool = False) -> ChronotaxicClass:
+def _attractor_class(fp: FrozenParams,
+                     beta: float) -> tuple[ChronotaxicClass, FixedPoint | None]:
+    """Class of a frozen parameter set and the point attractor it rests on.
+
+    The attractor is the stable equilibrium that contracts fastest (least
+    leading symmetric eigenvalue); it is None unless the class is
+    chronotaxic.  One fixed-point solve serves both.
+    """
+    points = find_fixed_points(fp)
+    stable = [q for q in points if q.is_stable]
+    if not stable:
+        return ChronotaxicClass.NOT_CHRONOTAXIC, None
+    attractor = min(stable, key=lambda q: q.lambda_max_sym)
+    gamma = gamma_exists_structural(fp, points)
+    if attractor.lambda_max_sym <= -beta:
+        if gamma:
+            return ChronotaxicClass.TYPE_I, attractor
+        if global_contraction_threshold(fp.params) - fp.eps_a <= -beta:
+            return ChronotaxicClass.TYPE_III, attractor
+        return ChronotaxicClass.TYPE_II, attractor
+    return (ChronotaxicClass.APPROX_GAMMA if gamma
+            else ChronotaxicClass.APPROX_NO_GAMMA), None
+
+
+def classify(fp: FrozenParams, beta: float = DEFAULT_BETA) -> ChronotaxicClass:
     """Chronotaxicity class of a frozen parameter set.
 
     A class with a point attractor requires a stable equilibrium whose
     largest symmetric eigenvalue clears the margin ``-beta``; the subtype
     records whether the attracting curve coexists, a non-contraction region
-    remains, or the whole plane contracts.  ``gamma_by_trace`` swaps the
-    structural curve test for actual tracing.
+    remains, or the whole plane contracts.
     """
-    points = find_fixed_points(fp)
-    stable = [q for q in points if q.is_stable]
-    if not stable:
-        return ChronotaxicClass.NOT_CHRONOTAXIC
-    attractor = min(stable, key=lambda q: q.lambda_max_sym)
-    if gamma_by_trace:
-        gamma = trace_gamma(fp).exists
-    else:
-        gamma = gamma_exists_structural(fp, points)
-    globally_contracting = global_contraction_threshold(fp.params) - fp.eps_a <= -beta
-    if attractor.lambda_max_sym <= -beta:
-        if gamma:
-            return ChronotaxicClass.TYPE_I
-        if globally_contracting:
-            return ChronotaxicClass.TYPE_III
-        return ChronotaxicClass.TYPE_II
-    return ChronotaxicClass.APPROX_GAMMA if gamma else ChronotaxicClass.APPROX_NO_GAMMA
+    return _attractor_class(fp, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -611,17 +617,14 @@ class RegionMap:
 
 def region_map(delta_omega_range: tuple[float, float],
                eps_a_range: tuple[float, float], resolution, p: OscillatorParams,
-               beta: float = DEFAULT_BETA, workers: int | None = None) -> RegionMap:
+               beta: float = DEFAULT_BETA) -> RegionMap:
     """Classify a full lattice of frozen parameter sets.
 
     ``resolution`` is points per axis (int or ``(n_delta, n_eps)``).  Cells
-    are classified serially with :func:`classify`; ``workers`` is accepted
-    for compatibility (``None`` or at least 1) and has no effect on the work
-    or the result.  Cells whose classification fails are tagged
-    not-chronotaxic, logged, and counted in ``RegionMap.failed``.
+    are classified serially with :func:`classify`.  Cells whose
+    classification fails are tagged not-chronotaxic, logged, and counted in
+    ``RegionMap.failed``.
     """
-    if workers is not None and workers < 1:
-        raise InvalidInputError(f"workers must be at least 1, got {workers}")
     if np.ndim(resolution) == 0:
         nd = ne = int(resolution)
     else:
@@ -670,30 +673,17 @@ def _check_times(d: DriveSchedule, t0: float, t1: float, interval: float):
     return np.unique(ts)
 
 
-def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
-                    dt: float, check_interval: float = 0.5,
-                    beta: float = DEFAULT_BETA,
-                    max_window: float = 500.0) -> Trajectory:
-    """Track the time-dependent point attractor over ``[t0, t1]``.
+def _scan(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
+          interval: float, beta: float):
+    """Sample instants of ``[t0, t1]`` as ``(t, class, attractor or None)``."""
+    return [(t, *_attractor_class(frozen_at(p, d, t), beta))
+            for t in _check_times(d, t0, t1, interval).tolist()]
 
-    Requires every sampled instant to classify chronotaxic (refused
-    otherwise, naming the offending time).  The track starts from the frozen
-    attractor a pullback window before ``t0`` (at least ten contraction
-    times, measured from the slowest sampled instant) so that by ``t0`` the
-    state carries no memory of the start, then records the forward solution.
-    """
-    sample_times = _check_times(d, t0, t1, check_interval)
-    slowest = math.inf
-    for ts in sample_times:
-        fp = frozen_at(p, d, float(ts))
-        cls = classify(fp, beta=beta)
-        if cls not in CHRONOTAXIC_CLASSES:
-            raise NotChronotaxicError(
-                f"parameters at t={ts:g} classify as {cls.value}", time=float(ts)
-            )
-        points = find_fixed_points(fp)
-        lam = min(q.lambda_max_sym for q in points if q.is_stable)
-        slowest = min(slowest, -lam)
+
+def _track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: float,
+           scan, max_window: float = 500.0) -> Trajectory:
+    """Attractor track from a scan whose every instant is chronotaxic."""
+    slowest = min(-attractor.lambda_max_sym for _, _, attractor in scan)
     window = min(max(10.0 / slowest, 10.0), max_window)
 
     fp0 = frozen_at(p, d, t0 - window)
@@ -708,3 +698,24 @@ def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     times = time_grid(t0, t1, dt)
     states = rk4_path(field, x, y, times, record=True)
     return Trajectory(t0, dt, times, states, frame="lab")
+
+
+def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
+                    dt: float, check_interval: float = 0.5,
+                    beta: float = DEFAULT_BETA,
+                    max_window: float = 500.0) -> Trajectory:
+    """Track the time-dependent point attractor over ``[t0, t1]``.
+
+    Requires every sampled instant to classify chronotaxic (refused
+    otherwise, naming the offending time).  The track starts from the frozen
+    attractor a pullback window before ``t0`` (at least ten contraction
+    times, measured from the slowest sampled instant) so that by ``t0`` the
+    state carries no memory of the start, then records the forward solution.
+    """
+    scan = _scan(d, p, t0, t1, check_interval, beta)
+    for t, cls, attractor in scan:
+        if attractor is None:
+            raise NotChronotaxicError(
+                f"parameters at t={t:g} classify as {cls.value}", time=t
+            )
+    return _track(d, p, t0, t1, dt, scan, max_window)

@@ -3,17 +3,19 @@
 The certificate assembles four sampling-based checks over a time window:
 
 1. every sampled instant classifies chronotaxic (offending intervals are
-   reported otherwise),
+   reported otherwise); one scan of the instants classifies each once and
+   hands its attractors to the tracking,
 2. a moving disk around the tracked attractor stays inside the contraction
-   region and traps the flow (boundary flux relative to the moving center
-   points inward),
+   region (the exact supremum of the leading symmetric eigenvalue over the
+   disk, at each sampled time) and traps the flow (boundary flux relative
+   to the moving center points inward),
 3. forward ensembles collapse and pullback evaluations form a Cauchy
    sequence,
 4. the track is invariant: re-integrating from its first sample at half the
    step stays on it.
 
-Verdicts are sampling-based, not proofs; the report carries every margin so
-callers can tighten the sampling.
+Verdicts are sampling-based in time, not proofs; the report carries every
+margin so callers can tighten the sampling.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dataclass_field
+from itertools import groupby
 
 import numpy as np
 
@@ -28,13 +31,7 @@ from .contraction import DEFAULT_BETA
 from .errors import ChronotaxError, InvalidInputError
 from .integrate import Trajectory, make_lab_field, pullback, rk4_path, time_grid
 from .model import CartesianState, DriveSchedule, OscillatorParams, field_lab_array
-from .steady_state import (
-    CHRONOTAXIC_CLASSES,
-    _check_times,
-    attractor_track,
-    classify,
-    frozen_at,
-)
+from .steady_state import _scan, _track
 
 #: geometric radius ladder for the auto-selected trapping disk
 DEFAULT_RADIUS_LADDER = tuple(0.02 * 2.0**k for k in range(8))
@@ -44,10 +41,6 @@ DEFAULT_PULLBACK_TOL = 1e-6
 DEFAULT_INVARIANCE_TOL = 1e-4
 
 MIN_BOUNDARY_SAMPLES = 64
-
-#: disk radii (as fractions of the candidate radius) sampled for the
-#: eigenvalue check, innermost to boundary
-_RING_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -128,13 +121,13 @@ def verify_trapping(c: TrappingCandidate, p: OscillatorParams, d: DriveSchedule,
                     sample_interval: float = 0.1) -> tuple[float, float]:
     """Eigenvalue and inward-flux margins of a moving-disk candidate.
 
-    At each sampled time the disk is probed on concentric rings (eigenvalue
-    check: the largest symmetrized-Jacobian eigenvalue over the disk must be
-    negative for the disk to sit inside the contraction region) and on its
-    boundary (flux check: the field relative to the moving center, projected
-    on the outward normal, must be negative everywhere for trapping).
-    Returns ``(max_lambda, max_inward_defect)`` — both maxima over all
-    samples, so trapping holds when both are < 0.
+    At each sampled time the eigenvalue check takes the exact supremum of
+    the largest symmetrized-Jacobian eigenvalue over the disk (it must be
+    negative for the disk to sit inside the contraction region), and the
+    flux check probes the disk's boundary (the field relative to the moving
+    center, projected on the outward normal, must be negative everywhere
+    for trapping).  Returns ``(max_lambda, max_inward_defect)`` — both
+    maxima over all samples, so trapping holds when both are < 0.
     """
     track = c.track
     n = track.times.size
@@ -142,26 +135,15 @@ def verify_trapping(c: TrappingCandidate, p: OscillatorParams, d: DriveSchedule,
         raise InvalidInputError(
             "center track needs at least 3 samples for a finite-difference velocity"
         )
+    indices = _sample_indices(n, track.dt, sample_interval)
     theta = np.linspace(0.0, 2.0 * math.pi, c.boundary_samples, endpoint=False)
     normal = np.column_stack([np.cos(theta), np.sin(theta)])
-    # ring offsets for the eigenvalue probe, plus the disk center
-    ring = np.concatenate(
-        [c.radius * f * normal for f in _RING_FRACTIONS] + [np.zeros((1, 2))]
-    )
-    eg = p.eps_gamma
-    rp = p.r_p
     two_dt = 2.0 * track.dt
 
-    max_lam = -math.inf
     max_flux = -math.inf
-    for i in _sample_indices(n, track.dt, sample_interval):
+    for i in indices:
         t = float(track.times[i])
         cx, cy = track.states[i]
-        ea = float(d.eps_a(t))
-        rr = np.hypot(cx + ring[:, 0], cy + ring[:, 1])
-        lam = eg * (rp - rr.min()) - ea  # eigenvalues decrease with radius
-        if lam > max_lam:
-            max_lam = lam
         vcx = (track.states[i + 1, 0] - track.states[i - 1, 0]) / two_dt
         vcy = (track.states[i + 1, 1] - track.states[i - 1, 1]) / two_dt
         bx = cx + c.radius * normal[:, 0]
@@ -170,7 +152,7 @@ def verify_trapping(c: TrappingCandidate, p: OscillatorParams, d: DriveSchedule,
         flux = np.max((gx - vcx) * normal[:, 0] + (gy - vcy) * normal[:, 1])
         if flux > max_flux:
             max_flux = float(flux)
-    return float(max_lam), float(max_flux)
+    return _tube_max_lambda(track, p, d, c.radius, indices), float(max_flux)
 
 
 def _tube_max_lambda(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
@@ -213,8 +195,9 @@ def verify_attraction(p: OscillatorParams, d: DriveSchedule, t0: float, t1: floa
 
     Forward: integrates a seeded ensemble of starts scattered in an annulus
     and returns the largest pairwise distance at ``t1``.  Pullback: runs the
-    same fixed start from four receding start times and returns the gap
-    between the two deepest evaluations at ``t0`` (the Cauchy defect).
+    same fixed start from two receding start times, ``t0 - 0.75 span`` and
+    ``t0 - span``, and returns the gap between their evaluations at ``t0``
+    (the Cauchy defect).
     """
     if ensemble_size < 2:
         raise InvalidInputError("need an ensemble of at least 2 starts")
@@ -233,9 +216,8 @@ def verify_attraction(p: OscillatorParams, d: DriveSchedule, t0: float, t1: floa
     forward = float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
 
     span = t1 - t0
-    t_starts = [t0 - span * k for k in (0.25, 0.5, 0.75, 1.0)]
-    evals = pullback(CartesianState(start_radius, 0.0), t_starts, t0, dt, p, d)
-    last, prev = evals[-1], evals[-2]
+    prev, last = pullback(CartesianState(start_radius, 0.0),
+                          [t0 - span * 0.75, t0 - span], t0, dt, p, d)
     pullback_defect = math.hypot(last.x - prev.x, last.y - prev.y)
     return forward, pullback_defect
 
@@ -272,6 +254,16 @@ def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
     return float(np.max(np.hypot(d_states[:, 0], d_states[:, 1])))
 
 
+def _offending(scan) -> list[tuple[float, float]]:
+    """Runs of consecutive non-chronotaxic instants of a scan, as ``(first, last)``."""
+    intervals = []
+    for bad, run in groupby(scan, key=lambda s: s[2] is None):
+        if bad:
+            run = list(run)
+            intervals.append((run[0][0], run[-1][0]))
+    return intervals
+
+
 def offending_intervals(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
                         check_interval: float = 0.5,
                         beta: float = DEFAULT_BETA) -> tuple[int, list[tuple[float, float]]]:
@@ -279,23 +271,8 @@ def offending_intervals(d: DriveSchedule, p: OscillatorParams, t0: float, t1: fl
 
     Consecutive failing samples merge into one interval ``(first, last)``.
     """
-    samples = _check_times(d, t0, t1, check_interval)
-    bad = np.zeros(samples.size, dtype=bool)
-    for i, ts in enumerate(samples):
-        cls = classify(frozen_at(p, d, float(ts)), beta=beta)
-        bad[i] = cls not in CHRONOTAXIC_CLASSES
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < samples.size:
-        if bad[i]:
-            j = i
-            while j + 1 < samples.size and bad[j + 1]:
-                j += 1
-            intervals.append((float(samples[i]), float(samples[j])))
-            i = j + 1
-        else:
-            i += 1
-    return int(samples.size), intervals
+    scan = _scan(d, p, t0, t1, check_interval, beta)
+    return len(scan), _offending(scan)
 
 
 def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
@@ -310,14 +287,18 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
 
     Composes the classification prescan, attractor tracking, the auto-sized
     trapping disk, attraction defects, and the invariance defect into one
-    report.  Stage failures are recorded in the report, never raised.
+    report.  One scan classifies each sample instant once; the prescan and
+    the tracking both read it.  Stage failures are recorded in the report,
+    never raised.
     """
     thresholds = {
         "forward": forward_tol,
         "pullback": pullback_tol,
         "invariance": invariance_tol,
     }
-    times_checked, intervals = offending_intervals(d, p, t0, t1, check_interval, beta)
+    scan = _scan(d, p, t0, t1, check_interval, beta)
+    times_checked = len(scan)
+    intervals = _offending(scan)
     if intervals:
         return VerificationReport(
             chronotaxic=False, window=(t0, t1), dt=dt, beta=beta,
@@ -331,7 +312,7 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     max_lam = max_flux = None
     forward = pullback_defect = invariance = None
     try:
-        track = attractor_track(d, p, t0, t1, dt, check_interval, beta)
+        track = _track(d, p, t0, t1, dt, scan)
     except ChronotaxError as exc:
         failures.append(f"attractor tracking failed: {exc}")
         track = None

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chronotax import OscillatorParams, DriveSchedule, save_params
+from chronotax import OscillatorParams, DriveSchedule, region_map, save_params
 from chronotax.cli import main
 
 
@@ -154,21 +154,16 @@ def test_portrait_type_one_has_gamma(tmp_path):
     assert gamma.size > 100
 
 
-def test_regionmap_thread_count_does_not_change_result(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    base = ["regionmap", "--resolution", "12"]
-    assert main(base + ["--threads", "1", "--out", str(a)]) == 0
-    assert main(base + ["--threads", "3", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_regionmap_env_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("CHRONOTAX_THREADS", "2")
+def test_thread_knobs_are_gone(tmp_path):
+    # region maps are classified serially; there is no thread count to pass
+    with pytest.raises(TypeError):
+        region_map((0.0, 1.0), (0.0, 4.0), 3, OscillatorParams(7.0, 1.0, 1.0),
+                   workers=1)
     out = tmp_path / "rm.csv"
-    assert main(["regionmap", "--resolution", "8", "--out", str(out)]) == 0
-    monkeypatch.setenv("CHRONOTAX_THREADS", "zebra")
-    assert main(["regionmap", "--resolution", "8", "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["regionmap", "--resolution", "4", "--threads", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_verify_verdicts(tmp_path):
@@ -211,6 +206,15 @@ def test_cwt_missing_column(tmp_path):
 
 def test_cwt_requires_input():
     assert main(["cwt"]) == 2
+
+
+def test_cwt_rejects_zero_central_frequency(tmp_path):
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--t1", "100", "--dt", "0.1", "--out", str(traj)]) == 0
+    sc = tmp_path / "sc.csv"
+    assert main(["cwt", "--input", str(traj), "--fmin", "0.04", "--fmax", "1.0",
+                 "--f0", "0", "--out", str(sc)]) == 2
+    assert not sc.exists()
 
 
 def test_make_figures_is_wired():

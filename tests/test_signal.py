@@ -130,6 +130,14 @@ def test_rejects_bad_input():
         cwt(np.ones(64), -1.0, morlet_freq_grid(0.5, 2.0, 8))
 
 
+def test_rejects_bad_central_frequency():
+    # f0 = 0 cancels the kernel and f0 < 0 mirrors it; neither is a wavelet
+    x = np.random.default_rng(3).standard_normal(512)
+    for f0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="central frequency"):
+            cwt(x, 10.0, morlet_freq_grid(0.1, 2.0, 4), f0)
+
+
 def test_coi_masks_edges():
     t, x = tone(0.05, duration=400.0)
     sc = cwt(x, 10.0, morlet_freq_grid(0.05, 1.0, 8))

@@ -25,7 +25,6 @@ from chronotax import (
     ChronotaxicClass,
     DriveSchedule,
     FrozenParams,
-    InvalidInputError,
     NotChronotaxicError,
     OscillatorParams,
     PointKind,
@@ -360,19 +359,6 @@ def test_region_map_row():
         assert rm.class_at(i, j).value == label, (eps_a, rm.class_at(i, j))
 
 
-def test_region_map_workers_agree():
-    a = region_map((0.0, 1.0), (0.0, 4.0), 13, P, workers=1)
-    b = region_map((0.0, 1.0), (0.0, 4.0), 13, P, workers=4)
-    np.testing.assert_array_equal(a.codes, b.codes)
-
-
-def test_region_map_rejects_workers_below_one():
-    # the same rule as --threads / CHRONOTAX_THREADS in the CLI
-    for workers in (0, -3):
-        with pytest.raises(InvalidInputError):
-            region_map((0.0, 1.0), (0.0, 4.0), 3, P, workers=workers)
-
-
 @settings(max_examples=25)
 @given(
     dw_lo=st.floats(-1.5, 1.5),
@@ -402,7 +388,6 @@ def test_region_map_counts_failed_cells(monkeypatch):
     rm = region_map((0.0, 1.0), (0.0, 4.0), 3, P)
     assert rm.failed == 1
     assert rm.class_at(1, 1) is ChronotaxicClass.NOT_CHRONOTAXIC
-    assert region_map((0.0, 1.0), (0.0, 4.0), 3, P, workers=2).failed == 1
 
 
 def test_region_map_csv(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronotax import (
     CartesianState,
@@ -19,16 +21,33 @@ from chronotax import (
     find_fixed_points,
     offending_intervals,
     select_trapping_radius,
+    steady_state,
+    sym_eigs_radial,
     verify_attraction,
     verify_invariance,
     verify_schedule,
     verify_trapping,
 )
 from chronotax.integrate import Trajectory
+from chronotax.verify import (
+    DEFAULT_FORWARD_TOL,
+    DEFAULT_INVARIANCE_TOL,
+    DEFAULT_PULLBACK_TOL,
+    _sample_indices,
+)
 
 P = OscillatorParams(7.0, 1.0, 1.0)
 D17 = DriveSchedule.constant(1.7, P.omega0 - 0.5)
 D03 = DriveSchedule.constant(0.3, P.omega0 - 0.5)
+FREQ = Schedule.constant(P.omega0 - 0.5)
+#: a pull schedule that classifies chronotaxic throughout [0, 15]
+PULL = DriveSchedule(Schedule.sampled([0.0, 5.0, 10.0, 15.0], [2.5, 4.0, 3.0, 5.5]), FREQ)
+#: the same pull with a dip to 0.3 over [6, 8]
+DIPPED = DriveSchedule(
+    Schedule.sampled([0.0, 5.0, 5.5, 6.0, 8.0, 8.5, 15.0],
+                     [2.5, 4.0, 3.8, 0.3, 0.3, 3.2, 5.5]),
+    FREQ,
+)
 
 
 def track17(t1=5.0):
@@ -65,6 +84,44 @@ def test_trapping_needs_enough_samples():
     short = Trajectory(track.t0, track.dt, track.times[:2], track.states[:2], "lab")
     with pytest.raises(InvalidInputError):
         verify_trapping(TrappingCandidate(short, 0.1), P, D17)
+
+
+@settings(max_examples=60)
+@given(
+    eps_a=st.floats(0.0, 8.0),
+    radius=st.floats(0.01, 1.0),
+    cx=st.floats(-1.5, 1.5),
+    cy=st.floats(-1.5, 1.5),
+    amp=st.floats(0.0, 1.0),
+    omega=st.floats(0.1, 3.0),
+)
+@example(eps_a=1.7, radius=0.5, cx=0.0, cy=0.0, amp=0.2, omega=1.0)  # covers the origin
+@example(eps_a=1.7, radius=0.16, cx=0.9, cy=0.1, amp=0.05, omega=0.5)
+def test_trapping_eigenvalue_is_the_disk_supremum(eps_a, radius, cx, cy, amp, omega):
+    dt = 0.01
+    times = np.linspace(0.0, 1.0, 101)
+    states = np.column_stack([cx + amp * np.cos(omega * times),
+                              cy + amp * np.sin(omega * times)])
+    track = Trajectory(0.0, dt, times, states, "lab")
+    d = DriveSchedule.constant(eps_a, P.omega0 - 0.5)
+    lam, _ = verify_trapping(TrappingCandidate(track, radius, 64), P, d)
+
+    # every sampled disk, on 6 rings (centre to boundary) of 8192 angles,
+    # the first angle of each pointing from the centre towards the origin
+    centers = states[_sample_indices(times.size, dt, 0.1)]
+    c = centers[:, 0] + 1j * centers[:, 1]
+    theta = np.angle(-c)[:, None] + np.linspace(0.0, 2.0 * math.pi, 8192, endpoint=False)
+    rings = radius * np.linspace(0.0, 1.0, 6)[:, None]
+    pts = c[:, None, None] + rings * np.exp(1j * theta)[:, None, :]
+    dense = sym_eigs_radial(np.abs(pts), eps_a, P)[0].max()
+    # never below a sample (up to the rounding of a sample's radius)
+    assert lam >= dense - 1e-12
+    if np.any(np.abs(c) <= radius):
+        # the disk covers the origin, where the eigenvalue peaks
+        assert lam == P.eps_gamma * P.r_p - eps_a
+    else:
+        # the samples hold each disk's point nearest the origin
+        assert lam - dense <= 1e-6
 
 
 def test_radius_ladder_picks_largest_certified_rung():
@@ -178,3 +235,57 @@ def test_verdict_matches_frozen_classification():
         report = verify_schedule(d, P, 0.0, t1)
         assert report.chronotaxic == is_chrono, (eps_a, dw, lam, report.to_dict())
         checked += 1
+
+
+@pytest.fixture
+def fixed_point_solves(monkeypatch):
+    """Frozen parameter sets passed to ``find_fixed_points`` while the test runs."""
+    calls = []
+    real = steady_state.find_fixed_points
+
+    def counted(fp, *args, **kwargs):
+        calls.append(fp)
+        return real(fp, *args, **kwargs)
+
+    monkeypatch.setattr(steady_state, "find_fixed_points", counted)
+    return calls
+
+
+def test_verify_schedule_solves_each_instant_once(fixed_point_solves):
+    # one solve per sample instant, plus the start of the pullback window
+    report = verify_schedule(PULL, P, 0.0, 15.0)
+    assert report.chronotaxic
+    assert len(fixed_point_solves) == report.times_checked + 1
+    fixed_point_solves.clear()
+    report = verify_schedule(DIPPED, P, 0.0, 15.0)
+    assert report.offending_intervals
+    assert len(fixed_point_solves) == report.times_checked
+
+
+@pytest.mark.parametrize("drive", [PULL, DIPPED], ids=["pull", "dip"])
+def test_verify_schedule_equals_staged_report(drive):
+    t0, t1, dt, beta = 0.0, 15.0, 1e-3, 1e-3
+    n, intervals = offending_intervals(drive, P, t0, t1, 0.5, beta)
+    staged = dict(
+        window=(t0, t1), dt=dt, beta=beta, times_checked=n,
+        offending_intervals=intervals,
+        thresholds={"forward": DEFAULT_FORWARD_TOL, "pullback": DEFAULT_PULLBACK_TOL,
+                    "invariance": DEFAULT_INVARIANCE_TOL},
+    )
+    if intervals:
+        expected = VerificationReport(
+            chronotaxic=False,
+            failures=["classification prescan found non-chronotaxic instants"],
+            **staged,
+        )
+    else:
+        track = attractor_track(drive, P, t0, t1, dt, 0.5, beta)
+        radius = select_trapping_radius(track, P, drive, beta=beta)
+        max_lam, max_flux = verify_trapping(TrappingCandidate(track, radius, 720), P, drive)
+        forward, pb = verify_attraction(P, drive, t0, t1, dt)
+        expected = VerificationReport(
+            chronotaxic=True, radius=radius, max_lambda_on_A=max_lam,
+            max_inward_defect=max_flux, forward_defect=forward, pullback_defect=pb,
+            invariance_defect=verify_invariance(track, P, drive), **staged,
+        )
+    assert verify_schedule(drive, P, t0, t1, dt, 0.5, beta).to_dict() == expected.to_dict()
