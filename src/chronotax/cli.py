@@ -71,7 +71,7 @@ _DEFAULTS = {
     },
     "sweep": {
         "eps_gamma": 7.0, "omega0": 1.0, "r_p": 1.0, "delta_omega": DEFAULT_DELTA_OMEGA,
-        "eps_a_min": 0.1, "eps_a_max": 2.0, "step": 0.1, "out": None,
+        "eps_a_min": 0.1, "eps_a_max": 2.0, "out": None,
     },
     "regionmap": {
         "eps_gamma": 7.0, "omega0": 1.0, "r_p": 1.0,
@@ -146,7 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta-omega", type=float, help="detuning (default 0.5)")
     sp.add_argument("--eps-a-min", type=float)
     sp.add_argument("--eps-a-max", type=float)
-    sp.add_argument("--step", type=float, help="scan step (default 0.1)")
     sp.add_argument("--out", help="JSON output path (default: stdout)")
 
     sp = sub.add_parser("regionmap", help="classify the detuning/pull-strength plane")
@@ -351,11 +350,9 @@ def cmd_portrait(m: dict) -> int:
 
 def cmd_sweep(m: dict) -> int:
     p = OscillatorParams(float(m["eps_gamma"]), float(m["omega0"]), float(m["r_p"]))
-    result = continuation_sweep(
-        float(m["delta_omega"]),
-        (float(m["eps_a_min"]), float(m["eps_a_max"])),
-        float(m["step"]), p,
-    )
+    lo, hi = float(m["eps_a_min"]), float(m["eps_a_max"])
+    # the thresholds are exact; continuation_sweep only checks its unused step
+    result = continuation_sweep(float(m["delta_omega"]), (lo, hi), 0.5 * (hi - lo), p)
     doc = json.dumps(result.to_dict(), indent=2)
     if m["out"]:
         Path(m["out"]).write_text(doc + "\n", encoding="utf-8")

@@ -148,8 +148,7 @@ def rk4_path(field: FieldFn, x0: float, y0: float, times: FloatArray,
     """
     n = times.size
     out = np.empty((n, 2), dtype=float) if record else None
-    x = float(x0)
-    y = float(y0)
+    x, y = _start(x0, y0, times[0])
     if record:
         out[0, 0] = x
         out[0, 1] = y
@@ -196,9 +195,8 @@ def rk4_blocks(field: LabField, x0: float, y0: float, dt: float):
     d = field.drive
     if not (d.eps_a.is_constant and d.omega_p.is_constant and d.omega_p.values == 0.0):
         raise InvalidInputError("rk4_blocks needs a drive that stands still")
+    x, y = _start(x0, y0, 0.0)
     tape = field.rk4_tape(np.zeros(TAPE_BLOCK), np.full(TAPE_BLOCK, float(dt)))
-    x = float(x0)
-    y = float(y0)
     steps = 0
     while True:
         xs, ys = _rk4_steps(field, x, y, tape)
@@ -221,8 +219,7 @@ def em_path(field: FieldFn, x0: float, y0: float, times: FloatArray, sigma: floa
     h = np.diff(times)
     kicks = rng.standard_normal((n - 1, 2)) * (sigma * np.sqrt(h))[:, None]
     out = np.empty((n, 2), dtype=float) if record else None
-    x = float(x0)
-    y = float(y0)
+    x, y = _start(x0, y0, times[0])
     if record:
         out[0, 0] = x
         out[0, 1] = y
@@ -250,6 +247,15 @@ def em_path(field: FieldFn, x0: float, y0: float, times: FloatArray, sigma: floa
             out[i + 1, 0] = x
             out[i + 1, 1] = y
     return out if record else (x, y)
+
+
+def _start(x0, y0, t):
+    """The start state as floats; refused as a blow-up at ``t`` outside the guard radius."""
+    x = float(x0)
+    y = float(y0)
+    if not (x * x + y * y <= _BLOWUP_SQ):  # NaN fails this test too
+        _blow_up(t)
+    return x, y
 
 
 def _blow_up(t):

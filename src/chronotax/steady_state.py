@@ -28,6 +28,27 @@ or, in the shifted variable k = b - eps_gamma r,
     (b - k)^2 (k^2 + delta_omega^2) = (eps_gamma eps_a r_p)^2.
 
 Every real root with r > 0 maps to exactly one point.
+
+Folds.  Write F(k) for the left side minus the right side, A = eps_gamma r_p
+and q = sqrt(k^2 + delta_omega^2).  With b - k = eps_gamma r > 0 the
+equation F = 0 solves for the pull, so the fixed points at pull eps_a are
+the solutions k < A of
+
+    eps_a = E(k) = (A - k) q / (A + q).
+
+A fold, the double root F = dF/dk = 0 (dF/dk = 0 reads k^2 - (b - k) k +
+delta_omega^2 = 0), is a critical point of E, because dF/d(eps_a) < 0.
+dE/dk has the sign of
+
+    D(k) = A k (A - k) - q^2 (A + q),   D'(k) = A^2 - 4 A k - 3 k q,
+
+which is negative for k <= 0 and strictly concave on (0, A), where
+D(0) <= 0 and D(A) < 0.  So there are two folds or none: the zeros
+k1 < k2 of D on either side of the zero of D'.  E has a minimum at k1,
+where a saddle-node pair is born as the pull rises (eps_c1 = E(k1)), and a
+maximum at k2, where the saddle meets the inner point (eps_c2 = E(k2)).
+At delta_omega = 0 the birth sits at zero pull.  E is stationary at both
+zeros, so rounding in k barely moves the thresholds.
 """
 
 from __future__ import annotations
@@ -214,14 +235,32 @@ def rotating_jacobian_frozen(fp: FrozenParams, u: float, v: float) -> FloatArray
 
 
 def _point_from_uv(fp: FrozenParams, u: float, v: float) -> FixedPoint:
-    jac = rotating_jacobian_frozen(fp, u, v)
-    tr = jac[0, 0] + jac[1, 1]
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    disc = 0.25 * tr * tr - det
+    """The fixed point at ``(u, v)``, its kind and eigenvalues in closed form.
+
+    The net radial rate is k = b - eps_gamma r.  That difference cancels
+    where eps_gamma r is near b, which is where |k| is small; there the
+    fixed-point identity k = -eps_a r_p u / r^2 keeps its digits.  With
+    s = eps_gamma r / 2 the Jacobian has trace 2 (k - s), determinant
+    k^2 + delta_omega^2 - 2 s k and discriminant s^2 - delta_omega^2, so its
+    eigenvalues are k - s +- sqrt(s^2 - delta_omega^2).  The smaller in
+    magnitude is taken as the determinant over the larger, free of
+    cancellation, so its sign holds at weak pull, where |k| is far below s.
+    """
+    p = fp.params
+    dw = abs(fp.delta_omega)
+    r = math.hypot(u, v)
+    b = p.eps_gamma * p.r_p - fp.eps_a
+    k = b - p.eps_gamma * r
+    if p.eps_gamma * r > 0.5 * b:
+        k = -(fp.eps_a * p.r_p / r) * (u / r)
+    half = 0.5 * p.eps_gamma * r
+    mid = k - half
+    disc = (half - dw) * (half + dw)
     if disc >= 0.0:
         root = math.sqrt(disc)
-        e1 = 0.5 * tr + root
-        e2 = 0.5 * tr - root
+        big = mid + math.copysign(root, mid)
+        small = (k * (k - 2.0 * half) + dw * dw) / big if root else mid
+        e1, e2 = max(big, small), min(big, small)
         eigs = (complex(e1), complex(e2))
         if e1 < 0.0:
             kind = PointKind.STABLE_NODE
@@ -231,9 +270,8 @@ def _point_from_uv(fp: FrozenParams, u: float, v: float) -> FixedPoint:
             kind = PointKind.SADDLE
     else:
         root = math.sqrt(-disc)
-        eigs = (complex(0.5 * tr, root), complex(0.5 * tr, -root))
-        kind = PointKind.STABLE_FOCUS if tr < 0.0 else PointKind.UNSTABLE_FOCUS
-    r = math.hypot(u, v)
+        eigs = (complex(mid, root), complex(mid, -root))
+        kind = PointKind.STABLE_FOCUS if mid < 0.0 else PointKind.UNSTABLE_FOCUS
     psi = math.atan2(v, u) if r > 0.0 else 0.0
     lam1, _ = sym_eigs_radial(r, fp.eps_a, fp.params)
     return FixedPoint(PolarState(r, psi), kind, eigs, lam1)
@@ -294,14 +332,14 @@ def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX,
     roots = np.roots([1.0, -2.0 * b, b * b + dw * dw, -2.0 * b * dw * dw,
                       b * b * dw * dw - (eg * pull) ** 2])
     # real roots with radius r = (b - k) / eps_gamma > 0, both tests loose by
-    # the ~sqrt(eps) spread of a double root
-    spread = 1e-6 * np.maximum(1.0, np.abs(roots))
+    # the ~sqrt(eps) relative spread of a double root
+    spread = 1e-6 * np.abs(roots)
     keep = (np.abs(roots.imag) <= spread) & (roots.real - b <= spread)
 
     polished: list[tuple[float, float]] = []
     for k in roots.real[keep].tolist():
         den = k * k + dw * dw
-        if den == 0.0:  # only when (eps_gamma eps_a r_p)^2 underflows
+        if den == 0.0:  # delta_omega = 0 and a pull below the rounding of the roots
             continue
         u, v = _polish_newton(fp, -pull * k / den, pull * dw / den)
         r = math.hypot(u, v)
@@ -321,59 +359,65 @@ def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX,
 # --- continuation ---
 
 
-def _count_fixed_points(p: OscillatorParams, delta_omega: float, eps_a: float) -> int:
-    fp = FrozenParams(eps_a=eps_a, delta_omega=delta_omega, params=p)
-    return len(find_fixed_points(fp))
+def _bisect(f, lo: float, hi: float) -> float:
+    """A sign change of ``f`` between ``lo`` and ``hi``, narrowed to adjacent floats."""
+    up = f(lo) > 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if (f(mid) > 0.0) == up:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _folds(p: OscillatorParams, delta_omega: float) -> tuple[float, float] | None:
+    """Pull strengths of the birth and the annihilation fold, or None without folds.
+
+    The zeros of D on either side of its maximum, the zero of D'; see the
+    module docstring.
+    """
+    a = p.eps_gamma * p.r_p
+    dw = abs(delta_omega)
+
+    def rise(k: float) -> float:  # D(k), the sign of dE/dk
+        q = math.hypot(k, dw)
+        return a * k * (a - k) - q * q * (a + q)
+
+    def pull(k: float) -> float:  # E(k)
+        q = math.hypot(k, dw)
+        return (a - k) * q / (a + q)
+
+    top = _bisect(lambda k: a * a - 4.0 * a * k - 3.0 * k * math.hypot(k, dw), 0.0, a)
+    if not rise(top) > 0.0:
+        return None
+    birth = pull(_bisect(rise, 0.0, top))
+    death = pull(_bisect(rise, top, a))
+    # near the cusp the two can round to one value: no pair survives
+    return (birth, death) if birth < death else None
 
 
 def continuation_sweep(delta_omega: float, eps_a_range: tuple[float, float],
-                       step: float, p: OscillatorParams,
-                       tol: float = 1e-4) -> BifurcationResult:
-    """Locate the saddle-node thresholds by tracking the fixed-point count.
+                       step: float, p: OscillatorParams) -> BifurcationResult:
+    """Saddle-node thresholds along the pull strength at fixed detuning.
 
-    Scans a monotone pull-strength grid for count changes and refines each
-    by bisection on the count down to ``tol``.  The first 1 -> 3 change is
-    the pair-creation threshold, the first 3 -> 1 change the annihilation
-    threshold; the global-contraction threshold is analytic.  Thresholds
-    outside the range come back as None.
+    The pair-creation (1 -> 3 points) and annihilation (3 -> 1) thresholds
+    are the folds of the module docstring, exact to rounding; the
+    global-contraction threshold is analytic.  Thresholds outside
+    ``eps_a_range`` come back as None.  ``step`` is unused; it is still
+    checked (positive and below the range) for the callers that pass it.
     """
     lo, hi = (float(eps_a_range[0]), float(eps_a_range[1]))
-    if not (0.0 < lo < hi):
-        raise InvalidInputError("eps_a_range must satisfy 0 < lo < hi")
+    if not (0.0 < lo < hi < math.inf):
+        raise InvalidInputError("eps_a_range must satisfy 0 < lo < hi < inf")
     if not (0.0 < step < (hi - lo)):
         raise InvalidInputError("step must be positive and smaller than the range")
+    if not math.isfinite(delta_omega):
+        raise InvalidInputError(f"delta_omega must be finite, got {delta_omega!r}")
 
-    grid = np.arange(lo, hi + 0.5 * step, step)
-    grid[-1] = min(grid[-1], hi)
-    counts = [_count_fixed_points(p, delta_omega, e) for e in grid]
-
-    def refine(a: float, b: float, ca: int, cb: int) -> list[tuple[float, int, int]]:
-        if b - a <= tol:
-            return [(0.5 * (a + b), ca, cb)]
-        mid = 0.5 * (a + b)
-        cm = _count_fixed_points(p, delta_omega, mid)
-        out = []
-        if cm != ca:
-            out.extend(refine(a, mid, ca, cm))
-        if cm != cb:
-            out.extend(refine(mid, b, cm, cb))
-        return out
-
-    transitions: list[tuple[float, int, int]] = []
-    for i in range(grid.size - 1):
-        if counts[i] != counts[i + 1]:
-            transitions.extend(
-                refine(float(grid[i]), float(grid[i + 1]), counts[i], counts[i + 1])
-            )
-    transitions.sort(key=lambda tr: tr[0])
-
-    eps_c1 = next((e for e, ca, cb in transitions if ca == 1 and cb == 3), None)
-    eps_c2 = next((e for e, ca, cb in transitions if ca == 3 and cb == 1), None)
-    for e, ca, cb in transitions:
-        if (ca, cb) not in ((1, 3), (3, 1)):
-            log.warning(
-                "unclassified fixed-point count change %d -> %d near eps_a=%.6g", ca, cb, e
-            )
+    folds = _folds(p, delta_omega) or (None, None)
+    eps_c1, eps_c2 = (e if e is not None and lo <= e <= hi else None for e in folds)
     return BifurcationResult(eps_c1, eps_c2, global_contraction_threshold(p), delta_omega)
 
 

@@ -6,7 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from chronotax import OscillatorParams, DriveSchedule, region_map, save_params
+from chronotax import (
+    DriveSchedule,
+    OscillatorParams,
+    continuation_sweep,
+    region_map,
+    save_params,
+)
 from chronotax.cli import main
 
 
@@ -86,6 +92,10 @@ def test_blow_up_exit_code(tmp_path):
     assert main([
         "simulate", "--t1", "1", "--x0", "1e150", "--out", str(tmp_path / "n.csv"),
     ]) == 3
+    # a start beyond the guard radius fails as a blow-up, not as bad input
+    assert main([
+        "simulate", "--t1", "1", "--x0", "1.5e6", "--out", str(tmp_path / "g.csv"),
+    ]) == 3
 
 
 def test_overflow_blow_up_warns_nothing(tmp_path, capsys):
@@ -164,6 +174,23 @@ def test_thread_knobs_are_gone(tmp_path):
         main(["regionmap", "--resolution", "4", "--threads", "2", "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_continuation_knobs_are_gone(tmp_path, capsys):
+    # the thresholds are exact: no bisection tolerance, no scan step
+    with pytest.raises(TypeError):
+        continuation_sweep(0.5, (0.1, 2.0), 0.1, OscillatorParams(7.0, 1.0, 1.0), tol=1e-4)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--step", "0.1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"delta_omega": 0.5, "step": 0.1}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+    assert main(["sweep", "--delta-omega", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["eps_c1"] == pytest.approx(0.46538191232864534, abs=1e-12)
+    assert doc["eps_c2"] == pytest.approx(1.2137368545612135, abs=1e-12)
 
 
 def test_verify_verdicts(tmp_path):

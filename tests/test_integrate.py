@@ -11,6 +11,7 @@ from chronotax import (
     BlowUpError,
     CartesianState,
     DriveSchedule,
+    FrozenParams,
     NoiseSpec,
     OscillatorParams,
     Schedule,
@@ -19,9 +20,10 @@ from chronotax import (
     integrate_det,
     integrate_sde,
     pullback,
+    steady_state,
     time_grid,
 )
-from chronotax.integrate import TAPE_BLOCK, em_path, make_lab_field, rk4_path
+from chronotax.integrate import TAPE_BLOCK, em_path, make_lab_field, rk4_blocks, rk4_path
 
 P = OscillatorParams(7.0, 1.0, 1.0)
 D17 = DriveSchedule.constant(1.7, 0.5)
@@ -176,14 +178,40 @@ def test_blow_up_detected():
 
 
 def test_non_finite_state_is_blow_up():
-    # from 1e150 the first RK4 stages overflow to inf - inf = NaN
+    # one RK4 step of 1e15 from inside the guard radius overflows to inf
     with pytest.raises(BlowUpError) as err:
-        pullback(CartesianState(1e150, 0.0), [-1.0], 0.0, 1e-3, P, D17)
-    assert -1.0 < err.value.time <= 0.0
+        pullback(CartesianState(9e5, 0.0), [-1e15], 0.0, 1e15, P, D17)
+    assert err.value.time == 0.0
     rng = np.random.Generator(np.random.Philox(0))
     with pytest.raises(BlowUpError) as err:
         em_path(lambda t, x, y: (math.nan, 0.0), 1.0, 0.0, time_grid(0.0, 1.0, 0.1), 0.1, rng)
     assert err.value.time == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("x0", [1.5e6, 1e150, math.inf, math.nan])
+def test_start_outside_guard_radius_is_blow_up(x0):
+    # refused at the first sample time, before any step, also on a
+    # one-point grid that takes no step at all
+    field = make_lab_field(P, D17)
+    rng = np.random.Generator(np.random.Philox(0))
+    for times in (time_grid(2.0, 3.0, 1e-3), np.array([2.0])):
+        with pytest.raises(BlowUpError) as err:
+            rk4_path(field, x0, 0.0, times)
+        assert err.value.time == 2.0
+        with pytest.raises(BlowUpError) as err:
+            rk4_path(lambda t, x, y: (0.0, 0.0), 0.0, x0, times, record=False)
+        assert err.value.time == 2.0
+        with pytest.raises(BlowUpError) as err:
+            em_path(field, x0, 0.0, times, 0.1, rng)
+        assert err.value.time == 2.0
+    with pytest.raises(BlowUpError) as err:
+        next(rk4_blocks(steady_state._frozen_lab_field(FrozenParams(1.7, 0.5, P)),
+                        x0, 0.0, 1e-3))
+    assert err.value.time == 0.0
+    if math.isfinite(x0):  # CartesianState refuses the others as bad input
+        with pytest.raises(BlowUpError) as err:
+            pullback(CartesianState(x0, 0.0), [-1.0], 0.0, 1e-3, P, D17)
+        assert err.value.time == -1.0
 
 
 def test_trajectory_validation():

@@ -355,6 +355,20 @@ def test_ridge_equals_per_column_reference(nf, nt, levels, smooth, edges, seed):
     assert same_ridge(ridge(sc, smooth), ridge_per_column(sc, smooth))
 
 
+@settings(max_examples=200)
+@given(nt=st.integers(1, 60), smooth=st.integers(2, 16), levels=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(nt=1, smooth=2, levels=3, seed=0)
+@example(nt=3, smooth=8, levels=3, seed=1)
+def test_ridge_median_equals_scipy_median_filter(nt, smooth, levels, seed):
+    # even window sizes and records shorter than the window included: scipy's
+    # rank smooth // 2 and its centring of even windows
+    rng = np.random.default_rng(seed)
+    mag = rng.integers(0, levels, (8, nt)).astype(float) + rng.random((8, nt))
+    sc = Scalogram(np.arange(nt) / 4.0, 0.1 * 2.0 ** (np.arange(8) / 8.0), mag, 1.0)
+    assert same_ridge(ridge(sc, smooth), ridge_per_column(sc, smooth))
+
+
 def test_ridge_tie_break():
     # columns: tie in column 0, a unique peak, then ties in consecutive columns
     top = [(1, 3), (2,), (1, 3), (0, 4), (3, 4), (0, 4)]

@@ -13,6 +13,7 @@ grid, each refined with a bracketing root solver.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from chronotax import (
     ChronotaxicClass,
     DriveSchedule,
     FrozenParams,
+    InvalidInputError,
     NotChronotaxicError,
     OscillatorParams,
     PointKind,
@@ -112,6 +114,76 @@ def bracket_radii(fp, n=2000, r_max=2.5):
     return sorted(out)
 
 
+def count_bisection(delta_omega, eps_a_range, step, p, tol=1e-4):
+    """Count changes of the fixed points along the pull, as the library once found them.
+
+    Scans a pull grid for changes of ``len(find_fixed_points)`` and bisects
+    each down to ``tol``; returns ``(eps_a, count_below, count_above)`` in
+    pull order.  Two folds closer than ``step`` can hide each other.
+    """
+    lo, hi = eps_a_range
+
+    def count(e):
+        return len(find_fixed_points(FrozenParams(e, delta_omega, p)))
+
+    def refine(a, b, ca, cb):
+        if b - a <= tol:
+            return [(0.5 * (a + b), ca, cb)]
+        mid = 0.5 * (a + b)
+        cm = count(mid)
+        out = []
+        if cm != ca:
+            out.extend(refine(a, mid, ca, cm))
+        if cm != cb:
+            out.extend(refine(mid, b, cm, cb))
+        return out
+
+    grid = np.arange(lo, hi + 0.5 * step, step)
+    grid[-1] = min(grid[-1], hi)
+    counts = [count(float(e)) for e in grid]
+    found = []
+    for i in range(grid.size - 1):
+        if counts[i] != counts[i + 1]:
+            found.extend(refine(float(grid[i]), float(grid[i + 1]), counts[i], counts[i + 1]))
+    return sorted(found)
+
+
+def fold_newton(p, delta_omega, eps_a):
+    """Fold (k, eps_a) by Newton on F = dF/dk = 0 in 40-digit decimals.
+
+    F(k) = (b - k)^2 (k^2 + dw^2) - (eps_gamma eps_a r_p)^2 with
+    b = eps_gamma r_p - eps_a; dF/dk = 2 (b - k) (k (b - k) - k^2 - dw^2),
+    whose second factor is the second equation.  The seed k is the root of
+    that factor at the seed pull, 2 k^2 - b k + dw^2 = 0, on the side where
+    F is smaller.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a = Decimal(p.eps_gamma) * Decimal(p.r_p)
+        dw2 = Decimal(delta_omega) ** 2
+        e = Decimal(eps_a)
+
+        def f(k, e):
+            rho = a - e - k
+            return rho * rho * (k * k + dw2) - (a * e) ** 2
+
+        s = a - e
+        large = (s + max(s * s - 8 * dw2, Decimal(0)).sqrt()) / 4
+        k = min((large, dw2 / (2 * large)), key=lambda k: abs(f(k, e)))
+        for _ in range(100):
+            rho = a - e - k
+            g = k * rho - k * k - dw2
+            f_k, f_e = 2 * rho * g, -2 * rho * (k * k + dw2) - 2 * a * a * e
+            g_k, g_e = rho - 3 * k, -k
+            det = f_k * g_e - f_e * g_k
+            dk = (g * f_e - f(k, e) * g_e) / det
+            de = (f(k, e) * g_k - g * f_k) / det
+            k, e = k + dk, e + de
+            if abs(dk) <= Decimal("1e-35") * abs(k) and abs(de) <= Decimal("1e-35") * e:
+                return float(k), float(e)
+    raise AssertionError(f"fold Newton did not converge from eps_a={eps_a!r}")
+
+
 def rotating_rhs(fp, u, v):
     # written out from scratch, not via the library field
     eg, rp = fp.params.eps_gamma, fp.params.r_p
@@ -183,13 +255,12 @@ def test_fixed_points_match_quartic_oracle():
 def test_fixed_point_count_is_odd_away_from_folds(eps_a, delta_omega, eps_gamma, r_p):
     # index theory: nodes and foci outnumber saddles by one when no point is
     # degenerate, and every fixed point has r <= r_p < r_max
-    fp = FrozenParams(eps_a, delta_omega, OscillatorParams(eps_gamma, 1.0, r_p))
-    a = eps_gamma
-    b = a * r_p - eps_a
-    roots = np.roots([a * a, -2.0 * a * b, b * b + delta_omega**2, 0.0, -(eps_a * r_p) ** 2])
-    gaps = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(roots.size, 1)]
-    assume(gaps.min() >= 1e-3)  # within 1e-3 of a double root, i.e. of a fold
-    assert len(find_fixed_points(fp)) % 2 == 1
+    p = OscillatorParams(eps_gamma, 1.0, r_p)
+    # within 1e-10 of a fold the two roots about to merge round to one;
+    # even counts were seen up to 6e-13 from one
+    folds = steady_state._folds(p, delta_omega) or ()
+    assume(all(abs(eps_a - e) > 1e-10 * e for e in folds))
+    assert len(find_fixed_points(FrozenParams(eps_a, delta_omega, p))) % 2 == 1
 
 
 def test_stationary_angle_identity():
@@ -227,7 +298,7 @@ def test_zero_detuning_fold():
     assert len(find_fixed_points(FrozenParams(fold + 0.01, 0.0, P))) == 1
     res = continuation_sweep(0.0, (0.1, 2.0), 0.1, P)
     assert res.eps_c1 is None
-    assert res.eps_c2 == pytest.approx(fold, abs=5e-4)
+    assert abs(res.eps_c2 - fold) <= 1e-12
 
 
 def test_sweep_thresholds():
@@ -235,9 +306,80 @@ def test_sweep_thresholds():
     assert 0.462 <= res.eps_c1 <= 0.472
     assert 1.209 <= res.eps_c2 <= 1.219
     assert res.eps_c3 == 7.0
-    # pinned values for regression, bisection tolerance 1e-4
-    assert res.eps_c1 == pytest.approx(0.46538, abs=1e-3)
-    assert res.eps_c2 == pytest.approx(1.21372, abs=1e-3)
+    # pinned values for regression: the exact folds
+    assert abs(res.eps_c1 - 0.46538191232864534) <= 1e-12
+    assert abs(res.eps_c2 - 1.2137368545612135) <= 1e-12
+
+
+def test_sweep_thresholds_refine_the_count_bisection():
+    # the count bisection finds the same two changes to its tolerance, and
+    # fold Newton started there lands on the closed form
+    res = continuation_sweep(0.5, (0.1, 2.0), 0.1, P)
+    changes = count_bisection(0.5, (0.1, 2.0), 0.1, P)
+    assert [(ca, cb) for _, ca, cb in changes] == [(1, 3), (3, 1)]
+    for exact, (seed, _, _) in zip((res.eps_c1, res.eps_c2), changes):
+        assert abs(seed - exact) <= 1e-4
+        assert abs(fold_newton(P, 0.5, seed)[1] - exact) <= 1e-12
+
+
+def test_sweep_thresholds_are_range_filtered():
+    assert continuation_sweep(0.5, (0.5, 2.0), 0.1, P).eps_c1 is None
+    assert continuation_sweep(0.5, (0.1, 1.0), 0.1, P).eps_c2 is None
+    with pytest.raises(InvalidInputError):
+        continuation_sweep(0.5, (0.1, math.inf), 0.1, P)
+    with pytest.raises(InvalidInputError):
+        continuation_sweep(math.nan, (0.1, 2.0), 0.1, P)
+
+
+def test_continuation_sweep_solves_no_fixed_points(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_fixed_points called")
+
+    monkeypatch.setattr(steady_state, "find_fixed_points", refuse)
+    res = continuation_sweep(0.5, (0.1, 2.0), 0.1, P)
+    assert (res.eps_c1, res.eps_c2) == pytest.approx((0.4653819123286, 1.2137368545612))
+
+
+PARAMS = [OscillatorParams(7.0, 1.0, 1.0), OscillatorParams(1.0, 1.0, 1.0),
+          OscillatorParams(3.0, 1.0, 0.1)]
+
+
+@pytest.mark.parametrize("p", PARAMS, ids=lambda p: f"{p.eps_gamma:g}x{p.r_p:g}")
+@pytest.mark.parametrize("ratio", [1e-9, -1e-9, 1e-6, 1e-3, 0.07, 0.2, 0.27, 0.28])
+def test_folds_match_decimal_oracle(p, ratio):
+    # ratio = delta_omega / (eps_gamma r_p); from 0.2664 on both folds sit
+    # on the same side of k = |delta_omega|
+    a = p.eps_gamma * p.r_p
+    dw = ratio * a
+    res = continuation_sweep(dw, (1e-300, a), 0.5 * a, p)
+    assert res.eps_c1 < res.eps_c2
+    for eps, before, after in ((res.eps_c1, 1, 3), (res.eps_c2, 3, 1)):
+        k, oracle = fold_newton(p, dw, eps)
+        assert k > 0.0
+        assert abs(eps - oracle) <= 1e-12 * max(1.0, oracle)
+        assert abs(eps - oracle) <= 1e-9 * oracle
+        # the point count changes by two across the fold
+        near = [len(find_fixed_points(FrozenParams(eps * (1.0 + s), dw, p)))
+                for s in (-1e-6, 1e-6)]
+        assert near == [before, after], (eps, near)
+
+
+def test_folds_rounding_together_at_the_cusp_are_no_folds():
+    # 1e-12 below the largest detuning with folds (1.96710655617085) D still
+    # peaks above zero, but both folds round to one pull: a pair of zero
+    # width, reported as none
+    res = continuation_sweep(1.9671065561698502, (0.1, 2.0), 0.1, P)
+    assert res.eps_c1 is None and res.eps_c2 is None
+
+
+@pytest.mark.parametrize("p", PARAMS, ids=lambda p: f"{p.eps_gamma:g}x{p.r_p:g}")
+@pytest.mark.parametrize("ratio", [0.2816, -0.2816, 0.3, 1.0])
+def test_no_fold_beyond_the_cusp(p, ratio):
+    a = p.eps_gamma * p.r_p
+    res = continuation_sweep(ratio * a, (1e-300, a), 0.5 * a, p)
+    assert res.eps_c1 is None and res.eps_c2 is None
+    for eps in np.geomspace(1e-3 * a, 2.0 * a, 60):
+        assert len(find_fixed_points(FrozenParams(float(eps), ratio * a, p))) == 1
 
 
 def test_counts_change_by_two_at_thresholds():
@@ -342,6 +484,41 @@ def test_marginal_band_between_fold_and_contraction():
     # just past the fold a stable node exists outside the contraction region
     cls = classify(FrozenParams(0.466, 0.5, P))
     assert cls is ChronotaxicClass.APPROX_GAMMA
+
+
+@settings(max_examples=200)
+@given(exponent=st.floats(-20.0, -6.0))
+@example(exponent=-20.0)
+@example(exponent=-16.0)
+def test_weak_pull_at_zero_detuning_keeps_the_saddle(exponent):
+    # the saddle and node near r_p have eigenvalues of order eps_a, far
+    # below the rounding of a numerically formed trace and determinant
+    fp = FrozenParams(10.0**exponent, 0.0, P)
+    kinds = sorted(q.kind.value for q in find_fixed_points(fp))
+    assert kinds == ["saddle", "stable-node", "unstable-node"]
+    assert classify(fp) is ChronotaxicClass.APPROX_GAMMA
+
+
+@settings(max_examples=200)
+@given(
+    eps_a=st.floats(0.0, 9.0),
+    delta_omega=st.floats(-1.5, 1.5),
+    eps_gamma=st.floats(1.0, 10.0),
+    r_p=st.floats(0.5, 2.0),
+)
+@example(eps_a=0.0, delta_omega=0.5, eps_gamma=7.0, r_p=1.0)
+@example(eps_a=0.0, delta_omega=0.0, eps_gamma=7.0, r_p=1.0)
+@example(eps_a=0.5, delta_omega=0.5, eps_gamma=7.0, r_p=1.0)
+def test_closed_form_eigenvalues_match_numeric_jacobian(eps_a, delta_omega, eps_gamma, r_p):
+    fp = FrozenParams(eps_a, delta_omega, OscillatorParams(eps_gamma, 1.0, r_p))
+    for q in find_fixed_points(fp):
+        half = 0.5 * eps_gamma * q.location.r
+        if abs(half * half - delta_omega**2) < 1e-6:
+            continue  # a defective double eigenvalue: numeric error ~ sqrt(rounding)
+        numeric = np.linalg.eigvals(steady_state.rotating_jacobian_frozen(fp, *q.uv))
+        order = lambda z: (z.real, z.imag)  # noqa: E731
+        for a, b in zip(sorted(q.full_jacobian_eigs, key=order), sorted(numeric, key=order)):
+            assert abs(a - b) <= 1e-12, (q, numeric)
 
 
 def test_region_map_row():
