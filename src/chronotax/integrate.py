@@ -8,6 +8,7 @@ nonautonomous bookkeeping.
 
 Runs of the laboratory-frame field evaluate the drive schedules once per
 block of steps, as a drive tape, not once per stage; see :class:`LabField`.
+Runs from several starts on one grid share one tape per block.
 
 Random increments come from a counter-based Philox generator keyed by the
 caller's seed, one independent stream per trajectory, so runs are
@@ -146,25 +147,14 @@ def rk4_path(field: FieldFn, x0: float, y0: float, times: FloatArray,
     :class:`LabField` runs on its drive tape, block by block; any other
     field is called once per stage.
     """
+    if isinstance(field, LabField):
+        return _rk4_ensemble(field, [(x0, y0)], times, record)[0]
     n = times.size
     out = np.empty((n, 2), dtype=float) if record else None
     x, y = _start(x0, y0, times[0])
     if record:
         out[0, 0] = x
         out[0, 1] = y
-    if isinstance(field, LabField):
-        for i0 in range(0, n - 1, TAPE_BLOCK):
-            i1 = min(i0 + TAPE_BLOCK, n - 1)
-            t = times[i0:i1]
-            h = times[i0 + 1:i1 + 1] - t
-            xs, ys = _rk4_steps(field, x, y, field.rk4_tape(t, h))
-            if len(xs) < i1 - i0:
-                _blow_up(t[len(xs)] + h[len(xs)])
-            x, y = xs[-1], ys[-1]
-            if record:
-                out[i0 + 1:i1 + 1, 0] = xs
-                out[i0 + 1:i1 + 1, 1] = ys
-        return out if record else (x, y)
     for i in range(n - 1):
         t = times[i]
         h = times[i + 1] - t
@@ -177,11 +167,59 @@ def rk4_path(field: FieldFn, x0: float, y0: float, times: FloatArray,
         x += (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
         y += (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
         if not (x * x + y * y <= _BLOWUP_SQ):  # NaN fails this test too
-            _blow_up(te)
+            raise _blow_up(te)
         if record:
             out[i + 1, 0] = x
             out[i + 1, 1] = y
     return out if record else (x, y)
+
+
+def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool):
+    """:func:`rk4_path` of ``field`` from each of ``starts`` over one grid ``times``.
+
+    Each block's drive tape is built once and serves every member, so
+    memory stays at one block.  Returns one result per start, as
+    :func:`rk4_path` returns it.  A blow-up raises the error that running
+    the members one after another would raise: that of the lowest-index
+    member leaving the guard radius, at its own time.  Members after it
+    stop there, as their outcome can no longer matter.
+    """
+    n = times.size
+    error = None
+    states = []
+    for x0, y0 in starts:
+        try:
+            states.append(_start(x0, y0, times[0]))
+        except BlowUpError as exc:
+            error = exc
+            break
+    outs = []
+    if record:
+        for x, y in states:
+            out = np.empty((n, 2), dtype=float)
+            out[0, 0] = x
+            out[0, 1] = y
+            outs.append(out)
+    for i0 in range(0, n - 1, TAPE_BLOCK):
+        if not states:
+            break
+        i1 = min(i0 + TAPE_BLOCK, n - 1)
+        t = times[i0:i1]
+        h = times[i0 + 1:i1 + 1] - t
+        tape = field.rk4_tape(t, h)
+        for j, (x, y) in enumerate(states):
+            xs, ys = _rk4_steps(field, x, y, tape)
+            if len(xs) < i1 - i0:
+                error = _blow_up(t[len(xs)] + h[len(xs)])
+                del states[j:], outs[j:]
+                break
+            states[j] = xs[-1], ys[-1]
+            if record:
+                outs[j][i0 + 1:i1 + 1, 0] = xs
+                outs[j][i0 + 1:i1 + 1, 1] = ys
+    if error is not None:
+        raise error
+    return outs if record else states
 
 
 def rk4_blocks(field: LabField, x0: float, y0: float, dt: float):
@@ -201,7 +239,7 @@ def rk4_blocks(field: LabField, x0: float, y0: float, dt: float):
     while True:
         xs, ys = _rk4_steps(field, x, y, tape)
         if len(xs) < TAPE_BLOCK:
-            _blow_up((steps + len(xs) + 1) * dt)
+            raise _blow_up((steps + len(xs) + 1) * dt)
         steps += TAPE_BLOCK
         x, y = xs[-1], ys[-1]
         yield xs, ys
@@ -229,7 +267,7 @@ def em_path(field: FieldFn, x0: float, y0: float, times: FloatArray, sigma: floa
             xs, ys = _em_steps(field, x, y, field.em_tape(times[i0:i1], h[i0:i1]),
                                kicks[i0:i1, 0].tolist(), kicks[i0:i1, 1].tolist())
             if len(xs) < i1 - i0:
-                _blow_up(times[i0 + len(xs) + 1])
+                raise _blow_up(times[i0 + len(xs) + 1])
             x, y = xs[-1], ys[-1]
             if record:
                 out[i0 + 1:i1 + 1, 0] = xs
@@ -242,7 +280,7 @@ def em_path(field: FieldFn, x0: float, y0: float, times: FloatArray, sigma: floa
         x += hi * fx + kicks[i, 0]
         y += hi * fy + kicks[i, 1]
         if not (x * x + y * y <= _BLOWUP_SQ):  # NaN fails this test too
-            _blow_up(times[i + 1])
+            raise _blow_up(times[i + 1])
         if record:
             out[i + 1, 0] = x
             out[i + 1, 1] = y
@@ -254,13 +292,14 @@ def _start(x0, y0, t):
     x = float(x0)
     y = float(y0)
     if not (x * x + y * y <= _BLOWUP_SQ):  # NaN fails this test too
-        _blow_up(t)
+        raise _blow_up(t)
     return x, y
 
 
 def _blow_up(t):
-    raise BlowUpError(f"trajectory left radius {BLOWUP_RADIUS:g} or became "
-                      f"non-finite at t={t:g}", time=float(t))
+    """The :class:`BlowUpError` of a state leaving the guard radius at ``t``."""
+    return BlowUpError(f"trajectory left radius {BLOWUP_RADIUS:g} or became "
+                       f"non-finite at t={t:g}", time=float(t))
 
 
 # --- the laboratory-frame field and its drive tape ---

@@ -305,6 +305,28 @@ def _residual_polar(fp: FrozenParams, u: float, v: float) -> float:
     return abs(rdot) + abs(rpsidot)
 
 
+def _zero_detuning_points(b: float, eps_gamma: float, pull: float):
+    """The points ``(-pull / k, 0)`` of the k-quartic at delta_omega = 0.
+
+    There the quartic factors into k (b - k) = m with m = +-eps_gamma pull.
+    Each quadratic's roots sum to b, so a root's radius (b - k) / eps_gamma
+    is its partner root over eps_gamma, and -pull / k = -sign(m) (b - k) /
+    eps_gamma.  The large root is taken directly and the small one as m
+    over it, so neither the pull nor k is ever squared, and a weak pull
+    keeps the small roots that a companion matrix would round to zero.
+    """
+    points = []
+    for m in (eps_gamma * pull, -eps_gamma * pull):
+        disc = b * b - 4.0 * m
+        if disc < 0.0:
+            continue
+        big = 0.5 * (b + math.copysign(math.sqrt(disc), b))
+        for partner in (m / big, big):  # the partners of big and small
+            if partner > 0.0:
+                points.append((-math.copysign(partner, m) / eps_gamma, 0.0))
+    return points
+
+
 def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX,
                       dedupe_tol: float = 1e-8) -> list[FixedPoint]:
     """All equilibria of the frozen co-rotating flow with radius in (0, r_max].
@@ -316,6 +338,11 @@ def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX,
     the node and saddle near r_p have radii within ~sqrt(eps) of each other
     but well separated rates, while the near-double root in k (the inner
     point and its negative-radius image) maps to a single point either way.
+    At delta_omega = 0 the quartic factors into two quadratics, rooted in
+    closed form (see :func:`_zero_detuning_points`), so no pull is too weak
+    to keep the saddle and node near r_p.  A detuning whose square
+    underflows takes the same route: the quartic's coefficients cannot
+    tell it from 0.
     Zero pull is the degenerate uncoupled case: the origin is the only
     isolated equilibrium and is reported as unstable.
     """
@@ -329,19 +356,23 @@ def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX,
     eg = p.eps_gamma
     pull = ea * p.r_p
     b = eg * p.r_p - ea
-    roots = np.roots([1.0, -2.0 * b, b * b + dw * dw, -2.0 * b * dw * dw,
-                      b * b * dw * dw - (eg * pull) ** 2])
-    # real roots with radius r = (b - k) / eps_gamma > 0, both tests loose by
-    # the ~sqrt(eps) relative spread of a double root
-    spread = 1e-6 * np.abs(roots)
-    keep = (np.abs(roots.imag) <= spread) & (roots.real - b <= spread)
+    if dw * dw == 0.0:
+        guesses = _zero_detuning_points(b, eg, pull)
+    else:
+        roots = np.roots([1.0, -2.0 * b, b * b + dw * dw, -2.0 * b * dw * dw,
+                          b * b * dw * dw - (eg * pull) ** 2])
+        # real roots with radius r = (b - k) / eps_gamma > 0, both tests loose
+        # by the ~sqrt(eps) relative spread of a double root
+        spread = 1e-6 * np.abs(roots)
+        keep = (np.abs(roots.imag) <= spread) & (roots.real - b <= spread)
+        guesses = []
+        for k in roots.real[keep].tolist():
+            den = k * k + dw * dw
+            guesses.append((-pull * k / den, pull * dw / den))
 
     polished: list[tuple[float, float]] = []
-    for k in roots.real[keep].tolist():
-        den = k * k + dw * dw
-        if den == 0.0:  # delta_omega = 0 and a pull below the rounding of the roots
-            continue
-        u, v = _polish_newton(fp, -pull * k / den, pull * dw / den)
+    for u, v in guesses:
+        u, v = _polish_newton(fp, u, v)
         r = math.hypot(u, v)
         if not (0.0 < r <= r_max * (1.0 + 1e-9)):
             continue

@@ -23,7 +23,14 @@ from chronotax import (
     steady_state,
     time_grid,
 )
-from chronotax.integrate import TAPE_BLOCK, em_path, make_lab_field, rk4_blocks, rk4_path
+from chronotax.integrate import (
+    TAPE_BLOCK,
+    _rk4_ensemble,
+    em_path,
+    make_lab_field,
+    rk4_blocks,
+    rk4_path,
+)
 
 P = OscillatorParams(7.0, 1.0, 1.0)
 D17 = DriveSchedule.constant(1.7, 0.5)
@@ -290,6 +297,49 @@ def test_tape_matches_per_call_reference(d, grid, start, record, seed):
     assert np.array_equal(tape, em_path(ref, x0, y0, times, 0.3,
                                         np.random.Generator(np.random.Philox(seed)),
                                         record=record))
+
+
+@settings(max_examples=40)
+@given(d=drives(), grid=grids(), members=st.lists(starts, min_size=1, max_size=9),
+       record=st.booleans())
+def test_shared_tape_equals_per_member_runs(d, grid, members, record):
+    times = time_grid(*grid)
+    lab = make_lab_field(P, d)
+    xy = [(r * math.cos(a), r * math.sin(a)) for r, a in members]
+    shared = _rk4_ensemble(lab, xy, times, record)
+    assert len(shared) == len(xy)
+    for got, (x0, y0) in zip(shared, xy):
+        assert np.array_equal(got, rk4_path(lab, x0, y0, times, record=record))
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_shared_tape_raises_the_first_members_blow_up(record):
+    # from t = 3 the pull puts dt = 0.01 just outside RK4's stability region,
+    # so members blow up in the second block, each at a time set by its
+    # phase; the second member starts far enough out to blow up in the first
+    d = DriveSchedule(Schedule.sampled([0.0, 3.0], [0.0, 290.0], "previous"),
+                      Schedule.constant(0.5))
+    lab = make_lab_field(P, d)
+    times = time_grid(0.0, 6.0, 0.01)
+    xy = [(1.0, 0.0), (1e3, 0.0), (0.0, 1.0)]
+    errors = []
+    for x0, y0 in xy:
+        with pytest.raises(BlowUpError) as err:
+            rk4_path(lab, x0, y0, times, record=record)
+        errors.append(err.value)
+    assert (errors[1].time < times[TAPE_BLOCK] < errors[2].time < errors[0].time
+            < times[2 * TAPE_BLOCK])
+    with pytest.raises(BlowUpError) as err:
+        _rk4_ensemble(lab, xy, times, record)
+    assert err.value.time == errors[0].time
+    assert str(err.value) == str(errors[0])
+    # a start refused at the first sample time stops the members after it
+    with pytest.raises(BlowUpError) as err:
+        _rk4_ensemble(lab, [(1.0, 0.0), (2e6, 0.0), (0.0, 1.0)], times, record)
+    assert err.value.time == errors[0].time
+    with pytest.raises(BlowUpError) as err:
+        _rk4_ensemble(lab, [(2e6, 0.0), (1.0, 0.0)], times, record)
+    assert err.value.time == 0.0
 
 
 def test_tape_takes_integer_parameters():

@@ -28,7 +28,7 @@ from chronotax import (
     verify_schedule,
     verify_trapping,
 )
-from chronotax.integrate import Trajectory
+from chronotax.integrate import LabField, Trajectory, make_lab_field, rk4_path, time_grid
 from chronotax.verify import (
     DEFAULT_FORWARD_TOL,
     DEFAULT_INVARIANCE_TOL,
@@ -137,6 +137,48 @@ def test_forward_and_pullback_defects_vanish_when_contracting():
     fwd, pb = verify_attraction(P, D17, 0.0, 30.0, 1e-3)
     assert fwd < 1e-9
     assert pb < 1e-9
+
+
+def per_member_forward_defect(p, d, t0, t1, dt, ensemble_size=8, seed=2026,
+                              start_radius=2.0):
+    """The forward defect with one ``rk4_path`` run, and so one set of drive
+    tapes, per ensemble member: the reference the shared tape must match."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * math.pi, ensemble_size)
+    radii = rng.uniform(0.25 * start_radius, start_radius, ensemble_size)
+    field = make_lab_field(p, d)
+    grid = time_grid(t0, t1, dt)
+    finals = np.array(
+        [
+            rk4_path(field, r * math.cos(a), r * math.sin(a), grid, record=False)
+            for a, r in zip(angles, radii)
+        ]
+    )
+    diff = finals[:, None, :] - finals[None, :, :]
+    return float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
+
+
+@pytest.mark.parametrize("drive", [D17, PULL], ids=["constant", "sampled"])
+def test_forward_defect_equals_per_member_runs(drive):
+    forward, _ = verify_attraction(P, drive, 0.0, 15.0, 1e-3)
+    assert forward == per_member_forward_defect(P, drive, 0.0, 15.0, 1e-3)
+
+
+def test_attraction_builds_one_tape_per_block(monkeypatch):
+    # 15000 steps are 59 blocks of TAPE_BLOCK = 256, built once for the
+    # whole ensemble, plus 44 + 59 blocks for the two pullback runs from
+    # t = -11.25 and t = -15; tapes per member would make 8 x 59 + 103 = 575
+    builds = []
+    real = LabField.rk4_tape
+
+    def counted(self, t, h):
+        builds.append(t.size)
+        return real(self, t, h)
+
+    monkeypatch.setattr(LabField, "rk4_tape", counted)
+    verify_attraction(P, PULL, 0.0, 15.0, 1e-3)
+    assert len(builds) == 59 + 44 + 59
+    assert sum(builds) == 15000 + 11250 + 15000  # every step on one tape
 
 
 def test_forward_defect_survives_without_drive():
