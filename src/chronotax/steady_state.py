@@ -141,6 +141,10 @@ class GammaCurve:
 
     ``points`` is a closed polyline (first row repeated last) in co-rotating
     Cartesian coordinates, oriented so it encircles the origin exactly once.
+    A curve through a saddle and a node starts and ends at the saddle and
+    has the node as a vertex.  The vertices that :func:`trace_gamma`
+    records between the ends of a run are states of its RK4 run, each at
+    least sqrt(8 reach_tol r_p) from the one before it.
     """
 
     exists: bool
@@ -466,10 +470,75 @@ def _frozen_lab_field(fp: FrozenParams) -> LabField:
                           DriveSchedule.constant(fp.eps_a, 0.0))
 
 
-def _integrate_to_target(field: LabField, start, target, dt: float, max_time: float,
-                         reach_tol: float, stride: int):
-    """March the rotating flow until within reach_tol of target; polyline samples."""
+#: bounds on the distance from a saddle or node within which a manifold
+#: branch is taken to follow its eigenline: no branch starts closer than
+#: 1e-6 to the saddle, and no straight end segment is longer than 1e-2
+_LINEAR_REACH = (1e-6, 1e-2)
+
+
+def _eigvec(jac: FloatArray, lam: float) -> tuple[float, float]:
+    """Unit eigenvector of the 2x2 matrix ``jac`` for its real eigenvalue ``lam``.
+
+    Both rows of ``jac - lam I`` give a candidate; the longer one is kept.
+    """
+    (a, b), (c, d) = jac.tolist()
+    x, y = b, lam - a
+    x2, y2 = lam - d, c
+    if math.hypot(x2, y2) > math.hypot(x, y):
+        x, y = x2, y2
+    n = math.hypot(x, y)
+    return x / n, y / n
+
+
+def _linear_reach(fp: FrozenParams, point: FixedPoint, along: int,
+                  tol: float) -> tuple[float, tuple[float, float]]:
+    """How far from ``point`` its invariant curve tangent to an eigenvector stays
+    within ``tol`` of that eigenline, and the unit eigenvector.
+
+    ``along`` indexes the point's eigenvalue whose eigenvector is followed.
+    Writing the curve as x = x0 + s e + c s^2 f over the unit eigenvectors e
+    (eigenvalue lam_e) and f (lam_f), invariance gives c = B / 2 (2 lam_e -
+    lam_f), where B is the f-component of the frozen field's second
+    derivative D2F[e, e] = -eps_gamma [(1 - (x^.e)^2) x^ + 2 (x^.e) e], x^
+    the unit radius vector.  Only the x^ term has an f-component:
+    |B| = eps_gamma (1 - (x^.e)^2)^(3/2) / |e x f|.  The curve stays within
+    |c| s^2 <= tol of its eigenline for s <= sqrt(tol / |c|), clamped to
+    :data:`_LINEAR_REACH`.
+    """
+    lam_e = point.full_jacobian_eigs[along].real
+    lam_f = point.full_jacobian_eigs[1 - along].real
+    u, v = point.uv
+    jac = rotating_jacobian_frozen(fp, u, v)
+    ex, ey = _eigvec(jac, lam_e)
+    fx, fy = _eigvec(jac, lam_f)
+    r = math.hypot(u, v)
+    s = (u * ex + v * ey) / r
+    half_b = 0.5 * fp.params.eps_gamma * max(0.0, 1.0 - s * s) ** 1.5
+    den = abs(ex * fy - ey * fx) * abs(2.0 * lam_e - lam_f)  # |c| = half_b / den
+    lo, hi = _LINEAR_REACH
+    reach = math.sqrt(tol * den / half_b) if half_b > 0.0 else hi
+    return min(max(reach, lo), hi), (ex, ey)
+
+
+def _integrate_to_target(field: LabField, start, target, slow, dt: float,
+                         max_time: float, reach_tol: float, stride: int,
+                         spacing: float):
+    """March the rotating flow until it reaches the node ``target``; polyline samples.
+
+    The march stops within ``reach_tol`` of the target or, given the node's
+    slow eigenline as ``slow = (radius, (ex, ey))``, within that radius of
+    the node and within ``reach_tol / 4`` of the line; the rest of the path
+    is then the straight segment into the node.  A zero radius leaves only
+    the first stop.  Every ``stride``-th state is
+    recorded when it lies at least ``spacing`` from the last recorded one.
+    """
     tu, tv = target
+    near2 = reach_tol * reach_tol
+    rho, (ex, ey) = slow
+    rho2 = rho * rho
+    line_tol = 0.25 * reach_tol
+    gap2 = spacing * spacing
+    lu, lv = start
     pts = [start]
     t = 0.0
     k = 0
@@ -481,11 +550,15 @@ def _integrate_to_target(field: LabField, start, target, dt: float, max_time: fl
                 )
             t += dt
             k += 1
-            if k % stride == 0:
-                pts.append((u, v))
-            if (u - tu) ** 2 + (v - tv) ** 2 < reach_tol * reach_tol:
+            du = u - tu
+            dv = v - tv
+            d2 = du * du + dv * dv
+            if d2 < near2 or (d2 < rho2 and abs(du * ey - dv * ex) < line_tol):
                 pts.append((u, v))
                 return np.array(pts)
+            if k % stride == 0 and (u - lu) ** 2 + (v - lv) ** 2 >= gap2:
+                pts.append((u, v))
+                lu, lv = u, v
 
 
 def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
@@ -497,7 +570,27 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
     node); with a single unstable equilibrium it is the attracting invariant
     circle reached by forward integration; with a single stable equilibrium
     no such curve exists.  Zero pull gives the unperturbed circle exactly.
+
+    Both ends of a manifold branch are linear (stable and unstable manifold
+    theorem).  Each branch starts on the saddle's unstable eigenline, as far
+    out as the manifold stays within ``reach_tol / 4`` of it, and stops once
+    it is that close to the node's slow eigenline and inside the matching
+    radius (or within ``reach_tol`` of a node without a slow line, a
+    focus); the saddle and the node are vertices, joined to the branches by
+    straight segments.  The invariant circle is approached for 30 e-folds of
+    its radial rate eps_gamma r_p, then followed for one turn, which must
+    close within ``close_tol`` (the transient doubles on a retry).
+
+    Every ``0.01 / dt``-th state of a run becomes a vertex when it lies at
+    least sqrt(8 reach_tol r_p) from the previous vertex: on a curve whose
+    curvature stays below 1 / r_p a chord that long sags at most
+    ``reach_tol``.  ``dt``, ``max_time``, ``close_tol`` and ``reach_tol``
+    must be finite and positive.
     """
+    for name, value in (("dt", dt), ("max_time", max_time), ("close_tol", close_tol),
+                        ("reach_tol", reach_tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
     p = fp.params
     if fp.eps_a == 0.0:
         ang = np.linspace(0.0, _TWO_PI, 257)
@@ -510,24 +603,24 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
     saddles = [q for q in points if q.kind == PointKind.SADDLE]
     field = _frozen_lab_field(fp)
     stride = max(1, int(round(0.01 / dt)))
+    spacing = math.sqrt(8.0 * reach_tol * p.r_p)
 
     if len(points) == 3 and saddles and stable:
         saddle = saddles[0]
         node = min(stable, key=lambda q: q.lambda_max_sym)
         su, sv = saddle.uv
         nu, nv = node.uv
-        jac = rotating_jacobian_frozen(fp, su, sv)
-        w, vecs = np.linalg.eig(jac)
-        iu = int(np.argmax(w.real))
-        direction = vecs[:, iu].real
-        direction = direction / np.hypot(*direction)
-        delta = 1e-6
+        # eigenvalues come largest first: the saddle's unstable one, then a
+        # stable node's slow one; a focus has no slow line
+        delta, (eu, ev) = _linear_reach(fp, saddle, 0, 0.25 * reach_tol)
+        slow = (_linear_reach(fp, node, 0, 0.25 * reach_tol)
+                if node.kind == PointKind.STABLE_NODE else (0.0, (0.0, 0.0)))
         branches = []
         for sgn in (1.0, -1.0):
-            start = (su + sgn * delta * direction[0], sv + sgn * delta * direction[1])
+            start = (su + sgn * delta * eu, sv + sgn * delta * ev)
             branches.append(
-                _integrate_to_target(field, start, (nu, nv), dt, max_time, reach_tol,
-                                     stride)
+                _integrate_to_target(field, start, (nu, nv), slow, dt, max_time,
+                                     reach_tol, stride, spacing)
             )
         first, second = branches
         pts = np.vstack(
@@ -543,14 +636,14 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
     elif len(points) == 1 and not stable:
         # transient onto the attracting circle, then one full turn
         u, v = 1.2 * p.r_p, 0.0
-        transient = 50.0 / min(1.0, p.eps_gamma) + 20.0
+        transient = 30.0 / (p.eps_gamma * p.r_p)
         last_err = None
         curve = None
         for _ in range(3):
             times = time_grid(0.0, transient, dt)
             u, v = rk4_path(field, u, v, times, record=False)
             try:
-                pts = _trace_one_turn(field, (u, v), dt, max_time, stride)
+                pts = _trace_one_turn(field, (u, v), dt, max_time, stride, spacing)
             except TraceFailureError as exc:
                 last_err = exc
                 transient *= 2.0
@@ -574,11 +667,18 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
     return curve
 
 
-def _trace_one_turn(field: LabField, start, dt: float, max_time: float, stride: int):
-    """Integrate until the accumulated polar angle advances one full turn."""
+def _trace_one_turn(field: LabField, start, dt: float, max_time: float, stride: int,
+                    spacing: float):
+    """Integrate until the accumulated polar angle advances one full turn.
+
+    Every ``stride``-th state is recorded when it lies at least ``spacing``
+    from the last recorded one; the turn's end is interpolated.
+    """
     u, v = start
     prev = math.atan2(v, u)
     acc = 0.0
+    gap2 = spacing * spacing
+    lu, lv = start
     pts = [(u, v)]
     t = 0.0
     k = 0
@@ -602,8 +702,9 @@ def _trace_one_turn(field: LabField, start, dt: float, max_time: float, stride: 
             u, v = un, vn
             t += dt
             k += 1
-            if k % stride == 0:
+            if k % stride == 0 and (u - lu) ** 2 + (v - lv) ** 2 >= gap2:
                 pts.append((u, v))
+                lu, lv = u, v
 
 
 # --- classification ---
