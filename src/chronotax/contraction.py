@@ -30,6 +30,7 @@ from .model import (
     FloatArray,
     OscillatorParams,
     R_MIN,
+    pulled_jacobian,
 )
 
 #: margin below zero required of eigenvalues before a cell counts as contracting
@@ -52,15 +53,8 @@ def jacobian_analytic(s: CartesianState, t: float, p: OscillatorParams,
         raise SingularityError(
             f"Jacobian entries undefined at r={r!r} (guard radius {r_min:g})"
         )
-    eps_a = float(d.eps_a(t))
-    eg = p.eps_gamma
-    base = eg * (p.r_p - r)
-    return np.array(
-        [
-            [base - eg * s.x * s.x / r - eps_a, -eg * s.x * s.y / r - p.omega0],
-            [-eg * s.x * s.y / r + p.omega0, base - eg * s.y * s.y / r - eps_a],
-        ]
-    )
+    a, b, c, e = pulled_jacobian(s.x, s.y, p.eps_gamma, p.omega0, p.r_p, float(d.eps_a(t)))
+    return np.array([[a, b], [c, e]])
 
 
 def sym_eigs(jac: FloatArray) -> tuple[float, float]:
@@ -90,8 +84,9 @@ def full_eigs(jac: FloatArray) -> np.ndarray:
     return vals[order]
 
 
-def sym_eigs_radial(r, eps_a: float, p: OscillatorParams):
-    """Closed-form symmetric-part eigenvalues at radius ``r`` (array-friendly).
+def sym_eigs_radial(r, eps_a, p: OscillatorParams):
+    """Closed-form symmetric-part eigenvalues at radius ``r`` under pull ``eps_a``
+    (array-friendly; arrays broadcast).
 
     Valid on all of the plane including the origin; returns (lambda_1,
     lambda_2) with lambda_1 >= lambda_2.

@@ -23,13 +23,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import export
 from .errors import BlowUpError, InvalidInputError
 from .model import (
     CartesianState,
     DriveSchedule,
     FloatArray,
     OscillatorParams,
-    R_MIN,
+    PolarState,
 )
 
 #: default integrator step
@@ -94,8 +95,6 @@ class Trajectory:
     def final_state(self):
         if self.frame == "lab":
             return CartesianState(float(self.states[-1, 0]), float(self.states[-1, 1]))
-        from .model import PolarState
-
         return PolarState(float(self.states[-1, 0]), float(self.states[-1, 1]))
 
     def to_rotating(self, d: DriveSchedule) -> "Trajectory":
@@ -112,8 +111,7 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Write ``t,x,y`` or ``t,r,psi`` rows with 15 significant digits."""
         header = "t,x,y" if self.frame == "lab" else "t,r,psi"
-        data = np.column_stack([self.times, self.states])
-        np.savetxt(path, data, fmt="%.15g", delimiter=",", header=header, comments="")
+        export.write_csv(path, header, [self.times, self.states])
 
 
 # --- grids and raw steppers ---
@@ -311,14 +309,14 @@ TAPE_BLOCK = 256
 
 
 class LabField:
-    """Laboratory-frame field of the driven oscillator, callable as ``(t, x, y)``.
+    """Laboratory-frame field of the driven oscillator, as the integrators run it.
 
-    Called directly it evaluates the drive schedules at ``t``.  The
-    integrators instead read the drive from a tape: ``eps_a``,
-    ``r_p cos(alpha_p)`` and ``r_p sin(alpha_p)`` at every stage time of a
-    block of steps, from one vectorised schedule evaluation, and step on
-    Python floats with the field arithmetic inlined.  Tape and call give
-    the same numbers bit for bit.
+    The integrators read the drive from a tape: ``eps_a``, ``r_p cos(alpha_p)``
+    and ``r_p sin(alpha_p)`` at every stage time of a block of steps, from one
+    vectorised schedule evaluation, and step on Python floats with the
+    arithmetic of :func:`chronotax.model.pulled_field` inlined.  The steps
+    equal, bit for bit, those of the generic loops with
+    :func:`chronotax.model.field_lab` evaluated at every stage.
     """
 
     __slots__ = ("eps_gamma", "omega0", "r_p", "drive")
@@ -328,17 +326,6 @@ class LabField:
         self.omega0 = float(p.omega0)
         self.r_p = float(p.r_p)
         self.drive = d
-
-    def __call__(self, t: float, x: float, y: float):
-        ea = float(self.drive.eps_a(t))
-        a = float(self.drive.alpha_p(t))
-        rp = self.r_p
-        r = math.sqrt(x * x + y * y)
-        g = self.eps_gamma * (rp - r)
-        return (
-            g * x - self.omega0 * y - ea * (x - rp * math.cos(a)),
-            g * y + self.omega0 * x - ea * (y - rp * math.sin(a)),
-        )
 
     def _tape(self, t: FloatArray):
         """``(eps_a, r_p cos alpha_p, r_p sin alpha_p)`` at instants ``t`` as float lists."""
@@ -430,11 +417,6 @@ def _em_steps(f: LabField, x: float, y: float, tape, kx, ky):
     return xs, ys
 
 
-def make_lab_field(p: OscillatorParams, d: DriveSchedule) -> LabField:
-    """Laboratory-frame field of ``p`` under drive ``d``; see :class:`LabField`."""
-    return LabField(p, d)
-
-
 # --- public operations ---
 
 
@@ -442,7 +424,7 @@ def integrate_det(x0: CartesianState, t0: float, t1: float, dt: float,
                   p: OscillatorParams, d: DriveSchedule) -> Trajectory:
     """Deterministic lab-frame run from ``t0`` to ``t1`` with fixed step ``dt``."""
     times = time_grid(t0, t1, dt)
-    states = rk4_path(make_lab_field(p, d), x0.x, x0.y, times, record=True)
+    states = rk4_path(LabField(p, d), x0.x, x0.y, times, record=True)
     return Trajectory(t0, dt, times, states, frame="lab")
 
 
@@ -456,7 +438,7 @@ def integrate_sde(x0: CartesianState, t0: float, t1: float, dt: float,
     """
     times = time_grid(t0, t1, dt)
     rng = np.random.Generator(np.random.Philox(noise.seed))
-    states = em_path(make_lab_field(p, d), x0.x, x0.y, times, noise.sigma, rng,
+    states = em_path(LabField(p, d), x0.x, x0.y, times, noise.sigma, rng,
                      record=True)
     return Trajectory(t0, dt, times, states, frame="lab")
 
@@ -475,7 +457,7 @@ def pullback(x0: CartesianState, t_start_list: Sequence[float], t_eval: float,
         raise InvalidInputError("every start time must precede t_eval")
     if any(b >= a for a, b in zip(starts, starts[1:])):
         raise InvalidInputError("start times must be strictly decreasing")
-    field = make_lab_field(p, d)
+    field = LabField(p, d)
     out = []
     for s in starts:
         times = time_grid(s, t_eval, dt)
@@ -494,7 +476,7 @@ def cocycle_check(x0: CartesianState, t0: float, t1: float, t2: float, dt: float
     """
     if not (t0 <= t1 <= t2 and t0 < t2):
         raise InvalidInputError("need t0 <= t1 <= t2 with t0 < t2")
-    field = make_lab_field(p, d)
+    field = LabField(p, d)
     xa, ya = rk4_path(field, x0.x, x0.y, time_grid(t0, t2, dt), record=False)
     xm, ym = rk4_path(field, x0.x, x0.y, time_grid(t0, t1, dt), record=False)
     xb, yb = rk4_path(field, xm, ym, time_grid(t1, t2, dt), record=False)

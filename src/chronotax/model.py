@@ -305,28 +305,53 @@ class FrozenParams:
 # --- Vector fields ---
 
 
+def pulled_field(x, y, r, eps_gamma, omega, r_p, eps_a, cx, cy):
+    """Cartesian velocity of the oscillator pulled toward the point ``(cx, cy)``.
+
+    The one body of the field: ``g x - omega y - eps_a (x - cx)``,
+    ``g y + omega x - eps_a (y - cy)`` with ``g = eps_gamma (r_p - r)``.  The
+    caller passes the radius ``r`` as ``sqrt(x*x + y*y)`` (``math`` for
+    floats, ``numpy`` for arrays), the rounding of the integrators' inlined
+    kernels.  The laboratory frame passes ``omega0`` and the drive point
+    ``r_p (cos alpha_p, sin alpha_p)``; the frozen co-rotating frame passes
+    the detuning and the drive point pinned at ``(r_p, 0)``.
+    """
+    g = eps_gamma * (r_p - r)
+    return g * x - omega * y - eps_a * (x - cx), g * y + omega * x - eps_a * (y - cy)
+
+
+def pulled_jacobian(x: float, y: float, eps_gamma: float, omega: float, r_p: float,
+                    eps_a: float) -> tuple[float, float, float, float]:
+    """Jacobian of :func:`pulled_field` at ``(x, y)`` as the entries ``(a, b, c, d)``
+    of ``[[a, b], [c, d]]``, with its continuous limit at the origin.
+
+    The drive point does not enter: the pull is linear in the state.
+    """
+    r = math.hypot(x, y)
+    if r == 0.0:
+        base = eps_gamma * r_p - eps_a
+        return base, -omega, omega, base
+    base = eps_gamma * (r_p - r)
+    cross = eps_gamma * x * y / r
+    return (base - eps_gamma * x * x / r - eps_a, -cross - omega,
+            -cross + omega, base - eps_gamma * y * y / r - eps_a)
+
+
 def field_lab(s: CartesianState, t: float, p: OscillatorParams, d: DriveSchedule):
     """Velocity of the driven oscillator in laboratory Cartesian coordinates."""
     _require_finite("time", t)
-    eps_a = float(d.eps_a(t))
     a = float(d.alpha_p(t))
-    r = math.hypot(s.x, s.y)
-    g = p.eps_gamma * (p.r_p - r)
-    dx = g * s.x - p.omega0 * s.y - eps_a * (s.x - p.r_p * math.cos(a))
-    dy = g * s.y + p.omega0 * s.x - eps_a * (s.y - p.r_p * math.sin(a))
-    return dx, dy
+    return pulled_field(s.x, s.y, math.sqrt(s.x * s.x + s.y * s.y), p.eps_gamma,
+                        p.omega0, p.r_p, float(d.eps_a(t)), p.r_p * math.cos(a),
+                        p.r_p * math.sin(a))
 
 
 def field_lab_array(x: FloatArray, y: FloatArray, t: float, p: OscillatorParams,
                     d: DriveSchedule):
     """Vectorized :func:`field_lab` over arrays of positions at one instant."""
-    eps_a = float(d.eps_a(t))
     a = float(d.alpha_p(t))
-    r = np.hypot(x, y)
-    g = p.eps_gamma * (p.r_p - r)
-    dx = g * x - p.omega0 * y - eps_a * (x - p.r_p * math.cos(a))
-    dy = g * y + p.omega0 * x - eps_a * (y - p.r_p * math.sin(a))
-    return dx, dy
+    return pulled_field(x, y, np.sqrt(x * x + y * y), p.eps_gamma, p.omega0, p.r_p,
+                        float(d.eps_a(t)), p.r_p * math.cos(a), p.r_p * math.sin(a))
 
 
 def field_rotating(s: PolarState, t: float, p: OscillatorParams, d: DriveSchedule,

@@ -67,13 +67,15 @@ from .errors import (
     NotChronotaxicError,
     TraceFailureError,
 )
-from .integrate import LabField, Trajectory, make_lab_field, rk4_blocks, rk4_path, time_grid
+from .integrate import LabField, Trajectory, rk4_blocks, rk4_path, time_grid
 from .model import (
     DriveSchedule,
     FloatArray,
     FrozenParams,
     OscillatorParams,
     PolarState,
+    pulled_field,
+    pulled_jacobian,
 )
 
 log = logging.getLogger(__name__)
@@ -144,7 +146,10 @@ class GammaCurve:
     A curve through a saddle and a node starts and ends at the saddle and
     has the node as a vertex.  The vertices that :func:`trace_gamma`
     records between the ends of a run are states of its RK4 run, each at
-    least sqrt(8 reach_tol r_p) from the one before it.
+    least sqrt(8 reach_tol r_p) from the one before it.  Chords of that
+    length sag at most ``reach_tol`` from the run; the longer chords of fast
+    stretches sag more (up to about 5e-5 at the defaults, see
+    :func:`trace_gamma`).
     """
 
     exists: bool
@@ -199,45 +204,6 @@ class BifurcationResult:
         }
 
 
-# --- frozen rotating-frame field helpers ---
-
-
-def rotating_field_frozen(fp: FrozenParams):
-    """Co-rotating Cartesian field closure (t, u, v) -> (du, dv) at frozen parameters.
-
-    For pointwise evaluation (Newton polishing, residuals); integration runs
-    the same arithmetic on the lab-field kernel, see :func:`_frozen_lab_field`.
-    """
-    eg = fp.params.eps_gamma
-    rp = fp.params.r_p
-    ea = fp.eps_a
-    dw = fp.delta_omega
-
-    def field(t: float, u: float, v: float):
-        r = math.sqrt(u * u + v * v)
-        g = eg * (rp - r)
-        return (g * u - dw * v - ea * (u - rp), g * v + dw * u - ea * v)
-
-    return field
-
-
-def rotating_jacobian_frozen(fp: FrozenParams, u: float, v: float) -> FloatArray:
-    """Jacobian of the frozen co-rotating field; continuous limit at the origin."""
-    eg = fp.params.eps_gamma
-    rp = fp.params.r_p
-    r = math.hypot(u, v)
-    if r == 0.0:
-        base = eg * rp - fp.eps_a
-        return np.array([[base, -fp.delta_omega], [fp.delta_omega, base]])
-    base = eg * (rp - r)
-    return np.array(
-        [
-            [base - eg * u * u / r - fp.eps_a, -eg * u * v / r - fp.delta_omega],
-            [-eg * u * v / r + fp.delta_omega, base - eg * v * v / r - fp.eps_a],
-        ]
-    )
-
-
 def _point_from_uv(fp: FrozenParams, u: float, v: float) -> FixedPoint:
     """The fixed point at ``(u, v)``, its kind and eigenvalues in closed form.
 
@@ -281,16 +247,23 @@ def _point_from_uv(fp: FrozenParams, u: float, v: float) -> FixedPoint:
     return FixedPoint(PolarState(r, psi), kind, eigs, lam1)
 
 
+def _frozen(fp: FrozenParams):
+    """``(eps_gamma, omega, r_p, eps_a)`` of the frozen co-rotating field: the lab
+    field with omega0 -> delta_omega, its drive point pinned at ``(r_p, 0)``."""
+    p = fp.params
+    return p.eps_gamma, fp.delta_omega, p.r_p, fp.eps_a
+
+
 def _polish_newton(fp: FrozenParams, u: float, v: float, iterations: int = 6):
-    field = rotating_field_frozen(fp)
+    eg, dw, rp, ea = _frozen(fp)
     for _ in range(iterations):
-        fu, fv = field(0.0, u, v)
-        jac = rotating_jacobian_frozen(fp, u, v)
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        fu, fv = pulled_field(u, v, math.sqrt(u * u + v * v), eg, dw, rp, ea, rp, 0.0)
+        a, b, c, d = pulled_jacobian(u, v, eg, dw, rp, ea)
+        det = a * d - b * c
         if abs(det) < 1e-12:
             break
-        du = (fu * jac[1, 1] - fv * jac[0, 1]) / det
-        dv = (fv * jac[0, 0] - fu * jac[1, 0]) / det
+        du = (fu * d - fv * b) / det
+        dv = (fv * a - fu * c) / det
         u -= du
         v -= dv
         if du * du + dv * dv < 1e-30:
@@ -300,7 +273,8 @@ def _polish_newton(fp: FrozenParams, u: float, v: float, iterations: int = 6):
 
 def _residual_polar(fp: FrozenParams, u: float, v: float) -> float:
     """|dr/dt| + r |dpsi/dt| at (u, v)."""
-    fu, fv = rotating_field_frozen(fp)(0.0, u, v)
+    eg, dw, rp, ea = _frozen(fp)
+    fu, fv = pulled_field(u, v, math.sqrt(u * u + v * v), eg, dw, rp, ea, rp, 0.0)
     r = math.hypot(u, v)
     if r == 0.0:
         return math.hypot(fu, fv)
@@ -463,11 +437,11 @@ def _frozen_lab_field(fp: FrozenParams) -> LabField:
     """The frozen co-rotating field as a lab field: omega0 -> delta_omega, drive at angle 0.
 
     ``r_p cos(0) == r_p`` and ``r_p sin(0) == 0`` exactly, so the integrators'
-    kernel computes with it the same numbers as :func:`rotating_field_frozen`.
+    kernel computes with it the numbers of :func:`pulled_field` at the drive
+    point ``(r_p, 0)``.
     """
-    p = fp.params
-    return make_lab_field(OscillatorParams(p.eps_gamma, fp.delta_omega, p.r_p),
-                          DriveSchedule.constant(fp.eps_a, 0.0))
+    eg, dw, rp, ea = _frozen(fp)
+    return LabField(OscillatorParams(eg, dw, rp), DriveSchedule.constant(ea, 0.0))
 
 
 #: bounds on the distance from a saddle or node within which a manifold
@@ -476,12 +450,13 @@ def _frozen_lab_field(fp: FrozenParams) -> LabField:
 _LINEAR_REACH = (1e-6, 1e-2)
 
 
-def _eigvec(jac: FloatArray, lam: float) -> tuple[float, float]:
-    """Unit eigenvector of the 2x2 matrix ``jac`` for its real eigenvalue ``lam``.
+def _eigvec(jac, lam: float) -> tuple[float, float]:
+    """Unit eigenvector of the 2x2 matrix ``jac = (a, b, c, d)`` (row-major) for
+    its real eigenvalue ``lam``.
 
     Both rows of ``jac - lam I`` give a candidate; the longer one is kept.
     """
-    (a, b), (c, d) = jac.tolist()
+    a, b, c, d = jac
     x, y = b, lam - a
     x2, y2 = lam - d, c
     if math.hypot(x2, y2) > math.hypot(x, y):
@@ -508,7 +483,8 @@ def _linear_reach(fp: FrozenParams, point: FixedPoint, along: int,
     lam_e = point.full_jacobian_eigs[along].real
     lam_f = point.full_jacobian_eigs[1 - along].real
     u, v = point.uv
-    jac = rotating_jacobian_frozen(fp, u, v)
+    eg, dw, rp, ea = _frozen(fp)
+    jac = pulled_jacobian(u, v, eg, dw, rp, ea)
     ex, ey = _eigvec(jac, lam_e)
     fx, fy = _eigvec(jac, lam_f)
     r = math.hypot(u, v)
@@ -582,16 +558,26 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
     close within ``close_tol`` (the transient doubles on a retry).
 
     Every ``0.01 / dt``-th state of a run becomes a vertex when it lies at
-    least sqrt(8 reach_tol r_p) from the previous vertex: on a curve whose
-    curvature stays below 1 / r_p a chord that long sags at most
-    ``reach_tol``.  ``dt``, ``max_time``, ``close_tol`` and ``reach_tol``
-    must be finite and positive.
+    least sqrt(8 reach_tol r_p) from the previous vertex.  ``reach_tol``
+    bounds the linear ends and the short chords: on a curve whose curvature
+    stays below 1 / r_p a chord of that minimum length sags at most
+    ``reach_tol``.  It does not bound the longer chords of the fast
+    stretches, where 0.01 time units cover more than the minimum gap; at
+    the defaults these sag up to about 5e-5 from the RK4 path (measured
+    5.4e-5 just below eps_c2 at delta_omega = 0.5, eps_gamma = 7, r_p = 1).
+    ``dt``, ``max_time``, ``close_tol`` and ``reach_tol`` must be finite and
+    positive, and ``reach_tol`` at most r_p / 8: beyond that the minimum gap
+    exceeds r_p, where the chord bound no longer holds.
     """
     for name, value in (("dt", dt), ("max_time", max_time), ("close_tol", close_tol),
                         ("reach_tol", reach_tol)):
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
     p = fp.params
+    if reach_tol > p.r_p / 8.0:
+        raise InvalidInputError(
+            f"reach_tol must be at most r_p / 8 = {p.r_p / 8.0:g}, got {reach_tol!r}"
+        )
     if fp.eps_a == 0.0:
         ang = np.linspace(0.0, _TWO_PI, 257)
         pts = np.column_stack([p.r_p * np.cos(ang), p.r_p * np.sin(ang)])
@@ -869,7 +855,7 @@ def _track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: floa
     x0 = u * math.cos(a) - v * math.sin(a)
     y0 = u * math.sin(a) + v * math.cos(a)
 
-    field = make_lab_field(p, d)
+    field = LabField(p, d)
     x, y = rk4_path(field, x0, y0, time_grid(t0 - window, t0, dt), record=False)
     times = time_grid(t0, t1, dt)
     states = rk4_path(field, x, y, times, record=True)

@@ -27,10 +27,9 @@ from itertools import groupby
 
 import numpy as np
 
-from .contraction import DEFAULT_BETA
+from .contraction import DEFAULT_BETA, sym_eigs_radial
 from .errors import ChronotaxError, InvalidInputError
-from .integrate import (Trajectory, _rk4_ensemble, make_lab_field, pullback, rk4_path,
-                        time_grid)
+from .integrate import LabField, Trajectory, _rk4_ensemble, pullback, rk4_path, time_grid
 from .model import CartesianState, DriveSchedule, OscillatorParams, field_lab_array
 from .steady_state import _scan, _track
 
@@ -167,8 +166,8 @@ def _tube_max_lambda(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
     times = track.times[indices]
     centers = track.states[indices]
     rmin = np.maximum(np.hypot(centers[:, 0], centers[:, 1]) - radius, 0.0)
-    ea = np.asarray(d.eps_a(times), dtype=float)
-    return float(np.max(p.eps_gamma * (p.r_p - rmin) - ea))
+    lam1, _ = sym_eigs_radial(rmin, np.asarray(d.eps_a(times), dtype=float), p)
+    return float(np.max(lam1))
 
 
 def select_trapping_radius(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
@@ -207,7 +206,7 @@ def verify_attraction(p: OscillatorParams, d: DriveSchedule, t0: float, t1: floa
     angles = rng.uniform(0.0, 2.0 * math.pi, ensemble_size)
     radii = rng.uniform(0.25 * start_radius, start_radius, ensemble_size)
     starts = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
-    finals = np.array(_rk4_ensemble(make_lab_field(p, d), starts, time_grid(t0, t1, dt),
+    finals = np.array(_rk4_ensemble(LabField(p, d), starts, time_grid(t0, t1, dt),
                                     record=False))
     diff = finals[:, None, :] - finals[None, :, :]
     forward = float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
@@ -234,7 +233,7 @@ def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
     t0 = track.t0
     t1 = track.final_time
     fine = time_grid(t0, t1, track.dt / refine)
-    states = rk4_path(make_lab_field(p, d), float(track.states[0, 0]),
+    states = rk4_path(LabField(p, d), float(track.states[0, 0]),
                       float(track.states[0, 1]), fine, record=True)
     pos = np.searchsorted(fine, track.times)
     pos = np.clip(pos, 0, fine.size - 1)

@@ -25,12 +25,13 @@ from chronotax import (
 )
 from chronotax.integrate import (
     TAPE_BLOCK,
+    LabField,
     _rk4_ensemble,
     em_path,
-    make_lab_field,
     rk4_blocks,
     rk4_path,
 )
+from chronotax.model import field_lab, field_lab_array
 
 P = OscillatorParams(7.0, 1.0, 1.0)
 D17 = DriveSchedule.constant(1.7, 0.5)
@@ -199,7 +200,7 @@ def test_non_finite_state_is_blow_up():
 def test_start_outside_guard_radius_is_blow_up(x0):
     # refused at the first sample time, before any step, also on a
     # one-point grid that takes no step at all
-    field = make_lab_field(P, D17)
+    field = LabField(P, D17)
     rng = np.random.Generator(np.random.Philox(0))
     for times in (time_grid(2.0, 3.0, 1e-3), np.array([2.0])):
         with pytest.raises(BlowUpError) as err:
@@ -287,9 +288,8 @@ starts = st.tuples(st.floats(0.5, 2.0), st.floats(-math.pi, math.pi))
 def test_tape_matches_per_call_reference(d, grid, start, record, seed):
     times = time_grid(*grid)
     x0, y0 = start[0] * math.cos(start[1]), start[0] * math.sin(start[1])
-    lab = make_lab_field(P, d)
+    lab = LabField(P, d)
     ref = reference_field(P, d)
-    assert lab(times[-1], x0, y0) == ref(times[-1], x0, y0)
     tape = rk4_path(lab, x0, y0, times, record=record)
     assert np.array_equal(tape, rk4_path(ref, x0, y0, times, record=record))
     tape = em_path(lab, x0, y0, times, 0.3, np.random.Generator(np.random.Philox(seed)),
@@ -299,12 +299,30 @@ def test_tape_matches_per_call_reference(d, grid, start, record, seed):
                                         record=record))
 
 
+@settings(max_examples=60)
+@given(d=drives(), t=st.floats(-6.0, 6.0),
+       points=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                       min_size=1, max_size=12))
+@example(d=DriveSchedule.constant(1.7, 0.5), t=0.3, points=[(0.0, 0.0), (1.0, -0.0)])
+def test_field_lab_is_the_per_call_reference_bit_for_bit(d, t, points):
+    # field_lab rounds the radius as the kernels do, and field_lab_array is
+    # field_lab point by point
+    ref = reference_field(P, d)
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    gx, gy = field_lab_array(xs, ys, t, P, d)
+    for (x, y), ax, ay in zip(points, gx.tolist(), gy.tolist()):
+        got = [v.hex() for v in field_lab(CartesianState(x, y), t, P, d)]
+        assert got == [v.hex() for v in ref(t, x, y)]
+        assert [ax.hex(), ay.hex()] == got
+
+
 @settings(max_examples=40)
 @given(d=drives(), grid=grids(), members=st.lists(starts, min_size=1, max_size=9),
        record=st.booleans())
 def test_shared_tape_equals_per_member_runs(d, grid, members, record):
     times = time_grid(*grid)
-    lab = make_lab_field(P, d)
+    lab = LabField(P, d)
     xy = [(r * math.cos(a), r * math.sin(a)) for r, a in members]
     shared = _rk4_ensemble(lab, xy, times, record)
     assert len(shared) == len(xy)
@@ -319,7 +337,7 @@ def test_shared_tape_raises_the_first_members_blow_up(record):
     # phase; the second member starts far enough out to blow up in the first
     d = DriveSchedule(Schedule.sampled([0.0, 3.0], [0.0, 290.0], "previous"),
                       Schedule.constant(0.5))
-    lab = make_lab_field(P, d)
+    lab = LabField(P, d)
     times = time_grid(0.0, 6.0, 0.01)
     xy = [(1.0, 0.0), (1e3, 0.0), (0.0, 1.0)]
     errors = []
@@ -344,8 +362,8 @@ def test_shared_tape_raises_the_first_members_blow_up(record):
 
 def test_tape_takes_integer_parameters():
     times = time_grid(0.0, 1.0, 0.01)
-    assert rk4_path(make_lab_field(OscillatorParams(7, 1, 1), D17), 1.0, 0.0, times) \
-        .tolist() == rk4_path(make_lab_field(P, D17), 1.0, 0.0, times).tolist()
+    assert rk4_path(LabField(OscillatorParams(7, 1, 1), D17), 1.0, 0.0, times) \
+        .tolist() == rk4_path(LabField(P, D17), 1.0, 0.0, times).tolist()
 
 
 @settings(max_examples=40)

@@ -45,9 +45,29 @@ from chronotax import (
     trace_gamma,
 )
 from chronotax.integrate import rk4_blocks, rk4_path, time_grid
+from chronotax.model import pulled_field, pulled_jacobian
 from chronotax.steady_state import CLASS_CODES
 
 P = OscillatorParams(7.0, 1.0, 1.0)
+
+
+def frozen_field(fp):
+    """The frozen co-rotating field (t, u, v) -> (du, dv), evaluated per call:
+    the lab field with omega0 -> delta_omega and the drive point at (r_p, 0)."""
+    p = fp.params
+
+    def field(t, u, v):
+        return pulled_field(u, v, math.sqrt(u * u + v * v), p.eps_gamma, fp.delta_omega,
+                            p.r_p, fp.eps_a, p.r_p, 0.0)
+
+    return field
+
+
+def frozen_jacobian(fp, u, v):
+    """Jacobian of :func:`frozen_field` at (u, v) as a 2x2 array."""
+    p = fp.params
+    return np.reshape(pulled_jacobian(u, v, p.eps_gamma, fp.delta_omega, p.r_p, fp.eps_a),
+                      (2, 2))
 
 CANONICAL = {
     0.3: 1,
@@ -397,7 +417,7 @@ def test_frozen_flow_blocks_match_per_call_rk4():
     # trace_gamma's RK4 with h = dt on the lab-field kernel, against the
     # per-call co-rotating field, across three tape blocks
     fp = FrozenParams(0.5, 0.5, P)
-    field = steady_state.rotating_field_frozen(fp)
+    field = frozen_field(fp)
     dt = 1e-3
     u, v = 1.2, 0.1
     ref = []
@@ -522,7 +542,7 @@ def trace_gamma_reference(fp, stride, dt=1e-3, max_time=1e4, close_tol=1e-6,
     if len(points) == 3 and saddles and stable:
         su, sv = saddles[0].uv
         nu, nv = min(stable, key=lambda q: q.lambda_max_sym).uv
-        w, vecs = np.linalg.eig(steady_state.rotating_jacobian_frozen(fp, su, sv))
+        w, vecs = np.linalg.eig(frozen_jacobian(fp, su, sv))
         direction = vecs[:, int(np.argmax(w.real))].real
         direction = direction / np.hypot(*direction)
         first, second = (
@@ -645,6 +665,15 @@ def test_trace_gamma_rejects_bad_numbers(kwargs):
             trace_gamma(FrozenParams(eps_a, 0.5, P), **kwargs)
 
 
+
+@pytest.mark.parametrize("eps_a, vertices", [(0.3, 8), (0.5, 12), (1.2, 10)])
+def test_trace_gamma_refuses_reach_tol_beyond_an_eighth_of_r_p(eps_a, vertices):
+    # past r_p / 8 the minimum vertex gap sqrt(8 reach_tol r_p) exceeds r_p
+    fp = FrozenParams(eps_a, 0.5, P)
+    with pytest.raises(InvalidInputError, match=r"r_p / 8"):
+        trace_gamma(fp, reach_tol=1.0)
+    assert trace_gamma(fp, reach_tol=0.1).points.shape == (vertices, 2)
+
 def test_classify_canonical():
     expected = {
         0.3: ChronotaxicClass.NOT_CHRONOTAXIC,
@@ -707,7 +736,7 @@ def test_closed_form_eigenvalues_match_numeric_jacobian(eps_a, delta_omega, eps_
         half = 0.5 * eps_gamma * q.location.r
         if abs(half * half - delta_omega**2) < 1e-6:
             continue  # a defective double eigenvalue: numeric error ~ sqrt(rounding)
-        numeric = np.linalg.eigvals(steady_state.rotating_jacobian_frozen(fp, *q.uv))
+        numeric = np.linalg.eigvals(frozen_jacobian(fp, *q.uv))
         order = lambda z: (z.real, z.imag)  # noqa: E731
         for a, b in zip(sorted(q.full_jacobian_eigs, key=order), sorted(numeric, key=order)):
             assert abs(a - b) <= 1e-12, (q, numeric)

@@ -28,7 +28,7 @@ from chronotax import (
     verify_schedule,
     verify_trapping,
 )
-from chronotax.integrate import LabField, Trajectory, make_lab_field, rk4_path, time_grid
+from chronotax.integrate import LabField, Trajectory, rk4_path, time_grid
 from chronotax.verify import (
     DEFAULT_FORWARD_TOL,
     DEFAULT_INVARIANCE_TOL,
@@ -146,7 +146,7 @@ def per_member_forward_defect(p, d, t0, t1, dt, ensemble_size=8, seed=2026,
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, ensemble_size)
     radii = rng.uniform(0.25 * start_radius, start_radius, ensemble_size)
-    field = make_lab_field(p, d)
+    field = LabField(p, d)
     grid = time_grid(t0, t1, dt)
     finals = np.array(
         [
