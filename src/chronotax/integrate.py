@@ -8,7 +8,8 @@ nonautonomous bookkeeping.
 
 Runs of the laboratory-frame field evaluate the drive schedules once per
 block of steps, as a drive tape, not once per stage; see :class:`LabField`.
-Runs from several starts on one grid share one tape per block.
+Runs from several starts on one grid share one tape per block, and a run
+that comes to equal an earlier one bit for bit retires into it.
 
 Random increments come from a counter-based Philox generator keyed by the
 caller's seed, one independent stream per trajectory, so runs are
@@ -175,49 +176,92 @@ def rk4_path(field: FieldFn, x0: float, y0: float, times: FloatArray,
 def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool):
     """:func:`rk4_path` of ``field`` from each of ``starts`` over one grid ``times``.
 
+    Returns one result per start, as :func:`rk4_path` returns it, and
+    raises the error that running the members one after another would
+    raise: that of the lowest-index member leaving the guard radius, at its
+    own time.  See :func:`_rk4_members` for the shared tape and for how
+    members that meet bit for bit retire.
+    """
+    outcomes = _rk4_members(field, starts, times, len(starts) if record else 0)
+    if isinstance(outcomes[-1], BlowUpError):
+        raise outcomes[-1]
+    return outcomes
+
+
+def _rk4_members(field: LabField, starts, times: FloatArray, recorded: int):
+    """Outcomes of :func:`rk4_path` of ``field`` from each of ``starts`` over ``times``.
+
     Each block's drive tape is built once and serves every member, so
-    memory stays at one block.  Returns one result per start, as
-    :func:`rk4_path` returns it.  A blow-up raises the error that running
-    the members one after another would raise: that of the lowest-index
-    member leaving the guard radius, at its own time.  Members after it
-    stop there, as their outcome can no longer matter.
+    memory stays at one block.  The first ``recorded`` members return their
+    (n, 2) state arrays and the others their final ``(x, y)``, so a caller
+    that records only member 0 (the attractor track of
+    :func:`chronotax.verify.verify_schedule`) holds no other member's path.
+
+    Before each block, a member whose state equals that of an earlier
+    running member bit for bit retires: from there on the same arithmetic
+    on the same tape would repeat that member's steps, so the retired
+    member's outcome is that member's.  No tolerance enters; every outcome
+    equals that of the member's own run bit for bit.
+
+    The outcomes stop at the lowest-index member that leaves the guard
+    radius, whose outcome is its :class:`BlowUpError`, at its own time.
+    Members after it stop there, as their outcome can no longer matter;
+    the members before it run to the end.
     """
     n = times.size
-    error = None
     states = []
+    failed = None
     for x0, y0 in starts:
         try:
             states.append(_start(x0, y0, times[0]))
         except BlowUpError as exc:
-            error = exc
+            failed = len(states), exc
             break
     outs = []
-    if record:
-        for x, y in states:
-            out = np.empty((n, 2), dtype=float)
-            out[0, 0] = x
-            out[0, 1] = y
-            outs.append(out)
+    for x, y in states[:recorded]:
+        out = np.empty((n, 2), dtype=float)
+        out[0, 0] = x
+        out[0, 1] = y
+        outs.append(out)
+    running = list(range(len(states)))
+    leader = {}  # retired member -> (the earlier member it equals, grid index)
     for i0 in range(0, n - 1, TAPE_BLOCK):
-        if not states:
+        first = {}  # state -> the lowest running member in it
+        for j in running:
+            x, y = states[j]
+            # as bit patterns: equal exactly when the floats are, and zeros
+            # only with the same sign
+            i = first.setdefault((x.hex(), y.hex()), j)
+            if i != j:
+                leader[j] = i, i0
+        running = list(first.values())
+        if not running:
             break
         i1 = min(i0 + TAPE_BLOCK, n - 1)
         t = times[i0:i1]
         h = times[i0 + 1:i1 + 1] - t
         tape = field.rk4_tape(t, h)
-        for j, (x, y) in enumerate(states):
-            xs, ys = _rk4_steps(field, x, y, tape)
+        for k, j in enumerate(running):
+            xs, ys = _rk4_steps(field, *states[j], tape)
             if len(xs) < i1 - i0:
-                error = _blow_up(t[len(xs)] + h[len(xs)])
-                del states[j:], outs[j:]
+                failed = j, _blow_up(t[len(xs)] + h[len(xs)])
+                del running[k:]
                 break
             states[j] = xs[-1], ys[-1]
-            if record:
+            if j < recorded:
                 outs[j][i0 + 1:i1 + 1, 0] = xs
                 outs[j][i0 + 1:i1 + 1, 1] = ys
-    if error is not None:
-        raise error
-    return outs if record else states
+    outcomes = []
+    for j in range(len(states) if failed is None else failed[0]):
+        if j in leader:
+            i, i0 = leader[j]
+            states[j] = states[i]
+            if j < recorded:
+                outs[j][i0 + 1:] = outs[i][i0 + 1:]
+        outcomes.append(outs[j] if j < recorded else states[j])
+    if failed is not None:
+        outcomes.append(failed[1])
+    return outcomes
 
 
 def rk4_blocks(field: LabField, x0: float, y0: float, dt: float):

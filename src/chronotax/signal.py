@@ -52,6 +52,15 @@ _TWO_PI = 2.0 * math.pi
 CWT_ROWS = 8
 
 
+#: |u| beyond which exp(-u**2 / 2) is exactly 0.0: its exponent is then below
+#: the logarithm of half the smallest subnormal, ``math.ulp(0.0)``, so it
+#: rounds to zero; one unit of u is added so that the rounding of u, of u**2
+#: and of exp cannot bring it back.  Outside -_GAUSS_ZERO <= u <= 2 pi f0 +
+#: _GAUSS_ZERO both Gaussians of :func:`morlet_fourier` at u are 0.0, and so
+#: is the kernel.
+_GAUSS_ZERO = math.sqrt(-2.0 * (math.log(math.ulp(0.0)) - math.log(2.0))) + 1.0
+
+
 def morlet_fourier(omega: FloatArray, f0: float = DEFAULT_F0) -> FloatArray:
     """Fourier transform of the corrected Morlet wavelet (real-valued)."""
     w0 = _TWO_PI * f0
@@ -124,11 +133,13 @@ def cwt(series: FloatArray, fs: float, freqs: FloatArray | None = None,
     One FFT of the input, then one batched inverse FFT per block of
     :data:`CWT_ROWS` frequency rows; the kernel for frequency f is the
     wavelet's Fourier transform evaluated at scale f0/f, which is the L1
-    normalization.  A block only runs its rows side by side: each row goes
-    through the same operations as on its own, so the magnitudes equal those
-    of one inverse FFT per row bit for bit, and the temporaries stay a few
-    rows in size.  The record must cover at least four cycles of the lowest
-    requested frequency.
+    normalization.  It is evaluated only on the band of angular frequencies
+    where it is not exactly 0.0 (see :data:`_GAUSS_ZERO`) and is 0.0
+    elsewhere, as the full evaluation gives it.  A block only runs its rows
+    side by side: each row goes through the same operations as on its own,
+    so the magnitudes equal those of one inverse FFT per row bit for bit,
+    and the temporaries stay a few rows in size.  The record must cover at
+    least four cycles of the lowest requested frequency.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -153,15 +164,26 @@ def cwt(series: FloatArray, fs: float, freqs: FloatArray | None = None,
             f"record of {duration:g} time units is too short for the lowest "
             f"frequency {freqs[0]:g}: need at least {needed:g} (4 cycles)"
         )
+    n = x.size
     spectrum = np.fft.fft(x)
-    omega = _TWO_PI * np.fft.fftfreq(x.size, d=1.0 / fs)
+    omega = _TWO_PI * np.fft.fftfreq(n, d=1.0 / fs)
     scale = f0 / freqs
-    mag = np.empty((freqs.size, x.size), dtype=float)
+    # each row's band, where its kernel is not 0.0: scale * omega up to
+    # 2 pi f0 + _GAUSS_ZERO in the positive half of the FFT layout (indices
+    # 0, 1, ...) and down to -_GAUSS_ZERO in the negative half (..., n - 1)
+    half = (n + 1) // 2
+    pos = np.searchsorted(omega[:half], (_TWO_PI * f0 + _GAUSS_ZERO) / scale,
+                          side="right").tolist()
+    neg = (half + np.searchsorted(omega[half:], -_GAUSS_ZERO / scale)).tolist()
+    mag = np.empty((freqs.size, n), dtype=float)
     for i0 in range(0, freqs.size, CWT_ROWS):
-        rows = slice(i0, i0 + CWT_ROWS)
-        # one expression, so no block's temporaries outlive it
-        np.abs(np.fft.ifft(spectrum * morlet_fourier(scale[rows, None] * omega, f0), axis=-1),
-               out=mag[rows])
+        rows = range(i0, min(i0 + CWT_ROWS, freqs.size))
+        kern = np.zeros((len(rows), n))
+        for k, i in enumerate(rows):
+            kern[k, :pos[i]] = morlet_fourier(scale[i] * omega[:pos[i]], f0)
+            kern[k, neg[i]:] = morlet_fourier(scale[i] * omega[neg[i]:], f0)
+        np.abs(np.fft.ifft(spectrum * kern, axis=-1), out=mag[i0:i0 + len(rows)])
+        del kern  # so no block's temporaries outlive it
     times = np.arange(x.size) / fs
     return Scalogram(times, freqs, mag, f0)
 

@@ -842,9 +842,11 @@ def _scan(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             for t in _check_times(d, t0, t1, interval).tolist()]
 
 
-def _track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: float,
-           scan, max_window: float = 500.0) -> Trajectory:
-    """Attractor track from a scan whose every instant is chronotaxic."""
+def _track_start(d: DriveSchedule, p: OscillatorParams, t0: float, dt: float,
+                 scan, max_window: float = 500.0) -> tuple[float, float]:
+    """State at ``t0`` of the attractor track, from a scan whose every instant
+    is chronotaxic: the frozen attractor a pullback window before ``t0``, run
+    forward to ``t0``."""
     slowest = min(-attractor.lambda_max_sym for _, _, attractor in scan)
     window = min(max(10.0 / slowest, 10.0), max_window)
 
@@ -854,12 +856,7 @@ def _track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: floa
     a = float(d.alpha_p(t0 - window))
     x0 = u * math.cos(a) - v * math.sin(a)
     y0 = u * math.sin(a) + v * math.cos(a)
-
-    field = LabField(p, d)
-    x, y = rk4_path(field, x0, y0, time_grid(t0 - window, t0, dt), record=False)
-    times = time_grid(t0, t1, dt)
-    states = rk4_path(field, x, y, times, record=True)
-    return Trajectory(t0, dt, times, states, frame="lab")
+    return rk4_path(LabField(p, d), x0, y0, time_grid(t0 - window, t0, dt), record=False)
 
 
 def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
@@ -880,4 +877,7 @@ def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             raise NotChronotaxicError(
                 f"parameters at t={t:g} classify as {cls.value}", time=t
             )
-    return _track(d, p, t0, t1, dt, scan, max_window)
+    x, y = _track_start(d, p, t0, dt, scan, max_window)
+    times = time_grid(t0, t1, dt)
+    return Trajectory(t0, dt, times, rk4_path(LabField(p, d), x, y, times, record=True),
+                      frame="lab")

@@ -28,10 +28,18 @@ from itertools import groupby
 import numpy as np
 
 from .contraction import DEFAULT_BETA, sym_eigs_radial
-from .errors import ChronotaxError, InvalidInputError
-from .integrate import LabField, Trajectory, _rk4_ensemble, pullback, rk4_path, time_grid
+from .errors import BlowUpError, ChronotaxError, InvalidInputError
+from .integrate import (
+    LabField,
+    Trajectory,
+    _rk4_ensemble,
+    _rk4_members,
+    pullback,
+    rk4_path,
+    time_grid,
+)
 from .model import CartesianState, DriveSchedule, OscillatorParams, field_lab_array
-from .steady_state import _scan, _track
+from .steady_state import _scan, _track_start
 
 #: geometric radius ladder for the auto-selected trapping disk
 DEFAULT_RADIUS_LADDER = tuple(0.02 * 2.0**k for k in range(8))
@@ -39,6 +47,8 @@ DEFAULT_RADIUS_LADDER = tuple(0.02 * 2.0**k for k in range(8))
 DEFAULT_FORWARD_TOL = 1e-6
 DEFAULT_PULLBACK_TOL = 1e-6
 DEFAULT_INVARIANCE_TOL = 1e-4
+#: outer radius of the annulus the forward ensemble starts in
+DEFAULT_START_RADIUS = 2.0
 
 MIN_BOUNDARY_SAMPLES = 64
 
@@ -190,32 +200,51 @@ def select_trapping_radius(track: Trajectory, p: OscillatorParams, d: DriveSched
 
 def verify_attraction(p: OscillatorParams, d: DriveSchedule, t0: float, t1: float,
                       dt: float, ensemble_size: int = 8, seed: int = 2026,
-                      start_radius: float = 2.0) -> tuple[float, float]:
+                      start_radius: float = DEFAULT_START_RADIUS) -> tuple[float, float]:
     """Forward and pullback attraction defects over ``[t0, t1]``.
 
     Forward: integrates a seeded ensemble of starts scattered in an annulus
     and returns the largest pairwise distance at ``t1``.  The members share
-    one grid, so each block's drive tape is built once for all of them.
+    one grid, so each block's drive tape is built once for all of them, and
+    a member whose state equals an earlier member's bit for bit retires
+    into it (:func:`chronotax.integrate._rk4_members`).  That is exact
+    equality, never a tolerance: the defect is still measured from every
+    member's own final state, not bounded.  In :func:`verify_schedule` the
+    attractor track runs as member 0 of the same ensemble, so members also
+    retire once they meet the track.
     Pullback: runs the same fixed start from two receding start times,
     ``t0 - 0.75 span`` and ``t0 - span``, and returns the gap between their
     evaluations at ``t0`` (the Cauchy defect).
     """
+    starts = _forward_starts(ensemble_size, seed, start_radius)
+    finals = _rk4_ensemble(LabField(p, d), starts, time_grid(t0, t1, dt), record=False)
+    return _spread(finals), _pullback_defect(p, d, t0, t1, dt, start_radius)
+
+
+def _forward_starts(ensemble_size: int, seed: int, start_radius: float):
+    """The forward ensemble's seeded starts, scattered in an annulus."""
     if ensemble_size < 2:
         raise InvalidInputError("need an ensemble of at least 2 starts")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, ensemble_size)
     radii = rng.uniform(0.25 * start_radius, start_radius, ensemble_size)
-    starts = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
-    finals = np.array(_rk4_ensemble(LabField(p, d), starts, time_grid(t0, t1, dt),
-                                    record=False))
-    diff = finals[:, None, :] - finals[None, :, :]
-    forward = float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
+    return [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
 
+
+def _spread(finals) -> float:
+    """Largest pairwise distance between the final states ``finals``."""
+    finals = np.array(finals)
+    diff = finals[:, None, :] - finals[None, :, :]
+    return float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
+
+
+def _pullback_defect(p: OscillatorParams, d: DriveSchedule, t0: float, t1: float,
+                     dt: float, start_radius: float) -> float:
+    """The pullback Cauchy defect of :func:`verify_attraction`."""
     span = t1 - t0
     prev, last = pullback(CartesianState(start_radius, 0.0),
                           [t0 - span * 0.75, t0 - span], t0, dt, p, d)
-    pullback_defect = math.hypot(last.x - prev.x, last.y - prev.y)
-    return forward, pullback_defect
+    return math.hypot(last.x - prev.x, last.y - prev.y)
 
 
 def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
@@ -284,8 +313,12 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     Composes the classification prescan, attractor tracking, the auto-sized
     trapping disk, attraction defects, and the invariance defect into one
     report.  One scan classifies each sample instant once; the prescan and
-    the tracking both read it.  Stage failures are recorded in the report,
-    never raised.
+    the tracking both read it.  The track's recorded stretch runs as member
+    0 of the forward ensemble of :func:`verify_attraction`, on one drive
+    tape per block; members retire once they equal it, or an earlier
+    member, bit for bit, so the report equals that of the separate stages.
+    Stage failures are recorded in the report, never raised; a member's
+    blow-up fails the attraction check and leaves the track standing.
     """
     thresholds = {
         "forward": forward_tol,
@@ -307,11 +340,24 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     radius = None
     max_lam = max_flux = None
     forward = pullback_defect = invariance = None
+    track = None
     try:
-        track = _track(d, p, t0, t1, dt, scan)
+        start = _track_start(d, p, t0, dt, scan)
+        try:
+            starts = _forward_starts(ensemble_size, seed, DEFAULT_START_RADIUS)
+            starts_error = None
+        except Exception as exc:
+            # raised where the attraction check runs, so that a failing track
+            # is still the one failure reported
+            starts, starts_error = [], exc
+        # the track's recorded stretch runs as member 0 of the forward ensemble
+        times = time_grid(t0, t1, dt)
+        outcomes = _rk4_members(LabField(p, d), [start, *starts], times, recorded=1)
+        if isinstance(outcomes[0], BlowUpError):
+            raise outcomes[0]
+        track = Trajectory(t0, dt, times, outcomes[0], frame="lab")
     except ChronotaxError as exc:
         failures.append(f"attractor tracking failed: {exc}")
-        track = None
 
     if track is not None:
         try:
@@ -327,8 +373,13 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
         except ChronotaxError as exc:
             failures.append(f"trapping check failed: {exc}")
         try:
-            forward, pullback_defect = verify_attraction(
-                p, d, t0, t1, dt, ensemble_size, seed
+            if starts_error is not None:
+                raise starts_error
+            if isinstance(outcomes[-1], BlowUpError):
+                raise outcomes[-1]
+            forward, pullback_defect = (
+                _spread(outcomes[1:]),
+                _pullback_defect(p, d, t0, t1, dt, DEFAULT_START_RADIUS),
             )
         except ChronotaxError as exc:
             failures.append(f"attraction check failed: {exc}")

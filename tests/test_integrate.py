@@ -1,6 +1,7 @@
 """Fixed-step integrators: determinism, order, co-cycle, noise statistics."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from chronotax import (
     steady_state,
     time_grid,
 )
+from chronotax import integrate as integrate_module
 from chronotax.integrate import (
     TAPE_BLOCK,
     LabField,
@@ -358,6 +360,130 @@ def test_shared_tape_raises_the_first_members_blow_up(record):
     with pytest.raises(BlowUpError) as err:
         _rk4_ensemble(lab, [(2e6, 0.0), (1.0, 0.0)], times, record)
     assert err.value.time == 0.0
+
+
+# --- members that meet bit for bit retire ---
+
+
+@contextmanager
+def counted_steps():
+    """Lengths of the step lists that ``_rk4_steps`` returns inside the block."""
+    lengths = []
+    real = integrate_module._rk4_steps
+
+    def counted(f, x, y, tape):
+        xs, ys = real(f, x, y, tape)
+        lengths.append(len(xs))
+        return xs, ys
+
+    integrate_module._rk4_steps = counted
+    try:
+        yield lengths
+    finally:
+        integrate_module._rk4_steps = real
+
+
+def same_bits(a, b):
+    """Equal results, sign of zero included: a state array or a final pair."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def twin_starts(draw):
+    """Starts drawn, with repeats, from up to three distinct ones, each taken
+    as it is or moved one ulp in x or in y (the moved ones must not retire)."""
+    base = [(r * math.cos(a), r * math.sin(a))
+            for r, a in draw(st.lists(starts, min_size=1, max_size=3))]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                    st.sampled_from(["same", "ulp x", "ulp y"])),
+                          min_size=2, max_size=9))
+    out = []
+    for i, how in picks:
+        x, y = base[i]
+        if how == "ulp x":
+            x = math.nextafter(x, math.inf)
+        elif how == "ulp y":
+            y = math.nextafter(y, -math.inf)
+        out.append((x, y))
+    return out
+
+
+@settings(max_examples=40)
+@given(d=drives(), grid=grids(), xy=twin_starts(), record=st.booleans())
+@example(d=DriveSchedule.constant(1.7, 0.5), grid=(0.0, 3.02, 0.01),
+         xy=[(1.0, 0.0), (1.0, 0.0), (math.nextafter(1.0, 2.0), 0.0), (1.0, 0.0)],
+         record=True)
+def test_retired_members_equal_per_member_runs(d, grid, xy, record):
+    times = time_grid(*grid)
+    lab = LabField(P, d)
+    with counted_steps() as lengths:
+        shared = _rk4_ensemble(lab, xy, times, record)
+    assert len(shared) == len(xy)
+    for got, (x0, y0) in zip(shared, xy):
+        assert same_bits(got, rk4_path(lab, x0, y0, times, record=record))
+    # a repeated start retires before the first step; starts one ulp apart
+    # all run the first block, and none runs more steps than the grid has
+    distinct = len({(x.hex(), y.hex()) for x, y in xy})
+    first = min(times.size - 1, TAPE_BLOCK)
+    assert distinct * first <= sum(lengths) <= distinct * (times.size - 1)
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_members_retire_once_they_meet(record):
+    # under a strong pull the members become equal bit for bit well inside
+    # the run: they then take less than half the steps of separate runs, and
+    # every result still equals the member's own run
+    pull = DriveSchedule(Schedule.sampled([0.0, 5.0, 10.0, 15.0], [2.5, 4.0, 3.0, 5.5]),
+                         Schedule.constant(0.5))
+    lab = LabField(P, pull)
+    times = time_grid(0.0, 60.0, 0.05)
+    rng = np.random.default_rng(5)
+    xy = [(2.0 * math.cos(a), 2.0 * math.sin(a)) for a in rng.uniform(0.0, 2.0 * math.pi, 6)]
+    with counted_steps() as lengths:
+        shared = _rk4_ensemble(lab, xy, times, record)
+    assert len(xy) * TAPE_BLOCK < sum(lengths) < 0.5 * len(xy) * (times.size - 1)
+    for got, (x0, y0) in zip(shared, xy):
+        assert same_bits(got, rk4_path(lab, x0, y0, times, record=record))
+
+
+#: starts under the blow-up drive below, over [0, t1] at dt = 0.01: the first
+#: and third leave the guard radius at t = 3.08 and 3.06 (in the second tape
+#: block), the second at t = 0.01 and the fourth is refused at t = 0
+BLOW_UP_STARTS = [(1.0, 0.0), (1e3, 0.0), (0.0, 1.0), (2e6, 0.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(picks=st.lists(st.integers(0, len(BLOW_UP_STARTS) - 1), min_size=1, max_size=7),
+       t1=st.sampled_from([2.0, 4.0, 6.0]), record=st.booleans())
+@example(picks=[2, 1, 2], t1=6.0, record=False)  # the first to blow up has a twin
+@example(picks=[1, 0, 1], t1=6.0, record=True)   # ... that blows up first in time
+@example(picks=[0, 0, 1, 1, 2, 2], t1=2.0, record=True)
+def test_retirement_keeps_the_first_members_blow_up(picks, t1, record):
+    # the ensemble raises what running the members one after another raises
+    # first: the lowest-index member's error at its own time, whether or not
+    # a twin of that member retired into it
+    d = DriveSchedule(Schedule.sampled([0.0, 3.0], [0.0, 290.0], "previous"),
+                      Schedule.constant(0.5))
+    lab = LabField(P, d)
+    times = time_grid(0.0, t1, 0.01)
+    xy = [BLOW_UP_STARTS[i] for i in picks]
+    expected, first = [], None
+    for x0, y0 in xy:
+        try:
+            expected.append(rk4_path(lab, x0, y0, times, record=record))
+        except BlowUpError as exc:
+            first = exc
+            break
+    if first is None:
+        got = _rk4_ensemble(lab, xy, times, record)
+        assert all(same_bits(a, b) for a, b in zip(got, expected))
+        return
+    with pytest.raises(BlowUpError) as err:
+        _rk4_ensemble(lab, xy, times, record)
+    assert err.value.time == first.time
+    assert str(err.value) == str(first)
 
 
 def test_tape_takes_integer_parameters():

@@ -60,6 +60,21 @@ def test_wavelet_is_admissible():
     assert abs(w[np.argmax(vals)] - 2 * math.pi) < 0.02
 
 
+@settings(max_examples=100)
+@given(f0=st.floats(0.05, 5.0), beyond=st.floats(0.0, 1e3), side=st.sampled_from([1.0, -1.0]))
+@example(f0=1.0, beyond=0.0, side=1.0)
+@example(f0=1.0, beyond=0.0, side=-1.0)
+def test_morlet_kernel_is_zero_outside_its_band(f0, beyond, side):
+    # cwt evaluates each kernel only on -_GAUSS_ZERO <= u <= 2 pi f0 + _GAUSS_ZERO;
+    # everywhere else the full evaluation must give exactly +0.0
+    edge = TWO_PI * f0 + readout._GAUSS_ZERO if side > 0 else -readout._GAUSS_ZERO
+    u = np.array([np.nextafter(edge, side * np.inf) + side * beyond])
+    assert morlet_fourier(u, f0).tobytes() == np.zeros(1).tobytes()
+    # and the bound is no wider than its margin of one unit: 1.01 inside it
+    # the Gaussian is still a subnormal
+    assert 0.0 < math.exp(-0.5 * (readout._GAUSS_ZERO - 1.01) ** 2) < 1e-320
+
+
 def test_unit_tone_ridge_magnitude():
     t, x = tone(0.25)
     sc = cwt(x, 10.0, morlet_freq_grid(0.0625, 1.0, 32))

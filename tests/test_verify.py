@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chronotax import (
     CartesianState,
+    ChronotaxError,
     DriveSchedule,
     FrozenParams,
     InvalidInputError,
@@ -28,11 +29,13 @@ from chronotax import (
     verify_schedule,
     verify_trapping,
 )
+from chronotax import integrate
 from chronotax.integrate import LabField, Trajectory, rk4_path, time_grid
 from chronotax.verify import (
     DEFAULT_FORWARD_TOL,
     DEFAULT_INVARIANCE_TOL,
     DEFAULT_PULLBACK_TOL,
+    DEFAULT_RADIUS_LADDER,
     _sample_indices,
 )
 
@@ -179,6 +182,50 @@ def test_attraction_builds_one_tape_per_block(monkeypatch):
     verify_attraction(P, PULL, 0.0, 15.0, 1e-3)
     assert len(builds) == 59 + 44 + 59
     assert sum(builds) == 15000 + 11250 + 15000  # every step on one tape
+
+
+#: the pull of the scheduled benchmark verification at seed 1: five knots over
+#: [0, 15], values uniform in [1.5, 6]
+BENCH_PULL = DriveSchedule(
+    Schedule.sampled(np.linspace(0.0, 15.0, 5),
+                     np.random.default_rng(1).uniform(1.5, 6.0, size=5)),
+    FREQ,
+)
+
+
+@pytest.mark.parametrize("drive, steps", [(BENCH_PULL, 155_490), (PULL, 169_314)],
+                         ids=["bench-seed-1", "pull"])
+def test_verification_work_counts(monkeypatch, drive, steps):
+    # RK4 steps as counted by the kernel, and drive tapes.  Separate runs
+    # would take 201,250 steps: the track's 10,000 warm-up and 15,000
+    # recorded steps, 8 x 15,000 for the forward ensemble, 11,250 + 15,000
+    # for the pullback and 30,000 for the invariance re-run at dt/2.  The
+    # recorded stretch runs as member 0 of the ensemble, and the members
+    # retire once they equal it bit for bit, so they stop short of 8 x 15,000.
+    # Tapes: 40 (warm-up) + 59 (track and ensemble) + 44 + 59 (pullback)
+    # + 118 (invariance) = 320, where separate runs build 379
+    lengths = []
+    real_steps = integrate._rk4_steps
+
+    def counted_steps(f, x, y, tape):
+        xs, ys = real_steps(f, x, y, tape)
+        lengths.append(len(xs))
+        return xs, ys
+
+    builds = []
+    real_tape = LabField.rk4_tape
+
+    def counted_tape(self, t, h):
+        builds.append(t.size)
+        return real_tape(self, t, h)
+
+    monkeypatch.setattr(integrate, "_rk4_steps", counted_steps)
+    monkeypatch.setattr(LabField, "rk4_tape", counted_tape)
+    report = verify_schedule(drive, P, 0.0, 15.0)
+    assert report.chronotaxic and report.forward_defect == 0.0
+    assert sum(lengths) == steps
+    assert len(builds) == 320
+    assert sum(builds) == 10_000 + 15_000 + 11_250 + 15_000 + 30_000
 
 
 def test_forward_defect_survives_without_drive():
@@ -331,3 +378,55 @@ def test_verify_schedule_equals_staged_report(drive):
             invariance_defect=verify_invariance(track, P, drive), **staged,
         )
     assert verify_schedule(drive, P, t0, t1, dt, 0.5, beta).to_dict() == expected.to_dict()
+
+
+def staged_failures(drive, t0, t1, dt, ensemble_size):
+    """Report fields of the certificate's stages run one after another, each
+    failure recorded as ``verify_schedule`` records it."""
+    failures = []
+    out = dict(radius=None, max_lambda_on_A=None, max_inward_defect=None,
+               forward_defect=None, pullback_defect=None, invariance_defect=None)
+    try:
+        track = attractor_track(drive, P, t0, t1, dt)
+    except ChronotaxError as exc:
+        return dict(out, failures=[f"attractor tracking failed: {exc}"])
+    try:
+        radius = select_trapping_radius(track, P, drive)
+        probe = radius if radius is not None else min(DEFAULT_RADIUS_LADDER)
+        out["radius"] = radius
+        out["max_lambda_on_A"], out["max_inward_defect"] = verify_trapping(
+            TrappingCandidate(track, probe, 720), P, drive)
+        if radius is None:
+            failures.append("no ladder radius stays inside the contraction region")
+        elif out["max_inward_defect"] >= 0.0:
+            failures.append("boundary flux is not strictly inward")
+    except ChronotaxError as exc:
+        failures.append(f"trapping check failed: {exc}")
+    try:
+        out["forward_defect"], out["pullback_defect"] = verify_attraction(
+            P, drive, t0, t1, dt, ensemble_size)
+    except ChronotaxError as exc:
+        failures.append(f"attraction check failed: {exc}")
+    try:
+        out["invariance_defect"] = verify_invariance(track, P, drive)
+    except ChronotaxError as exc:
+        failures.append(f"invariance check failed: {exc}")
+    return dict(out, failures=failures)
+
+
+@pytest.mark.parametrize("dt, ensemble_size", [
+    (0.25, 8),   # the pullback leaves the guard radius
+    (0.3, 8),    # forward members leave it, the track does not
+    (0.4, 8),    # the track leaves it in its recorded stretch
+    (0.5, 8),    # ... and in its warm-up
+    (0.3, 1),    # too small an ensemble, beside a failing trapping check
+    (0.4, 1),    # ... behind a failing track, where it is never reported
+])
+def test_failures_equal_the_separate_stages(dt, ensemble_size):
+    # the track runs inside the forward ensemble, yet a member's blow-up
+    # costs neither the track nor the stages after it, and the failures keep
+    # their order: tracking, trapping, attraction, invariance
+    report = verify_schedule(PULL, P, 0.0, 15.0, dt, ensemble_size=ensemble_size).to_dict()
+    expected = staged_failures(PULL, 0.0, 15.0, dt, ensemble_size)
+    assert report["failures"]
+    assert {k: report[k] for k in expected} == expected
