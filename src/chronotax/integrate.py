@@ -6,8 +6,10 @@ Both land on the requested end time exactly (the last step may be shorter
 than ``dt``).  A pullback helper and a two-stage composition check cover the
 nonautonomous bookkeeping.
 
-Runs of the laboratory-frame field evaluate the drive schedules once per
-block of steps, as a drive tape, not once per stage; see :class:`LabField`.
+The integrators run one field, the laboratory-frame field of
+:class:`LabField`, and evaluate its drive schedules once per block of steps,
+as a drive tape, not once per stage.  The tests hold per-call reference
+steppers that the tape runs must equal bit for bit.
 Runs from several starts on one grid share one tape per block, and a run
 that comes to equal an earlier one bit for bit retires into it.
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +43,6 @@ DEFAULT_DT = 1e-3
 BLOWUP_RADIUS = 1e6
 
 _BLOWUP_SQ = BLOWUP_RADIUS * BLOWUP_RADIUS
-
-#: planar vector field hook: (t, x, y) -> (dx/dt, dy/dt)
-FieldFn = Callable[[float, float, float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -136,41 +135,18 @@ def time_grid(t0: float, t1: float, dt: float) -> FloatArray:
     return times
 
 
-def rk4_path(field: FieldFn, x0: float, y0: float, times: FloatArray,
+def rk4_path(field: LabField, x0: float, y0: float, times: FloatArray,
              record: bool = True):
-    """Classical Runge-Kutta sweep of ``field`` over ``times``.
+    """Classical Runge-Kutta sweep of ``field`` over ``times``, on its drive tape.
 
     Returns the full (n, 2) state array when ``record`` is set, otherwise
     only the final ``(x, y)`` pair.  Aborts with :class:`BlowUpError` when
-    the state leaves the guard radius or stops being finite.  A
-    :class:`LabField` runs on its drive tape, block by block; any other
-    field is called once per stage.
+    the state leaves the guard radius or stops being finite.  Any field but
+    a :class:`LabField` is refused.
     """
-    if isinstance(field, LabField):
-        return _rk4_ensemble(field, [(x0, y0)], times, record)[0]
-    n = times.size
-    out = np.empty((n, 2), dtype=float) if record else None
-    x, y = _start(x0, y0, times[0])
-    if record:
-        out[0, 0] = x
-        out[0, 1] = y
-    for i in range(n - 1):
-        t = times[i]
-        h = times[i + 1] - t
-        k1x, k1y = field(t, x, y)
-        th = t + 0.5 * h
-        k2x, k2y = field(th, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-        k3x, k3y = field(th, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-        te = t + h
-        k4x, k4y = field(te, x + h * k3x, y + h * k3y)
-        x += (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y += (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if not (x * x + y * y <= _BLOWUP_SQ):  # NaN fails this test too
-            raise _blow_up(te)
-        if record:
-            out[i + 1, 0] = x
-            out[i + 1, 1] = y
-    return out if record else (x, y)
+    if not isinstance(field, LabField):
+        raise InvalidInputError(f"rk4_path runs a LabField, not {type(field).__name__}")
+    return _rk4_ensemble(field, [(x0, y0)], times, record)[0]
 
 
 def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool):
@@ -287,46 +263,34 @@ def rk4_blocks(field: LabField, x0: float, y0: float, dt: float):
         yield xs, ys
 
 
-def em_path(field: FieldFn, x0: float, y0: float, times: FloatArray, sigma: float,
-            rng: np.random.Generator, record: bool = True):
+def em_path(field: LabField, x0: float, y0: float, times: FloatArray, sigma: float,
+            rng: np.random.Generator):
     """Euler-Maruyama sweep: drift step plus independent N(0, sigma^2 h) kicks.
 
     The noise increments for the whole sweep are drawn up front from ``rng``
-    in a single shape-(n-1, 2) block, so equal seeds give equal paths.  A
-    :class:`LabField` drift runs on its drive tape, as in :func:`rk4_path`.
+    in a single shape-(n-1, 2) block, so equal seeds give equal paths.  The
+    drift runs on the drive tape of ``field``, a :class:`LabField`, as in
+    :func:`rk4_path`.  Returns the (n, 2) state array.
     """
+    if not isinstance(field, LabField):
+        raise InvalidInputError(f"em_path runs a LabField, not {type(field).__name__}")
     n = times.size
     h = np.diff(times)
     kicks = rng.standard_normal((n - 1, 2)) * (sigma * np.sqrt(h))[:, None]
-    out = np.empty((n, 2), dtype=float) if record else None
+    out = np.empty((n, 2), dtype=float)
     x, y = _start(x0, y0, times[0])
-    if record:
-        out[0, 0] = x
-        out[0, 1] = y
-    if isinstance(field, LabField):
-        for i0 in range(0, n - 1, TAPE_BLOCK):
-            i1 = min(i0 + TAPE_BLOCK, n - 1)
-            xs, ys = _em_steps(field, x, y, field.em_tape(times[i0:i1], h[i0:i1]),
-                               kicks[i0:i1, 0].tolist(), kicks[i0:i1, 1].tolist())
-            if len(xs) < i1 - i0:
-                raise _blow_up(times[i0 + len(xs) + 1])
-            x, y = xs[-1], ys[-1]
-            if record:
-                out[i0 + 1:i1 + 1, 0] = xs
-                out[i0 + 1:i1 + 1, 1] = ys
-        return out if record else (x, y)
-    for i in range(n - 1):
-        t = times[i]
-        hi = h[i]
-        fx, fy = field(t, x, y)
-        x += hi * fx + kicks[i, 0]
-        y += hi * fy + kicks[i, 1]
-        if not (x * x + y * y <= _BLOWUP_SQ):  # NaN fails this test too
-            raise _blow_up(times[i + 1])
-        if record:
-            out[i + 1, 0] = x
-            out[i + 1, 1] = y
-    return out if record else (x, y)
+    out[0, 0] = x
+    out[0, 1] = y
+    for i0 in range(0, n - 1, TAPE_BLOCK):
+        i1 = min(i0 + TAPE_BLOCK, n - 1)
+        xs, ys = _em_steps(field, x, y, field.em_tape(times[i0:i1], h[i0:i1]),
+                           kicks[i0:i1, 0].tolist(), kicks[i0:i1, 1].tolist())
+        if len(xs) < i1 - i0:
+            raise _blow_up(times[i0 + len(xs) + 1])
+        x, y = xs[-1], ys[-1]
+        out[i0 + 1:i1 + 1, 0] = xs
+        out[i0 + 1:i1 + 1, 1] = ys
+    return out
 
 
 def _start(x0, y0, t):
@@ -359,8 +323,8 @@ class LabField:
     and ``r_p sin(alpha_p)`` at every stage time of a block of steps, from one
     vectorised schedule evaluation, and step on Python floats with the
     arithmetic of :func:`chronotax.model.pulled_field` inlined.  The steps
-    equal, bit for bit, those of the generic loops with
-    :func:`chronotax.model.field_lab` evaluated at every stage.
+    equal, bit for bit, those of the tests' per-call reference steppers with
+    the schedules evaluated at every stage.
     """
 
     __slots__ = ("eps_gamma", "omega0", "r_p", "drive")
@@ -482,8 +446,7 @@ def integrate_sde(x0: CartesianState, t0: float, t1: float, dt: float,
     """
     times = time_grid(t0, t1, dt)
     rng = np.random.Generator(np.random.Philox(noise.seed))
-    states = em_path(LabField(p, d), x0.x, x0.y, times, noise.sigma, rng,
-                     record=True)
+    states = em_path(LabField(p, d), x0.x, x0.y, times, noise.sigma, rng)
     return Trajectory(t0, dt, times, states, frame="lab")
 
 

@@ -826,6 +826,14 @@ def frozen_at(p: OscillatorParams, d: DriveSchedule, t: float) -> FrozenParams:
 
 
 def _check_times(d: DriveSchedule, t0: float, t1: float, interval: float):
+    """Sample instants of ``[t0, t1]``: every ``interval`` from ``t0``, then
+    ``t1`` and the schedule knots inside.  Refused unless the window is
+    finite with ``t1 > t0`` and ``interval`` is finite and positive."""
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise InvalidInputError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
+    if not (math.isfinite(interval) and interval > 0.0):
+        raise InvalidInputError(
+            f"check_interval must be finite and positive, got {interval!r}")
     ts = np.arange(t0, t1, interval)
     ts = np.append(ts, t1)
     for sched in (d.eps_a, d.omega_p):

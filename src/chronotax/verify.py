@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 from itertools import groupby
 
@@ -255,8 +256,11 @@ def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
     (the same step size would retrace the identical arithmetic); the defect
     is the largest state distance at the track's own sample times.  An
     invariant track keeps this at integrator-error level; a track offset
-    from the true attractor shows its offset here undiminished.
+    from the true attractor shows its offset here undiminished.  ``refine``
+    must be an integer of at least 2.
     """
+    if not (isinstance(refine, numbers.Integral) and refine >= 2):
+        raise InvalidInputError(f"refine must be an integer >= 2, got {refine!r}")
     if track.frame != "lab":
         raise InvalidInputError("invariance check expects a lab-frame track")
     t0 = track.t0
@@ -319,7 +323,16 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     member, bit for bit, so the report equals that of the separate stages.
     Stage failures are recorded in the report, never raised; a member's
     blow-up fails the attraction check and leaves the track standing.
+    Bad input is refused before any work: the window must be finite with
+    ``t1 > t0``, ``dt``, ``check_interval``, ``sample_interval`` and
+    ``beta`` finite and positive, and ``ladder`` must hold finite positive
+    radii.
     """
+    for name, value in (("dt", dt), ("sample_interval", sample_interval), ("beta", beta)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+    if not (len(ladder) > 0 and all(math.isfinite(r) and r > 0.0 for r in ladder)):
+        raise InvalidInputError(f"ladder must hold finite positive radii, got {ladder!r}")
     thresholds = {
         "forward": forward_tol,
         "pullback": pullback_tol,

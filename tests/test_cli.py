@@ -206,6 +206,19 @@ def test_verify_verdicts(tmp_path):
     assert doc["offending_intervals"]
 
 
+@pytest.mark.parametrize("args", [
+    ["--t1", "3", "--check-interval", "0"],
+    ["--t0", "5", "--t1", "5"],
+    ["--t1", "3", "--dt", "0"],
+    ["--t0", "5", "--t1", "1"],
+])
+def test_verify_refuses_bad_input(tmp_path, capsys, args):
+    rep = tmp_path / "rep.json"
+    assert main(["verify", *args, "--out", str(rep)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not rep.exists()
+
+
 def test_cwt_pipeline(tmp_path):
     traj = tmp_path / "traj.csv"
     assert main([

@@ -13,6 +13,7 @@ from chronotax import (
     CartesianState,
     DriveSchedule,
     FrozenParams,
+    InvalidInputError,
     NoiseSpec,
     OscillatorParams,
     Schedule,
@@ -34,6 +35,7 @@ from chronotax.integrate import (
     rk4_path,
 )
 from chronotax.model import field_lab, field_lab_array
+from reference_steppers import em_reference, reference_field, rk4_reference
 
 P = OscillatorParams(7.0, 1.0, 1.0)
 D17 = DriveSchedule.constant(1.7, 0.5)
@@ -138,7 +140,7 @@ def test_sde_increment_statistics():
 
     rng = np.random.default_rng(1234)
     times = time_grid(0.0, 1000.0, 0.01)  # 1e5 steps
-    path = em_path(still, 0.0, 0.0, times, 0.4, rng)
+    path = em_reference(still, 0.0, 0.0, times, 0.4, rng)
     inc = np.diff(path, axis=0)
     n = inc.shape[0]
     expected = 0.4**2 * 0.01
@@ -192,10 +194,11 @@ def test_non_finite_state_is_blow_up():
     with pytest.raises(BlowUpError) as err:
         pullback(CartesianState(9e5, 0.0), [-1e15], 0.0, 1e15, P, D17)
     assert err.value.time == 0.0
+    # ... and so does one Euler-Maruyama step of 1e300
     rng = np.random.Generator(np.random.Philox(0))
     with pytest.raises(BlowUpError) as err:
-        em_path(lambda t, x, y: (math.nan, 0.0), 1.0, 0.0, time_grid(0.0, 1.0, 0.1), 0.1, rng)
-    assert err.value.time == pytest.approx(0.1)
+        em_path(LabField(P, D17), 9e5, 0.0, np.array([0.0, 1e300]), 0.0, rng)
+    assert err.value.time == 1e300
 
 
 @pytest.mark.parametrize("x0", [1.5e6, 1e150, math.inf, math.nan])
@@ -209,7 +212,7 @@ def test_start_outside_guard_radius_is_blow_up(x0):
             rk4_path(field, x0, 0.0, times)
         assert err.value.time == 2.0
         with pytest.raises(BlowUpError) as err:
-            rk4_path(lambda t, x, y: (0.0, 0.0), 0.0, x0, times, record=False)
+            rk4_path(field, 0.0, x0, times, record=False)
         assert err.value.time == 2.0
         with pytest.raises(BlowUpError) as err:
             em_path(field, x0, 0.0, times, 0.1, rng)
@@ -229,25 +232,22 @@ def test_trajectory_validation():
         Trajectory(0.0, 0.1, np.array([0.0, 0.1]), np.zeros((3, 2)), "lab")
 
 
+def test_integrators_run_only_a_lab_field():
+    times = time_grid(0.0, 1.0, 0.1)
+    rng = np.random.Generator(np.random.Philox(0))
+    for field in (reference_field(P, D17), lambda t, x, y: (0.0, 0.0)):
+        with pytest.raises(InvalidInputError):
+            rk4_path(field, 1.0, 0.0, times)
+        with pytest.raises(InvalidInputError):
+            rk4_path(field, 1.0, 0.0, times, record=False)
+        with pytest.raises(InvalidInputError):
+            em_path(field, 1.0, 0.0, times, 0.1, rng)
+    # the endless run needs a drive that stands still: D17 turns at 0.5
+    with pytest.raises(InvalidInputError):
+        next(rk4_blocks(LabField(P, D17), 1.0, 0.0, 1e-3))
+
+
 # --- drive tape against the per-call reference ---
-
-
-def reference_field(p, d):
-    """The lab field with both schedules evaluated at every call, run through
-    the generic integrator loops: the reference the drive tape must match."""
-    eg, w0, rp = p.eps_gamma, p.omega0, p.r_p
-
-    def field(t, x, y):
-        r = math.sqrt(x * x + y * y)
-        g = eg * (rp - r)
-        ea = float(d.eps_a(t))
-        a = float(d.alpha_p(t))
-        return (
-            g * x - w0 * y - ea * (x - rp * math.cos(a)),
-            g * y + w0 * x - ea * (y - rp * math.sin(a)),
-        )
-
-    return field
 
 
 @st.composite
@@ -293,12 +293,10 @@ def test_tape_matches_per_call_reference(d, grid, start, record, seed):
     lab = LabField(P, d)
     ref = reference_field(P, d)
     tape = rk4_path(lab, x0, y0, times, record=record)
-    assert np.array_equal(tape, rk4_path(ref, x0, y0, times, record=record))
-    tape = em_path(lab, x0, y0, times, 0.3, np.random.Generator(np.random.Philox(seed)),
-                   record=record)
-    assert np.array_equal(tape, em_path(ref, x0, y0, times, 0.3,
-                                        np.random.Generator(np.random.Philox(seed)),
-                                        record=record))
+    assert np.array_equal(tape, rk4_reference(ref, x0, y0, times, record=record))
+    tape = em_path(lab, x0, y0, times, 0.3, np.random.Generator(np.random.Philox(seed)))
+    assert np.array_equal(tape, em_reference(ref, x0, y0, times, 0.3,
+                                             np.random.Generator(np.random.Philox(seed))))
 
 
 @settings(max_examples=60)

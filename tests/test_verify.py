@@ -245,6 +245,13 @@ def test_invariance_defect_detects_tampering():
     assert verify_invariance(fake, P, D17) > 5e-3
 
 
+@pytest.mark.parametrize("refine", [0, 1, -2, 2.0, True])
+def test_invariance_refuses_a_refine_below_two(refine):
+    # refine = 1 would retrace the track's own arithmetic and read exactly 0
+    with pytest.raises(InvalidInputError):
+        verify_invariance(track17(1.0), P, D17, refine=refine)
+
+
 def test_offending_intervals_cover_bad_windows():
     ea = Schedule.sampled([0.0, 9.9, 10.0, 20.0, 20.1, 30.0],
                           [1.7, 1.7, 0.3, 0.3, 1.7, 1.7])
@@ -349,6 +356,43 @@ def test_verify_schedule_solves_each_instant_once(fixed_point_solves):
     report = verify_schedule(DIPPED, P, 0.0, 15.0)
     assert report.offending_intervals
     assert len(fixed_point_solves) == report.times_checked
+
+
+@pytest.mark.parametrize("window, kwargs", [
+    ((5.0, 5.0), {}),
+    ((5.0, 1.0), {}),
+    ((0.0, math.inf), {}),
+    ((math.nan, 3.0), {}),
+    ((0.0, 3.0), {"check_interval": 0.0}),
+    ((0.0, 3.0), {"check_interval": math.nan}),
+    ((0.0, 3.0), {"dt": 0.0}),
+    ((0.0, 3.0), {"dt": -1e-3}),
+    ((0.0, 3.0), {"sample_interval": math.nan}),
+    ((0.0, 3.0), {"sample_interval": 0.0}),
+    ((0.0, 3.0), {"beta": 0.0}),
+    ((0.0, 3.0), {"beta": math.inf}),
+    ((0.0, 3.0), {"ladder": ()}),
+    ((0.0, 3.0), {"ladder": (math.nan,)}),
+    ((0.0, 3.0), {"ladder": (0.02, -0.1)}),
+    ((0.0, 3.0), {"ladder": (0.02, math.inf)}),
+])
+def test_verify_schedule_refuses_bad_input_before_any_work(fixed_point_solves,
+                                                           window, kwargs):
+    with pytest.raises(InvalidInputError):
+        verify_schedule(D17, P, *window, **kwargs)
+    assert fixed_point_solves == []
+
+
+@pytest.mark.parametrize("t0, t1, check_interval", [
+    (5.0, 5.0, 0.5), (5.0, 1.0, 0.5), (0.0, 3.0, 0.0), (0.0, 3.0, -0.5),
+])
+def test_scans_refuse_a_bad_window_or_interval(fixed_point_solves, t0, t1,
+                                               check_interval):
+    with pytest.raises(InvalidInputError):
+        offending_intervals(D17, P, t0, t1, check_interval)
+    with pytest.raises(InvalidInputError):
+        attractor_track(D17, P, t0, t1, 1e-3, check_interval)
+    assert fixed_point_solves == []
 
 
 @pytest.mark.parametrize("drive", [PULL, DIPPED], ids=["pull", "dip"])
