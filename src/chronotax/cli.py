@@ -9,6 +9,7 @@ classification), ``verify`` (chronotaxicity certificate), ``cwt``
 
 Every flag mirrors a config-file key one-to-one: ``--config file.json``
 supplies defaults, explicit flags win, unknown config keys are rejected.
+A model field set by either beats a ``--params`` file.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -58,14 +59,18 @@ _MODEL_DEFAULTS = {
 
 DEFAULT_DELTA_OMEGA = 0.5
 
+#: the model keys of a command start unset, so that :func:`_resolve_system`
+#: can tell a value given by the config file or a flag from a default
+_MODEL_KEYS = dict.fromkeys(_MODEL_DEFAULTS)
+
 _DEFAULTS = {
     "simulate": {
-        **_MODEL_DEFAULTS,
+        **_MODEL_KEYS,
         "t0": 0.0, "t1": None, "dt": 1e-3, "x0": None, "y0": None,
         "frame": "lab", "noise": 0.0, "seed": 0, "out": "trajectory.csv",
     },
     "portrait": {
-        **_MODEL_DEFAULTS,
+        **_MODEL_KEYS,
         "time": 0.0, "bounds": (-2.5, 2.5), "resolution": 500, "beta": 1e-3,
         "outdir": "portrait", "format": "csv",
     },
@@ -80,7 +85,7 @@ _DEFAULTS = {
         "beta": 1e-3, "out": "region_map.csv",
     },
     "verify": {
-        **_MODEL_DEFAULTS,
+        **_MODEL_KEYS,
         "t0": 0.0, "t1": 30.0, "dt": 1e-3, "check_interval": 0.5,
         "beta": 1e-3, "out": None,
     },
@@ -228,21 +233,17 @@ def _as_drive_value(value, name: str) -> Schedule:
 def _resolve_system(m: dict) -> tuple[OscillatorParams, DriveSchedule]:
     """Build the oscillator and drive from merged options.
 
-    A params file seeds the model fields; individual options override them.
+    Each model field comes from the config file or a flag when given there,
+    else from the params file when one is named, else from the default.
     The detuning is reconciled with the drive frequency: give one or the
     other (both only if consistent), else the default detuning applies.
     """
-    seeded = dict(m)
+    seeded = dict(_MODEL_DEFAULTS)
     if m.get("params"):
         p0, d0 = load_params(m["params"])
-        file_fields = {
-            "eps_gamma": p0.eps_gamma, "omega0": p0.omega0, "r_p": p0.r_p,
-            "eps_a": d0.eps_a, "omega_p": d0.omega_p, "alpha0": d0.alpha0,
-        }
-        defaults = _MODEL_DEFAULTS
-        for key, value in file_fields.items():
-            if seeded.get(key) is None or seeded.get(key) == defaults.get(key):
-                seeded[key] = value
+        seeded.update(eps_gamma=p0.eps_gamma, omega0=p0.omega0, r_p=p0.r_p,
+                      eps_a=d0.eps_a, omega_p=d0.omega_p, alpha0=d0.alpha0)
+    seeded.update((key, m[key]) for key in _MODEL_DEFAULTS if m.get(key) is not None)
     try:
         p = OscillatorParams(float(seeded["eps_gamma"]), float(seeded["omega0"]),
                              float(seeded["r_p"]))
@@ -284,9 +285,9 @@ def cmd_simulate(m: dict) -> int:
     x0 = p.r_p if m["x0"] is None else float(m["x0"])
     y0 = 0.0 if m["y0"] is None else float(m["y0"])
     start = CartesianState(x0, y0)
-    sigma = float(m["noise"])
-    if sigma > 0.0:
-        traj = integrate_sde(start, t0, t1, dt, p, d, NoiseSpec(sigma, int(m["seed"])))
+    noise = NoiseSpec(float(m["noise"]), m["seed"])
+    if noise.sigma > 0.0:
+        traj = integrate_sde(start, t0, t1, dt, p, d, noise)
     else:
         traj = integrate_det(start, t0, t1, dt, p, d)
     if m["frame"] == "rotating":

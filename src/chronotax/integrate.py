@@ -55,6 +55,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise InvalidInputError(f"sigma must be finite and non-negative, got {self.sigma}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -16,28 +16,33 @@ k u - delta_omega v = -eps_a r_p, delta_omega u + k v = 0, so
 
     (u, v) = eps_a r_p (-k, delta_omega) / (k^2 + delta_omega^2),
 
-and its radius eps_a r_p / sqrt(k^2 + delta_omega^2) must equal
-(b - k) / eps_gamma with b = eps_gamma r_p - eps_a.  Squaring gives the
-radius quartic
+and its radius eps_a r_p / q, q = sqrt(k^2 + delta_omega^2), must equal
+(b - k) / eps_gamma with b = eps_gamma r_p - eps_a.  So the fixed points
+are the roots k < b of
 
-    eps_gamma^2 r^4 - 2 eps_gamma b r^3 + (b^2 + delta_omega^2) r^2
-        - (eps_a r_p)^2 = 0,
+    G(k) = (b - k) q - eps_gamma eps_a r_p,
 
-or, in the shifted variable k = b - eps_gamma r,
+each mapping to exactly one point.  Squaring would give the radius quartic
+(b - k)^2 (k^2 + delta_omega^2) = (eps_gamma eps_a r_p)^2, which has the
+sign of G on k < b; G itself squares nothing, so no detuning or pull is
+too small for it.  dG/dk = (b k - 2 k^2 - delta_omega^2) / q, so for b > 0
+and b^2 >= 8 delta_omega^2 G falls, rises and falls between the turning
+points
 
-    (b - k)^2 (k^2 + delta_omega^2) = (eps_gamma eps_a r_p)^2.
+    c2 = (b + sqrt(b^2 - 8 delta_omega^2)) / 4,   c1 = delta_omega^2 / (2 c2),
 
-Every real root with r > 0 maps to exactly one point.
+and falls throughout otherwise.  G(-2 eps_a) >= eps_a (eps_gamma r_p +
+2 eps_a) > 0 and G(b) < 0 bracket all roots; there are three when
+G(c1) < 0 < G(c2) and one otherwise.
 
-Folds.  Write F(k) for the left side minus the right side, A = eps_gamma r_p
-and q = sqrt(k^2 + delta_omega^2).  With b - k = eps_gamma r > 0 the
-equation F = 0 solves for the pull, so the fixed points at pull eps_a are
-the solutions k < A of
+Folds.  Write A = eps_gamma r_p.  With b - k = eps_gamma r > 0 the equation
+G = 0 solves for the pull, so the fixed points at pull eps_a are the
+solutions k < A of
 
     eps_a = E(k) = (A - k) q / (A + q).
 
-A fold, the double root F = dF/dk = 0 (dF/dk = 0 reads k^2 - (b - k) k +
-delta_omega^2 = 0), is a critical point of E, because dF/d(eps_a) < 0.
+A fold, the double root G = dG/dk = 0 (the turning point c1 or c2 on the
+axis), is a critical point of E, because dG/d(eps_a) = -(q + A) < 0.
 dE/dk has the sign of
 
     D(k) = A k (A - k) - q^2 (A + q),   D'(k) = A^2 - 4 A k - 3 k q,
@@ -74,15 +79,12 @@ from .model import (
     FrozenParams,
     OscillatorParams,
     PolarState,
-    pulled_field,
     pulled_jacobian,
 )
 
 log = logging.getLogger(__name__)
 
 DEFAULT_R_MAX = 2.5
-#: residual bound |dr/dt| + r |dpsi/dt| accepted for a fixed point
-RESIDUAL_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
 
@@ -254,73 +256,21 @@ def _frozen(fp: FrozenParams):
     return p.eps_gamma, fp.delta_omega, p.r_p, fp.eps_a
 
 
-def _polish_newton(fp: FrozenParams, u: float, v: float, iterations: int = 6):
-    eg, dw, rp, ea = _frozen(fp)
-    for _ in range(iterations):
-        fu, fv = pulled_field(u, v, math.sqrt(u * u + v * v), eg, dw, rp, ea, rp, 0.0)
-        a, b, c, d = pulled_jacobian(u, v, eg, dw, rp, ea)
-        det = a * d - b * c
-        if abs(det) < 1e-12:
-            break
-        du = (fu * d - fv * b) / det
-        dv = (fv * a - fu * c) / det
-        u -= du
-        v -= dv
-        if du * du + dv * dv < 1e-30:
-            break
-    return u, v
-
-
-def _residual_polar(fp: FrozenParams, u: float, v: float) -> float:
-    """|dr/dt| + r |dpsi/dt| at (u, v)."""
-    eg, dw, rp, ea = _frozen(fp)
-    fu, fv = pulled_field(u, v, math.sqrt(u * u + v * v), eg, dw, rp, ea, rp, 0.0)
-    r = math.hypot(u, v)
-    if r == 0.0:
-        return math.hypot(fu, fv)
-    rdot = (u * fu + v * fv) / r
-    rpsidot = (u * fv - v * fu) / r
-    return abs(rdot) + abs(rpsidot)
-
-
-def _zero_detuning_points(b: float, eps_gamma: float, pull: float):
-    """The points ``(-pull / k, 0)`` of the k-quartic at delta_omega = 0.
-
-    There the quartic factors into k (b - k) = m with m = +-eps_gamma pull.
-    Each quadratic's roots sum to b, so a root's radius (b - k) / eps_gamma
-    is its partner root over eps_gamma, and -pull / k = -sign(m) (b - k) /
-    eps_gamma.  The large root is taken directly and the small one as m
-    over it, so neither the pull nor k is ever squared, and a weak pull
-    keeps the small roots that a companion matrix would round to zero.
-    """
-    points = []
-    for m in (eps_gamma * pull, -eps_gamma * pull):
-        disc = b * b - 4.0 * m
-        if disc < 0.0:
-            continue
-        big = 0.5 * (b + math.copysign(math.sqrt(disc), b))
-        for partner in (m / big, big):  # the partners of big and small
-            if partner > 0.0:
-                points.append((-math.copysign(partner, m) / eps_gamma, 0.0))
-    return points
-
-
-def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX,
-                      dedupe_tol: float = 1e-8) -> list[FixedPoint]:
+def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX) -> list[FixedPoint]:
     """All equilibria of the frozen co-rotating flow with radius in (0, r_max].
 
-    Solves the radius quartic of the module docstring in the radial rate k
-    (companion-matrix eigenvalues via ``np.roots``), maps each real root
-    with positive radius to its point in closed form, and polishes it with
-    planar Newton steps.  The roots are taken in k, not r: under a weak pull
-    the node and saddle near r_p have radii within ~sqrt(eps) of each other
-    but well separated rates, while the near-double root in k (the inner
-    point and its negative-radius image) maps to a single point either way.
-    At delta_omega = 0 the quartic factors into two quadratics, rooted in
-    closed form (see :func:`_zero_detuning_points`), so no pull is too weak
-    to keep the saddle and node near r_p.  A detuning whose square
-    underflows takes the same route: the quartic's coefficients cannot
-    tell it from 0.
+    Roots G(k) = (b - k) q - eps_gamma eps_a r_p of the module docstring on
+    its monotone pieces: G falls on k < c1, rises on (c1, c2) and falls on
+    (c2, b), with both turning points in closed form (no turning points:
+    one falling piece).  From G(-2 eps_a) > 0 > G(b), the signs at the
+    turning points place the roots: one on (c2, b) if G(c1) >= 0, one on
+    (-2 eps_a, c1) if G(c2) <= 0, else one on each piece.  A double root
+    at a fold is one point, so the count stays odd.  Each root is bisected
+    to adjacent floats and mapped to its point
+    (u, v) = (eps_a r_p / q) (-k / q, delta_omega / q).  The roots are
+    taken in k, not r: under a weak pull the node and saddle near r_p have
+    radii within ~sqrt(eps) of each other but well separated rates.
+    delta_omega = 0 takes the same path, with c1 = 0.
     Zero pull is the degenerate uncoupled case: the origin is the only
     isolated equilibrium and is reported as unstable.
     """
@@ -331,36 +281,32 @@ def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX,
     if ea == 0.0:
         return [_point_from_uv(fp, 0.0, 0.0)]
 
-    eg = p.eps_gamma
     pull = ea * p.r_p
-    b = eg * p.r_p - ea
-    if dw * dw == 0.0:
-        guesses = _zero_detuning_points(b, eg, pull)
-    else:
-        roots = np.roots([1.0, -2.0 * b, b * b + dw * dw, -2.0 * b * dw * dw,
-                          b * b * dw * dw - (eg * pull) ** 2])
-        # real roots with radius r = (b - k) / eps_gamma > 0, both tests loose
-        # by the ~sqrt(eps) relative spread of a double root
-        spread = 1e-6 * np.abs(roots)
-        keep = (np.abs(roots.imag) <= spread) & (roots.real - b <= spread)
-        guesses = []
-        for k in roots.real[keep].tolist():
-            den = k * k + dw * dw
-            guesses.append((-pull * k / den, pull * dw / den))
+    b = p.eps_gamma * p.r_p - ea
+    gap = p.eps_gamma * pull
 
-    polished: list[tuple[float, float]] = []
-    for u, v in guesses:
-        u, v = _polish_newton(fp, u, v)
-        r = math.hypot(u, v)
-        if not (0.0 < r <= r_max * (1.0 + 1e-9)):
-            continue
-        if _residual_polar(fp, u, v) > RESIDUAL_TOL:
-            continue
-        if any((u - a) ** 2 + (v - b) ** 2 < dedupe_tol**2 for a, b in polished):
-            continue
-        polished.append((u, v))
+    def g(k: float) -> float:  # G(k), the sign of the quartic for k < b
+        return (b - k) * math.hypot(k, dw) - gap
 
-    points = [_point_from_uv(fp, u, v) for u, v in polished]
+    cuts = [-2.0 * ea, b]
+    disc = b * b - 8.0 * dw * dw
+    if b > 0.0 and disc >= 0.0:
+        c2 = 0.25 * (b + math.sqrt(disc))
+        c1 = dw * dw / (2.0 * c2)
+        if g(c1) >= 0.0:
+            cuts = [c2, b]
+        elif g(c2) <= 0.0:
+            cuts = [-2.0 * ea, c1]
+        else:
+            cuts = [-2.0 * ea, c1, c2, b]
+
+    points = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        k = _bisect(g, lo, hi) or math.ulp(0.0)  # 0 brackets a root in (0, ulp(0)]
+        q = math.hypot(k, dw)
+        r = pull / q
+        if r <= r_max * (1.0 + 1e-9):
+            points.append(_point_from_uv(fp, r * (-k / q), r * (dw / q)))
     points.sort(key=lambda q: q.location.r)
     return points
 
@@ -793,6 +739,9 @@ def region_map(delta_omega_range: tuple[float, float],
         nd, ne = (int(v) for v in resolution)
     if nd < 2 or ne < 2:
         raise InvalidInputError("resolution must be at least 2 per axis")
+    bounds = (*delta_omega_range, *eps_a_range)
+    if not all(math.isfinite(float(v)) for v in bounds):
+        raise InvalidInputError(f"ranges must be finite, got {bounds!r}")
     dws = np.linspace(float(delta_omega_range[0]), float(delta_omega_range[1]), nd)
     eas = np.linspace(float(eps_a_range[0]), float(eps_a_range[1]), ne)
     if np.any(eas < 0.0):

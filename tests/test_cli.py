@@ -13,7 +13,7 @@ from chronotax import (
     region_map,
     save_params,
 )
-from chronotax.cli import main
+from chronotax.cli import _build_parser, _merge_config, _resolve_system, main
 
 
 def read_csv(path):
@@ -122,6 +122,39 @@ def test_params_file_round_trip(tmp_path):
     data = read_csv(out)
     r = np.hypot(data["x"], data["y"])
     assert np.all(np.abs(r - 1.0) < 0.2)
+
+
+@pytest.mark.parametrize("given", [["--eps-gamma", "7"], ["--config"]])
+def test_given_value_equal_to_the_default_beats_the_params_file(tmp_path, given):
+    params = tmp_path / "params.json"
+    save_params(params, OscillatorParams(5.0, 1.0, 1.0), DriveSchedule.constant(1.7, 0.5))
+    if given == ["--config"]:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"eps_gamma": 7.0}))
+        given = ["--config", str(cfg)]
+    args = _build_parser().parse_args(["simulate", "--params", str(params), *given])
+    p, _ = _resolve_system(_merge_config("simulate", args))
+    assert p.eps_gamma == 7.0
+    args = _build_parser().parse_args(["simulate", "--params", str(params)])
+    p, _ = _resolve_system(_merge_config("simulate", args))
+    assert p.eps_gamma == 5.0
+
+
+@pytest.mark.parametrize("args", [["--noise", "nan"], ["--noise", "0.3", "--seed", "-1"],
+                                  ["--seed", "-1"]])
+def test_simulate_refuses_bad_noise(tmp_path, capsys, args):
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--t1", "1", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--eps-a-max", "--delta-omega-min"])
+def test_regionmap_refuses_non_finite_ranges(tmp_path, capsys, flag):
+    out = tmp_path / "rm.csv"
+    assert main(["regionmap", "--resolution", "3", flag, "nan", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_sweep_json(tmp_path):

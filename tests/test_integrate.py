@@ -125,6 +125,13 @@ def test_sde_seed_determinism():
     assert np.max(np.abs(a.states - c.states)) > 1e-3
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
+def test_noise_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(InvalidInputError):
+        NoiseSpec(0.3, seed)
+    assert NoiseSpec(0.3, np.int64(3)).seed == 3
+
+
 def test_sde_zero_noise_matches_euler_not_rk4():
     # sigma = 0 reduces to deterministic Euler: close to RK4 but not identical
     det = integrate_det(CartesianState(1.0, 0.0), 0.0, 1.0, 1e-3, P, D17)

@@ -7,17 +7,19 @@ b = eps_gamma*r_p - eps_a, stationary radii as positive roots of
     a^2 r^4 - 2ab r^3 + (b^2 + dw^2) r^2 - eps_a^2 r_p^2 = 0
 
 restricted to sin(psi) = dw*r/(eps_a*r_p) being admissible.  The library
-solves the same quartic, so the second oracle shares nothing with it: sign
-changes of the radial balance on both cosine branches over a dense radius
-grid, each refined with a bracketing root solver.
+roots the unsquared form of the same equation, so the second oracle shares
+nothing with either: sign changes of the radial balance on both cosine
+branches over a dense radius grid, each refined with a bracketing root
+solver.
 """
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
@@ -275,15 +277,46 @@ def test_fixed_points_match_quartic_oracle():
     eps_gamma=st.floats(1.0, 10.0),
     r_p=st.floats(0.5, 2.0),
 )
-def test_fixed_point_count_is_odd_away_from_folds(eps_a, delta_omega, eps_gamma, r_p):
+def test_fixed_point_count_is_odd_at_and_around_the_folds(eps_a, delta_omega, eps_gamma, r_p):
     # index theory: nodes and foci outnumber saddles by one when no point is
-    # degenerate, and every fixed point has r <= r_p < r_max
+    # degenerate, and every fixed point has r <= r_p < r_max; at a fold the
+    # double root is one point, so the count stays odd there too, and it is
+    # 3 just inside the band between the folds and 1 just outside
     p = OscillatorParams(eps_gamma, 1.0, r_p)
-    # within 1e-10 of a fold the two roots about to merge round to one;
-    # even counts were seen up to 6e-13 from one
-    folds = steady_state._folds(p, delta_omega) or ()
-    assume(all(abs(eps_a - e) > 1e-10 * e for e in folds))
-    assert len(find_fixed_points(FrozenParams(eps_a, delta_omega, p))) % 2 == 1
+
+    def count(pull):
+        return len(find_fixed_points(FrozenParams(pull, delta_omega, p)))
+
+    assert count(eps_a) % 2 == 1
+    folds = steady_state._folds(p, delta_omega)
+    if folds is None:
+        return
+    birth, death = folds
+    for pull, inward in ((birth, 1.0), (death, -1.0)):
+        assert count(pull) % 2 == 1, pull
+        # at delta_omega = 0 the birth is at zero pull, which _folds rounds
+        # to a subnormal, too coarse for steps of 1e-12
+        if pull >= sys.float_info.min:
+            assert count(pull * (1.0 + inward * 1e-12)) == 3, pull
+            assert count(pull * (1.0 - inward * 1e-12)) == 1, pull
+
+
+def test_detuning_whose_square_underflows_is_not_zero():
+    # delta_omega^2 underflows at both detunings, but the birth fold sits
+    # near |delta_omega|: above the pull there is one point, below it three
+    fp = FrozenParams(1e-300, 1e-170, P)
+    assert [q.kind for q in find_fixed_points(fp)] == [PointKind.UNSTABLE_NODE]
+    assert classify(fp) is ChronotaxicClass.NOT_CHRONOTAXIC
+    assert len(find_fixed_points(FrozenParams(1e-170, 1e-200, P))) == 3
+
+
+def test_root_within_one_float_of_zero_rate_keeps_its_point():
+    # at the least pull eps_a r_p rounds to eps_a, so the rate of the
+    # saddle near -r_p, about eps_a / 1.4, lies in (0, ulp(0)): bisection
+    # returns k = 0, which is taken as ulp(0) instead of dividing by
+    # q = hypot(0, 0)
+    fp = FrozenParams(5e-324, 0.0, OscillatorParams(7.0, 1.0, 1.4))
+    assert len(find_fixed_points(fp)) == 3
 
 
 def test_stationary_angle_identity():
@@ -772,6 +805,19 @@ def test_region_map_cells_equal_pointwise_classify(dw_lo, dw_span, ea_lo, ea_spa
         for j, ea in enumerate(rm.eps_as):
             cls = classify(FrozenParams(float(ea), float(dw), P))
             assert rm.codes[i, j] == CLASS_CODES[cls], (dw, ea)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_region_map_refuses_non_finite_ranges(monkeypatch, bad, slot):
+    def no_solve(fp):
+        raise AssertionError("solved a cell of a refused lattice")
+
+    monkeypatch.setattr(steady_state, "find_fixed_points", no_solve)
+    bounds = [0.0, 1.0, 0.0, 4.0]
+    bounds[slot] = bad
+    with pytest.raises(InvalidInputError):
+        region_map(tuple(bounds[:2]), tuple(bounds[2:]), 3, P)
 
 
 def test_region_map_counts_failed_cells(monkeypatch):
