@@ -8,7 +8,8 @@ classification), ``verify`` (chronotaxicity certificate), ``cwt``
 (regenerates the canonical data sets at desk scale).
 
 Every flag mirrors a config-file key one-to-one: ``--config file.json``
-supplies defaults, explicit flags win, unknown config keys are rejected.
+supplies defaults, explicit flags win, unknown config keys are rejected,
+and each config value is read with its flag's type and choices.
 A model field set by either beats a ``--params`` file.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -216,12 +217,53 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
             raise ConfigError(
                 f"unknown config keys for {command}: {sorted(unknown)}"
             )
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        flags = {a.dest: a for a in sub.choices[command]._actions}
+        file_values = {key: _config_value(flags[key], value)
+                       for key, value in file_values.items()}
     merged.update(file_values)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         merged[key] = value
     return merged
+
+
+def _config_value(flag: argparse.Action, value):
+    """A config-file value read as its flag would read it from the command line.
+
+    ``null`` leaves the key unset, a drive key may hold a ``{t, v}`` schedule
+    object, and a flag taking several values takes a list of them.
+    """
+    if value is None or (flag.dest in ("eps_a", "omega_p") and isinstance(value, dict)):
+        return value
+    if flag.nargs is None:
+        return _config_word(flag, value)
+    if not (isinstance(value, list) and len(value) == flag.nargs):
+        raise ConfigError(f"config key {flag.dest!r} needs a list of {flag.nargs} "
+                          f"values, got {value!r}")
+    return [_config_word(flag, v) for v in value]
+
+
+def _config_word(flag: argparse.Action, value):
+    """One config-file value converted with its flag's type and checked against
+    its choices.  A JSON number stands for a number only, and for an integer
+    flag only when it is whole."""
+    convert = flag.type or str
+    accepted = (str,) if convert is str else (str, int, float)
+    try:
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise TypeError(type(value).__name__)
+        if convert is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("not a whole number")
+        word = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {flag.dest!r}: cannot read {value!r} "
+                          f"as {convert.__name__}") from exc
+    if flag.choices is not None and word not in flag.choices:
+        raise ConfigError(f"config key {flag.dest!r} must be one of "
+                          f"{list(flag.choices)}, got {value!r}")
+    return word
 
 
 def _as_drive_value(value, name: str) -> Schedule:

@@ -326,7 +326,10 @@ class LabField:
     vectorised schedule evaluation, and step on Python floats with the
     arithmetic of :func:`chronotax.model.pulled_field` inlined.  The steps
     equal, bit for bit, those of the tests' per-call reference steppers with
-    the schedules evaluated at every stage.
+    the schedules evaluated at every stage.  The drive point comes from
+    numpy's float64 ``cos`` and ``sin``, which return libm's values, those of
+    ``math.cos`` and ``math.sin``, on the tested platforms;
+    ``test_tape_drive_point_is_libm_cos_and_sin`` checks it.
     """
 
     __slots__ = ("eps_gamma", "omega0", "r_p", "drive")
@@ -339,12 +342,14 @@ class LabField:
 
     def _tape(self, t: FloatArray):
         """``(eps_a, r_p cos alpha_p, r_p sin alpha_p)`` at instants ``t`` as float lists."""
-        a = np.asarray(self.drive.alpha_p(t), dtype=float).tolist()
+        # numpy's float64 cos and sin equal libm's on the tested platforms
+        # (test_tape_drive_point_is_libm_cos_and_sin)
+        a = np.asarray(self.drive.alpha_p(t), dtype=float)
         rp = self.r_p
         return (
             np.asarray(self.drive.eps_a(t), dtype=float).tolist(),
-            list(map(rp.__mul__, map(math.cos, a))),
-            list(map(rp.__mul__, map(math.sin, a))),
+            (rp * np.cos(a)).tolist(),
+            (rp * np.sin(a)).tolist(),
         )
 
     def rk4_tape(self, t: FloatArray, h: FloatArray):
@@ -365,17 +370,20 @@ def _rk4_steps(f: LabField, x: float, y: float, tape):
 
     Returns the new states as lists ``(xs, ys)``.  They stop short of the
     tape at the first state that leaves the guard radius or stops being
-    finite.
+    finite.  Each step's first-stage radius reuses the square that the
+    previous step's guard test computed.
     """
     eg = f.eps_gamma
     w0 = f.omega0
     rp = f.r_p
     sqrt = math.sqrt
+    blowup_sq = _BLOWUP_SQ
     xs = []
     ys = []
+    rr = x * x + y * y
     for h, e1, c1, s1, e2, c2, s2, e4, c4, s4 in zip(*tape):
         hh = 0.5 * h
-        r = sqrt(x * x + y * y)
+        r = sqrt(rr)
         g = eg * (rp - r)
         k1x = g * x - w0 * y - e1 * (x - c1)
         k1y = g * y + w0 * x - e1 * (y - s1)
@@ -397,9 +405,11 @@ def _rk4_steps(f: LabField, x: float, y: float, tape):
         g = eg * (rp - r)
         k4x = g * ax - w0 * ay - e4 * (ax - c4)
         k4y = g * ay + w0 * ax - e4 * (ay - s4)
-        x += (h / 6.0) * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y += (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if not (x * x + y * y <= _BLOWUP_SQ):  # NaN fails this test too
+        h6 = h / 6.0
+        x += h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y += h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        rr = x * x + y * y
+        if not (rr <= blowup_sq):  # NaN fails this test too
             break
         xs.append(x)
         ys.append(y)
@@ -413,14 +423,17 @@ def _em_steps(f: LabField, x: float, y: float, tape, kx, ky):
     w0 = f.omega0
     rp = f.r_p
     sqrt = math.sqrt
+    blowup_sq = _BLOWUP_SQ
     xs = []
     ys = []
+    rr = x * x + y * y
     for h, e, c, s, dx, dy in zip(*tape, kx, ky):
-        r = sqrt(x * x + y * y)
+        r = sqrt(rr)
         g = eg * (rp - r)
         x, y = (x + (h * (g * x - w0 * y - e * (x - c)) + dx),
                 y + (h * (g * y + w0 * x - e * (y - s)) + dy))
-        if not (x * x + y * y <= _BLOWUP_SQ):  # NaN fails this test too
+        rr = x * x + y * y
+        if not (rr <= blowup_sq):  # NaN fails this test too
             break
         xs.append(x)
         ys.append(y)

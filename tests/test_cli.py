@@ -64,6 +64,46 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, values, out_flag", [
+    ("simulate", {"t1": 1, "noise": "abc"}, "--out"),
+    ("simulate", {"t1": 1, "dt": "x"}, "--out"),
+    ("regionmap", {"resolution": "many"}, "--out"),
+    ("simulate", {"t1": 1, "seed": 2.5}, "--out"),
+    ("simulate", {"t1": True}, "--out"),
+    ("simulate", {"t1": 1, "frame": "polar"}, "--out"),
+    ("simulate", {"t1": 1, "eps_a": [1.0, 2.0]}, "--out"),
+    ("portrait", {"bounds": [-2.0], "resolution": 5}, "--outdir"),
+])
+def test_config_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, command,
+                                                          values, out_flag):
+    # read as the flag would read it: a configuration error, not a traceback
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), out_flag, str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: config key ")
+    assert not out.exists()
+
+
+def test_config_values_are_read_as_their_flags(tmp_path):
+    # numbers as strings and whole floats for integers, as on the command
+    # line; a drive key may hold a schedule object and bounds a pair
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"t1": "0.1", "dt": 0.01, "seed": 3.0, "noise": "0.2",
+                               "eps_a": {"t": [0.0, 1.0], "v": [1.0, 2.0]}}))
+    args = _build_parser().parse_args(["simulate", "--config", str(cfg)])
+    m = _merge_config("simulate", args)
+    assert (m["t1"], m["seed"], m["noise"]) == (0.1, 3, 0.2)
+    assert type(m["seed"]) is int
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_csv(out).size == 11
+    cfg.write_text(json.dumps({"bounds": [-2, 2], "resolution": 5.0, "format": "block"}))
+    args = _build_parser().parse_args(["portrait", "--config", str(cfg)])
+    m = _merge_config("portrait", args)
+    assert (m["bounds"], m["resolution"], m["format"]) == ([-2.0, 2.0], 5, "block")
+
+
 def test_simulate_requires_end_time():
     assert main(["simulate"]) == 2
 

@@ -41,6 +41,10 @@ P = OscillatorParams(7.0, 1.0, 1.0)
 D17 = DriveSchedule.constant(1.7, 0.5)
 D03 = DriveSchedule.constant(0.3, 0.5)
 FREE = DriveSchedule.constant(0.0, 0.5)
+#: from t = 3 this pull puts dt = 0.01 just outside RK4's stability region
+#: (and far outside Euler's), so runs blow up inside the second tape block
+BLOW_UP_DRIVE = DriveSchedule(Schedule.sampled([0.0, 3.0], [0.0, 290.0], "previous"),
+                              Schedule.constant(0.5))
 
 
 def test_time_grid_exact_endpoints():
@@ -306,6 +310,74 @@ def test_tape_matches_per_call_reference(d, grid, start, record, seed):
                                              np.random.Generator(np.random.Philox(seed))))
 
 
+#: (angle, step width) pairs that draws seldom hit: signed zeros, subnormals,
+#: the largest turn a noisy-readout record makes (about 250 rad) and ±1e6 rad
+EDGE_ANGLES = [(0.0, 0.0), (-0.0, 0.0), (5e-324, 0.0), (-5e-324, 1e-320),
+               (2.2250738585072009e-308, 0.0), (-1e-310, 5e-324), (250.0, 0.01),
+               (1e6, 0.5), (-1e6, 1e-3)]
+
+
+@settings(max_examples=60)
+@given(stages=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=40),
+       r_p=st.floats(0.1, 10.0))
+@example(stages=EDGE_ANGLES, r_p=1.0)
+@example(stages=EDGE_ANGLES, r_p=0.7)
+def test_tape_drive_point_is_libm_cos_and_sin(stages, r_p):
+    # the tape takes the drive point from numpy's float64 cos and sin; it must
+    # hold r_p * math.cos(alpha) and r_p * math.sin(alpha), as the per-call
+    # reference does, bit for bit.  With alpha0 = -0.0 and a unit drive
+    # frequency the drive angle is the stage time itself, signed zeros kept.
+    d = DriveSchedule(Schedule.constant(1.0), Schedule.constant(1.0), alpha0=-0.0)
+    lab = LabField(OscillatorParams(7.0, 1.0, r_p), d)
+    t = np.array([a for a, _ in stages])
+    h = np.array([w for _, w in stages])
+
+    def expected(angles):
+        return ([(r_p * math.cos(a)).hex() for a in angles],
+                [(r_p * math.sin(a)).hex() for a in angles])
+
+    def got(cos_entries, sin_entries):
+        return [c.hex() for c in cos_entries], [s.hex() for s in sin_entries]
+
+    tape = lab.rk4_tape(t, h)
+    for k, angles in enumerate([t, t + 0.5 * h, t + h]):
+        angles = [float(d.alpha_p(a)) for a in angles.tolist()]
+        assert got(tape[3 * k + 2], tape[3 * k + 3]) == expected(angles)
+    tape = lab.em_tape(t, h)
+    assert got(tape[2], tape[3]) == expected([float(d.alpha_p(a)) for a in t.tolist()])
+
+
+def raised_blow_up(run, *args, **kwargs):
+    """The :class:`BlowUpError` that ``run(*args, **kwargs)`` raises."""
+    with pytest.raises(BlowUpError) as err:
+        run(*args, **kwargs)
+    return err.value
+
+
+@pytest.mark.parametrize("start", [(1.0, 0.0), (0.0, 1.0), (-0.6, 0.8)])
+def test_mid_block_blow_up_matches_the_reference(start):
+    # the kernels' guard test, whose square is also the next step's radius,
+    # stops the run at the step the per-call reference stops at
+    lab = LabField(P, BLOW_UP_DRIVE)
+    ref = reference_field(P, BLOW_UP_DRIVE)
+    times = time_grid(0.0, 6.0, 0.01)
+    pairs = [(raised_blow_up(rk4_path, lab, *start, times, record=record),
+              raised_blow_up(rk4_reference, ref, *start, times, record=record))
+             for record in (False, True)]
+    pairs.append((raised_blow_up(em_path, lab, *start, times, 0.1,
+                                 np.random.Generator(np.random.Philox(3))),
+                  raised_blow_up(em_reference, ref, *start, times, 0.1,
+                                 np.random.Generator(np.random.Philox(3)))))
+    for got, want in pairs:
+        assert got.time == want.time
+        assert str(got) == str(want)
+        # the failing step lies inside a tape block, at neither of its ends
+        step = int(np.searchsorted(times, got.time)) - 1
+        assert times[step + 1] == got.time
+        assert 0 < step % TAPE_BLOCK < TAPE_BLOCK - 1
+
+
 @settings(max_examples=60)
 @given(d=drives(), t=st.floats(-6.0, 6.0),
        points=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
@@ -339,12 +411,9 @@ def test_shared_tape_equals_per_member_runs(d, grid, members, record):
 
 @pytest.mark.parametrize("record", [False, True])
 def test_shared_tape_raises_the_first_members_blow_up(record):
-    # from t = 3 the pull puts dt = 0.01 just outside RK4's stability region,
-    # so members blow up in the second block, each at a time set by its
-    # phase; the second member starts far enough out to blow up in the first
-    d = DriveSchedule(Schedule.sampled([0.0, 3.0], [0.0, 290.0], "previous"),
-                      Schedule.constant(0.5))
-    lab = LabField(P, d)
+    # members blow up in the second block, each at a time set by its phase;
+    # the second member starts far enough out to blow up in the first
+    lab = LabField(P, BLOW_UP_DRIVE)
     times = time_grid(0.0, 6.0, 0.01)
     xy = [(1.0, 0.0), (1e3, 0.0), (0.0, 1.0)]
     errors = []
@@ -453,7 +522,7 @@ def test_members_retire_once_they_meet(record):
         assert same_bits(got, rk4_path(lab, x0, y0, times, record=record))
 
 
-#: starts under the blow-up drive below, over [0, t1] at dt = 0.01: the first
+#: starts under BLOW_UP_DRIVE, over [0, t1] at dt = 0.01: the first
 #: and third leave the guard radius at t = 3.08 and 3.06 (in the second tape
 #: block), the second at t = 0.01 and the fourth is refused at t = 0
 BLOW_UP_STARTS = [(1.0, 0.0), (1e3, 0.0), (0.0, 1.0), (2e6, 0.0)]
@@ -469,9 +538,7 @@ def test_retirement_keeps_the_first_members_blow_up(picks, t1, record):
     # the ensemble raises what running the members one after another raises
     # first: the lowest-index member's error at its own time, whether or not
     # a twin of that member retired into it
-    d = DriveSchedule(Schedule.sampled([0.0, 3.0], [0.0, 290.0], "previous"),
-                      Schedule.constant(0.5))
-    lab = LabField(P, d)
+    lab = LabField(P, BLOW_UP_DRIVE)
     times = time_grid(0.0, t1, 0.01)
     xy = [BLOW_UP_STARTS[i] for i in picks]
     expected, first = [], None
