@@ -282,7 +282,17 @@ def _resolve_system(m: dict) -> tuple[OscillatorParams, DriveSchedule]:
     """
     seeded = dict(_MODEL_DEFAULTS)
     if m.get("params"):
-        p0, d0 = load_params(m["params"])
+        path = m["params"]
+        try:
+            p0, d0 = load_params(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read params {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"params {path} is not valid JSON: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            if isinstance(exc, ChronotaxError):
+                raise
+            raise ConfigError(f"bad parameters in {path}: {exc}") from exc
         seeded.update(eps_gamma=p0.eps_gamma, omega0=p0.omega0, r_p=p0.r_p,
                       eps_a=d0.eps_a, omega_p=d0.omega_p, alpha0=d0.alpha0)
     seeded.update((key, m[key]) for key in _MODEL_DEFAULTS if m.get(key) is not None)

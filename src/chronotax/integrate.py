@@ -160,20 +160,18 @@ def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool):
     own time.  See :func:`_rk4_members` for the shared tape and for how
     members that meet bit for bit retire.
     """
-    outcomes = _rk4_members(field, starts, times, len(starts) if record else 0)
+    outcomes = _rk4_members(field, starts, times, record)
     if isinstance(outcomes[-1], BlowUpError):
         raise outcomes[-1]
     return outcomes
 
 
-def _rk4_members(field: LabField, starts, times: FloatArray, recorded: int):
+def _rk4_members(field: LabField, starts, times: FloatArray, record: bool):
     """Outcomes of :func:`rk4_path` of ``field`` from each of ``starts`` over ``times``.
 
     Each block's drive tape is built once and serves every member, so
-    memory stays at one block.  The first ``recorded`` members return their
-    (n, 2) state arrays and the others their final ``(x, y)``, so a caller
-    that records only member 0 (the attractor track of
-    :func:`chronotax.verify.verify_schedule`) holds no other member's path.
+    memory stays at one block.  With ``record`` set the members return
+    their (n, 2) state arrays, otherwise their final ``(x, y)``.
 
     Before each block, a member whose state equals that of an earlier
     running member bit for bit retires: from there on the same arithmetic
@@ -196,11 +194,12 @@ def _rk4_members(field: LabField, starts, times: FloatArray, recorded: int):
             failed = len(states), exc
             break
     outs = []
-    for x, y in states[:recorded]:
-        out = np.empty((n, 2), dtype=float)
-        out[0, 0] = x
-        out[0, 1] = y
-        outs.append(out)
+    if record:
+        for x, y in states:
+            out = np.empty((n, 2), dtype=float)
+            out[0, 0] = x
+            out[0, 1] = y
+            outs.append(out)
     running = list(range(len(states)))
     leader = {}  # retired member -> (the earlier member it equals, grid index)
     for i0 in range(0, n - 1, TAPE_BLOCK):
@@ -226,7 +225,7 @@ def _rk4_members(field: LabField, starts, times: FloatArray, recorded: int):
                 del running[k:]
                 break
             states[j] = xs[-1], ys[-1]
-            if j < recorded:
+            if record:
                 outs[j][i0 + 1:i1 + 1, 0] = xs
                 outs[j][i0 + 1:i1 + 1, 1] = ys
     outcomes = []
@@ -234,9 +233,9 @@ def _rk4_members(field: LabField, starts, times: FloatArray, recorded: int):
         if j in leader:
             i, i0 = leader[j]
             states[j] = states[i]
-            if j < recorded:
+            if record:
                 outs[j][i0 + 1:] = outs[i][i0 + 1:]
-        outcomes.append(outs[j] if j < recorded else states[j])
+        outcomes.append(outs[j] if record else states[j])
     if failed is not None:
         outcomes.append(failed[1])
     return outcomes

@@ -164,6 +164,23 @@ def test_params_file_round_trip(tmp_path):
     assert np.all(np.abs(r - 1.0) < 0.2)
 
 
+@pytest.mark.parametrize("content", [
+    None,                        # no such file
+    '{"eps_gamma": ',            # not JSON
+    "[7.0, 1.0, 1.0]",           # JSON, but not an object
+    '{"eps_gamma": "seven", "omega0": 1, "r_p": 1, "eps_a": 1.7, "omega_p": 0.5}',
+])
+def test_unreadable_params_file_is_a_config_error(tmp_path, capsys, content):
+    # exit 2 with a message, as a missing or malformed --config does
+    params = tmp_path / "params.json"
+    if content is not None:
+        params.write_text(content)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--params", str(params), "--t1", "1", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("given", [["--eps-gamma", "7"], ["--config"]])
 def test_given_value_equal_to_the_default_beats_the_params_file(tmp_path, given):
     params = tmp_path / "params.json"

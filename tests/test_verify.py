@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chronotax import (
@@ -142,23 +142,50 @@ def test_forward_and_pullback_defects_vanish_when_contracting():
     assert pb < 1e-9
 
 
+def forward_starts(ensemble_size=8, seed=2026, start_radius=2.0):
+    """The forward ensemble's seeded starts in their annulus."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * math.pi, ensemble_size)
+    radii = rng.uniform(0.25 * start_radius, start_radius, ensemble_size)
+    return [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
+
+
+def spread(states):
+    """Largest pairwise distance between the states ``(x, y)``."""
+    states = np.array(states)
+    diff = states[:, None, :] - states[None, :, :]
+    return float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
+
+
 def per_member_forward_defect(p, d, t0, t1, dt, ensemble_size=8, seed=2026,
                               start_radius=2.0):
     """The forward defect with one ``rk4_path`` run, and so one set of drive
     tapes, per ensemble member: the reference the shared tape must match."""
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * math.pi, ensemble_size)
-    radii = rng.uniform(0.25 * start_radius, start_radius, ensemble_size)
     field = LabField(p, d)
     grid = time_grid(t0, t1, dt)
-    finals = np.array(
-        [
-            rk4_path(field, r * math.cos(a), r * math.sin(a), grid, record=False)
-            for a, r in zip(angles, radii)
-        ]
-    )
-    diff = finals[:, None, :] - finals[None, :, :]
-    return float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
+    return spread([rk4_path(field, x, y, grid, record=False)
+                   for x, y in forward_starts(ensemble_size, seed, start_radius)])
+
+
+def tube_forward_defect(track, radius, rate, p, d, tol=DEFAULT_FORWARD_TOL):
+    """The forward defect and the time it is bounded from, as ``verify_schedule``
+    takes them from a certified tube, with one ``rk4_path`` run per member
+    and tape block: at the first block end t_i before the track's end where
+    every member is strictly inside the tube and spread(t_i) *
+    exp(rate * (t1 - t_i)) <= tol, that bound; else the spread at t1."""
+    field = LabField(p, d)
+    times = track.times
+    last = times.size - 1
+    states = forward_starts()
+    for i0 in range(0, last, integrate.TAPE_BLOCK):
+        i1 = min(i0 + integrate.TAPE_BLOCK, last)
+        states = [rk4_path(field, x, y, times[i0:i1 + 1], record=False) for x, y in states]
+        if i1 < last:
+            off = np.array(states) - track.states[i1]
+            bound = spread(states) * math.exp(rate * (times[-1] - times[i1]))
+            if np.all(np.hypot(off[:, 0], off[:, 1]) < radius) and bound <= tol:
+                return bound, float(times[i1])
+    return spread(states), None
 
 
 @pytest.mark.parametrize("drive", [D17, PULL], ids=["constant", "sampled"])
@@ -184,26 +211,32 @@ def test_attraction_builds_one_tape_per_block(monkeypatch):
     assert sum(builds) == 15000 + 11250 + 15000  # every step on one tape
 
 
-#: the pull of the scheduled benchmark verification at seed 1: five knots over
-#: [0, 15], values uniform in [1.5, 6]
-BENCH_PULL = DriveSchedule(
-    Schedule.sampled(np.linspace(0.0, 15.0, 5),
-                     np.random.default_rng(1).uniform(1.5, 6.0, size=5)),
-    FREQ,
-)
+def bench_pull(seed):
+    """The pull of the scheduled benchmark verification at ``seed``: five knots
+    over [0, 15], values uniform in [1.5, 6]."""
+    return DriveSchedule(
+        Schedule.sampled(np.linspace(0.0, 15.0, 5),
+                         np.random.default_rng(seed).uniform(1.5, 6.0, size=5)),
+        FREQ,
+    )
 
 
-@pytest.mark.parametrize("drive, steps", [(BENCH_PULL, 155_490), (PULL, 169_314)],
-                         ids=["bench-seed-1", "pull"])
-def test_verification_work_counts(monkeypatch, drive, steps):
+@pytest.mark.parametrize("drive, steps, blocks", [
+    (bench_pull(1), 87_394, 3),
+    (bench_pull(7919), 91_490, 5),
+    (PULL, 116_066, 17),
+], ids=["bench-seed-1", "bench-seed-7919", "pull"])
+def test_verification_work_counts(monkeypatch, drive, steps, blocks):
     # RK4 steps as counted by the kernel, and drive tapes.  Separate runs
     # would take 201,250 steps: the track's 10,000 warm-up and 15,000
     # recorded steps, 8 x 15,000 for the forward ensemble, 11,250 + 15,000
     # for the pullback and 30,000 for the invariance re-run at dt/2.  The
-    # recorded stretch runs as member 0 of the ensemble, and the members
-    # retire once they equal it bit for bit, so they stop short of 8 x 15,000.
-    # Tapes: 40 (warm-up) + 59 (track and ensemble) + 44 + 59 (pullback)
-    # + 118 (invariance) = 320, where separate runs build 379
+    # forward members stop after the first `blocks` tape blocks, where all
+    # are inside the certified tube and its contraction bound meets the
+    # forward tolerance: 8 x 256 x blocks steps.
+    # Tapes: 40 (warm-up) + 59 (track) + blocks (ensemble) + 44 + 59
+    # (pullback) + 118 (invariance) = 320 + blocks, where separate runs
+    # build 379
     lengths = []
     real_steps = integrate._rk4_steps
 
@@ -222,10 +255,43 @@ def test_verification_work_counts(monkeypatch, drive, steps):
     monkeypatch.setattr(integrate, "_rk4_steps", counted_steps)
     monkeypatch.setattr(LabField, "rk4_tape", counted_tape)
     report = verify_schedule(drive, P, 0.0, 15.0)
-    assert report.chronotaxic and report.forward_defect == 0.0
+    assert report.chronotaxic
+    assert 0.0 < report.forward_defect <= report.thresholds["forward"]
+    assert report.forward_bound_from == pytest.approx(blocks * 256 * 1e-3)
     assert sum(lengths) == steps
-    assert len(builds) == 320
-    assert sum(builds) == 10_000 + 15_000 + 11_250 + 15_000 + 30_000
+    assert len(builds) == 320 + blocks
+    assert sum(builds) == 10_000 + 15_000 + blocks * 256 + 11_250 + 15_000 + 30_000
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(1.5, 6.0), min_size=5, max_size=5))
+@example(np.random.default_rng(1).uniform(1.5, 6.0, size=5).tolist())
+def test_forward_bound_holds_past_the_tube_entry(pulls):
+    # pull schedules of the scheduled benchmark verification
+    drive = DriveSchedule(Schedule.sampled(np.linspace(0.0, 15.0, 5), pulls), FREQ)
+    report = verify_schedule(drive, P, 0.0, 15.0)
+    assume(report.forward_bound_from is not None)
+    bound = report.forward_defect
+    # the measured spread at t1 stays under the bound
+    measured, _ = verify_attraction(P, drive, 0.0, 15.0, 1e-3)
+    assert measured <= bound
+    # and at every later block end the spread decays at least at the rate
+    # max_lambda_on_A from its value where the bound was taken
+    rate = report.max_lambda_on_A
+    times = time_grid(0.0, 15.0, 1e-3)
+    last = times.size - 1
+    states = forward_starts()
+    entry = None
+    for i0 in range(0, last, integrate.TAPE_BLOCK):
+        i1 = min(i0 + integrate.TAPE_BLOCK, last)
+        states = integrate._rk4_ensemble(LabField(P, drive), states, times[i0:i1 + 1], False)
+        t = float(times[i1])
+        if t == report.forward_bound_from:
+            entry = spread(states)
+            assert entry * math.exp(rate * (15.0 - t)) == bound
+        elif entry is not None:
+            assert spread(states) <= entry * math.exp(rate * (t - report.forward_bound_from))
+    assert entry is not None
 
 
 def test_forward_defect_survives_without_drive():
@@ -415,10 +481,13 @@ def test_verify_schedule_equals_staged_report(drive):
         track = attractor_track(drive, P, t0, t1, dt, 0.5, beta)
         radius = select_trapping_radius(track, P, drive, beta=beta)
         max_lam, max_flux = verify_trapping(TrappingCandidate(track, radius, 720), P, drive)
-        forward, pb = verify_attraction(P, drive, t0, t1, dt)
+        forward, bound_from = tube_forward_defect(track, radius, max_lam, P, drive)
+        assert bound_from is not None
+        _, pb = verify_attraction(P, drive, t0, t1, dt)
         expected = VerificationReport(
             chronotaxic=True, radius=radius, max_lambda_on_A=max_lam,
-            max_inward_defect=max_flux, forward_defect=forward, pullback_defect=pb,
+            max_inward_defect=max_flux, forward_defect=forward,
+            forward_bound_from=bound_from, pullback_defect=pb,
             invariance_defect=verify_invariance(track, P, drive), **staged,
         )
     assert verify_schedule(drive, P, t0, t1, dt, 0.5, beta).to_dict() == expected.to_dict()
@@ -467,9 +536,9 @@ def staged_failures(drive, t0, t1, dt, ensemble_size):
     (0.4, 1),    # ... behind a failing track, where it is never reported
 ])
 def test_failures_equal_the_separate_stages(dt, ensemble_size):
-    # the track runs inside the forward ensemble, yet a member's blow-up
-    # costs neither the track nor the stages after it, and the failures keep
-    # their order: tracking, trapping, attraction, invariance
+    # a member's blow-up costs neither the track nor the stages after it,
+    # and the failures keep their order: tracking, trapping, attraction,
+    # invariance
     report = verify_schedule(PULL, P, 0.0, 15.0, dt, ensemble_size=ensemble_size).to_dict()
     expected = staged_failures(PULL, 0.0, 15.0, dt, ensemble_size)
     assert report["failures"]
