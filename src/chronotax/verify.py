@@ -19,8 +19,18 @@ The certificate assembles four sampling-based checks over a time window:
    ``sample_interval`` instants only and is centred on the numerical
    track.  Without a certified tube the defect is measured at the
    window's end,
-4. the track is invariant: re-integrating from its first sample at half the
-   step stays on it.
+4. the track is invariant: it lies near the exact solution through its
+   first sample.  Where the tube of item 2 certifies, the invariance defect
+   is a bound on that distance.  The track's cubic Hermite interpolant p
+   (the field at the samples as slopes) has residual r = p' - f(p, t), and
+   inside the tube the distance e from p to the solution obeys
+   e' <= max_lambda_on_A * e + |r| (Lohmiller & Slotine 1998; Söderlind,
+   "The logarithmic norm", BIT 46, 2006).  So e is at most the residual
+   weighted by the contraction, step by step, and at most about
+   ``max|r| / |max_lambda_on_A|``.  r is sampled at three points per step,
+   and the bound inherits the tube's caveats of item 3.  Without a
+   certified tube the defect is measured against a re-integration from the
+   first sample at half the step.
 
 Verdicts are sampling-based in time, not proofs; the report carries every
 margin so callers can tighten the sampling.
@@ -48,7 +58,7 @@ from .integrate import (
     rk4_path,
     time_grid,
 )
-from .model import CartesianState, DriveSchedule, OscillatorParams, field_lab_array
+from .model import CartesianState, DriveSchedule, OscillatorParams, pulled_field
 from .steady_state import _scan, _track_start
 
 #: geometric radius ladder for the auto-selected trapping disk
@@ -61,6 +71,15 @@ DEFAULT_INVARIANCE_TOL = 1e-4
 DEFAULT_START_RADIUS = 2.0
 
 MIN_BOUNDARY_SAMPLES = 64
+
+#: sample instants per chunk of the boundary-flux arrays
+_FLUX_CHUNK = 16
+#: steps per chunk of the invariance bound's residual arrays
+_RESIDUAL_CHUNK = 1024
+#: where the residual of the Hermite interpolant is sampled in each step, as
+#: fractions of the step: its slope error peaks at the outer two points (the
+#: Gauss-Legendre points) and its value error at the midpoint
+_RESIDUAL_THETAS = (0.5 - math.sqrt(3.0) / 6.0, 0.5, 0.5 + math.sqrt(3.0) / 6.0)
 
 
 @dataclass(frozen=True)
@@ -159,22 +178,31 @@ def verify_trapping(c: TrappingCandidate, p: OscillatorParams, d: DriveSchedule,
         )
     indices = _sample_indices(n, track.dt, sample_interval)
     theta = np.linspace(0.0, 2.0 * math.pi, c.boundary_samples, endpoint=False)
-    normal = np.column_stack([np.cos(theta), np.sin(theta)])
+    nx = np.cos(theta)
+    ny = np.sin(theta)
+    rx = c.radius * nx
+    ry = c.radius * ny
     two_dt = 2.0 * track.dt
 
+    # a few instants at a time, each a row against the boundary's columns;
+    # numpy's float64 cos and sin of the drive point equal libm's, those of
+    # the per-instant field (test_tape_drive_point_is_libm_cos_and_sin)
     max_flux = -math.inf
-    for i in indices:
-        t = float(track.times[i])
-        cx, cy = track.states[i]
-        vcx = (track.states[i + 1, 0] - track.states[i - 1, 0]) / two_dt
-        vcy = (track.states[i + 1, 1] - track.states[i - 1, 1]) / two_dt
-        bx = cx + c.radius * normal[:, 0]
-        by = cy + c.radius * normal[:, 1]
-        gx, gy = field_lab_array(bx, by, t, p, d)
-        flux = np.max((gx - vcx) * normal[:, 0] + (gy - vcy) * normal[:, 1])
-        if flux > max_flux:
-            max_flux = float(flux)
-    return _tube_max_lambda(track, p, d, c.radius, indices), float(max_flux)
+    for k0 in range(0, len(indices), _FLUX_CHUNK):
+        i = np.array(indices[k0:k0 + _FLUX_CHUNK])
+        t = track.times[i]
+        ea = d.eps_a(t)
+        dx, dy = d.drive_point(t, p.r_p)
+        cx = track.states[i, 0][:, None]
+        cy = track.states[i, 1][:, None]
+        vcx = ((track.states[i + 1, 0] - track.states[i - 1, 0]) / two_dt)[:, None]
+        vcy = ((track.states[i + 1, 1] - track.states[i - 1, 1]) / two_dt)[:, None]
+        bx = cx + rx
+        by = cy + ry
+        gx, gy = pulled_field(bx, by, np.sqrt(bx * bx + by * by), p.eps_gamma, p.omega0,
+                              p.r_p, ea[:, None], dx[:, None], dy[:, None])
+        max_flux = max(max_flux, float(np.max((gx - vcx) * nx + (gy - vcy) * ny)))
+    return _tube_max_lambda(track, p, d, c.radius, indices), max_flux
 
 
 def _tube_max_lambda(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
@@ -299,10 +327,13 @@ def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
 
     The re-integration runs at ``dt/refine`` so it is an independent solve
     (the same step size would retrace the identical arithmetic); the defect
-    is the largest state distance at the track's own sample times.  An
-    invariant track keeps this at integrator-error level; a track offset
-    from the true attractor shows its offset here undiminished.  ``refine``
-    must be an integer of at least 2.
+    is the largest state distance at the track's own sample times.  A track
+    that is a solution keeps this at integrator-error level; one that is
+    not, such as a bent one, shows its departure here.  A track offset from
+    the true attractor from its first sample on is re-integrated from that
+    offset start and follows it, so this check does not see the offset;
+    catching it is the pullback check's job.  ``refine`` must be an integer
+    of at least 2.
     """
     if not (isinstance(refine, numbers.Integral) and refine >= 2):
         raise InvalidInputError(f"refine must be an integer >= 2, got {refine!r}")
@@ -326,6 +357,68 @@ def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
         raise InvalidInputError("refined grid failed to align with the track")
     d_states = states[pos] - track.states
     return float(np.max(np.hypot(d_states[:, 0], d_states[:, 1])))
+
+
+def _invariance_bound(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
+                      rate: float) -> float:
+    """Bound on the distance from ``track`` to the exact solution through its
+    first sample, inside a tube where the leading symmetric eigenvalue is at
+    most ``rate`` < 0.
+
+    On each step the track's cubic Hermite interpolant p has the samples as
+    nodes and the lab field there as slopes.  Its residual r = p' - f(p, t)
+    is sampled at :data:`_RESIDUAL_THETAS` of every step; rho_i is the
+    largest of the three.  Inside the tube the distance e(t) from p to the
+    solution obeys e' <= rate * e + |r| (Lohmiller & Slotine, Automatica 34,
+    1998; Söderlind, "The logarithmic norm", BIT 46, 2006), so from e = 0 at
+    the first sample, ``e_{i+1} <= exp(rate * h_i) * e_i + h_i * rho_i`` and
+    e <= ``e_i + h_i * rho_i`` within step i; the bound is the largest of
+    these.  With rho_i at most rho throughout it is at most about rho /
+    |rate|, and a residual confined to a few steps, as at a drive-schedule
+    knot between samples, costs only those steps' h_i * rho_i.  The
+    estimate needs the solution inside the tube, so it holds while it is
+    below the tube's radius.  The residual arrays span
+    :data:`_RESIDUAL_CHUNK` steps at a time.
+    """
+    times = track.times
+    xs = track.states[:, 0]
+    ys = track.states[:, 1]
+    last = times.size - 1
+    e = worst = 0.0
+    for i0 in range(0, last, _RESIDUAL_CHUNK):
+        i1 = min(i0 + _RESIDUAL_CHUNK, last)
+        t = times[i0:i1 + 1]
+        x = xs[i0:i1 + 1]
+        y = ys[i0:i1 + 1]
+        fx, fy = pulled_field(x, y, np.sqrt(x * x + y * y), p.eps_gamma, p.omega0,
+                              p.r_p, d.eps_a(t), *d.drive_point(t, p.r_p))
+        fx0, fy0, fx1, fy1 = fx[:-1], fy[:-1], fx[1:], fy[1:]
+        h = t[1:] - t[:-1]
+        ex = x[1:] - x[:-1]
+        ey = y[1:] - y[:-1]
+        t, x, y = t[:-1], x[:-1], y[:-1]
+        rho = np.zeros(h.size)
+        for th in _RESIDUAL_THETAS:
+            # Hermite basis: value weights of the far node and of the two
+            # slopes, and their derivatives in theta
+            w = th * th * (3.0 - 2.0 * th)
+            a0 = th * (1.0 - th) * (1.0 - th)
+            a1 = th * th * (th - 1.0)
+            dw = 6.0 * th * (1.0 - th)
+            da0 = (1.0 - th) * (1.0 - 3.0 * th)
+            da1 = th * (3.0 * th - 2.0)
+            px = x + w * ex + h * (a0 * fx0 + a1 * fx1)
+            py = y + w * ey + h * (a0 * fy0 + a1 * fy1)
+            tm = t + th * h
+            gx, gy = pulled_field(px, py, np.sqrt(px * px + py * py), p.eps_gamma,
+                                  p.omega0, p.r_p, d.eps_a(tm), *d.drive_point(tm, p.r_p))
+            rx = dw * ex / h + da0 * fx0 + da1 * fx1 - gx
+            ry = dw * ey / h + da0 * fy0 + da1 * fy1 - gy
+            rho = np.maximum(rho, np.sqrt(rx * rx + ry * ry))
+        for hi, si in zip(h.tolist(), (h * rho).tolist()):
+            worst = max(worst, e + si)
+            e = math.exp(rate * hi) * e + si
+    return worst
 
 
 def _offending(scan) -> list[tuple[float, float]]:
@@ -374,10 +467,21 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     ``forward_bound_from``.  It holds as far as the tube does, which is
     certified at ``sample_interval`` instants around the numerical track.
     Otherwise the ensemble runs to ``t1``, its spread there is
-    ``forward_defect`` and ``forward_bound_from`` is ``None``.  On the
-    benchmark's scheduled drives the members are inside the tube by
-    t ≈ 0.8–1.3 of 15, and a verification takes about 87k–91k RK4 steps
-    where a measured one takes 155k–166k.
+    ``forward_defect`` and ``forward_bound_from`` is ``None``.
+    The same certified tube bounds ``invariance_defect``, the distance from
+    the track to the exact solution through its first sample: the residual
+    r = p' - f(p, t) of the track's cubic Hermite interpolant p, sampled at
+    the two Gauss-Legendre points and the midpoint of every step, weighted
+    by the contraction (``e' <= max_lambda_on_A * e + |r|``; Söderlind,
+    "The logarithmic norm", BIT 46, 2006).  It is at most about
+    ``max|r| / |max_lambda_on_A|``.  It has two sampling caveats: the
+    tube is certified at ``sample_interval`` instants only, and r is
+    sampled at three points per step.  Without a certified tube the track
+    is re-integrated at ``dt/2`` (:func:`verify_invariance`), as before.
+    On the benchmark's scheduled drives the members are inside the tube by
+    t ≈ 0.8–1.3 of 15, and a verification takes about 57k–61k RK4 steps,
+    where measuring the forward defect and re-running the track takes
+    155k–166k.
     Stage failures are recorded in the report, never raised; a member's
     blow-up fails the attraction check and leaves the track standing.
     Bad input is refused before any work: the window must be finite with
@@ -446,7 +550,10 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
         except ChronotaxError as exc:
             failures.append(f"attraction check failed: {exc}")
         try:
-            invariance = verify_invariance(track, p, d)
+            if tube_ok:
+                invariance = _invariance_bound(track, p, d, max_lam)
+            else:
+                invariance = verify_invariance(track, p, d)
         except ChronotaxError as exc:
             failures.append(f"invariance check failed: {exc}")
 

@@ -31,11 +31,13 @@ from chronotax import (
 )
 from chronotax import integrate
 from chronotax.integrate import LabField, Trajectory, rk4_path, time_grid
+from chronotax.model import field_lab, field_lab_array
 from chronotax.verify import (
     DEFAULT_FORWARD_TOL,
     DEFAULT_INVARIANCE_TOL,
     DEFAULT_PULLBACK_TOL,
     DEFAULT_RADIUS_LADDER,
+    _invariance_bound,
     _sample_indices,
 )
 
@@ -125,6 +127,35 @@ def test_trapping_eigenvalue_is_the_disk_supremum(eps_a, radius, cx, cy, amp, om
     else:
         # the samples hold each disk's point nearest the origin
         assert lam - dense <= 1e-6
+
+
+def per_instant_boundary_flux(c, p, d, sample_interval=0.1):
+    """The largest outward boundary flux of ``verify_trapping``, one sample
+    instant at a time: the reference its chunked arrays must equal."""
+    track = c.track
+    theta = np.linspace(0.0, 2.0 * math.pi, c.boundary_samples, endpoint=False)
+    normal = np.column_stack([np.cos(theta), np.sin(theta)])
+    max_flux = -math.inf
+    for i in _sample_indices(track.times.size, track.dt, sample_interval):
+        vcx = (track.states[i + 1, 0] - track.states[i - 1, 0]) / (2.0 * track.dt)
+        vcy = (track.states[i + 1, 1] - track.states[i - 1, 1]) / (2.0 * track.dt)
+        bx = track.states[i, 0] + c.radius * normal[:, 0]
+        by = track.states[i, 1] + c.radius * normal[:, 1]
+        gx, gy = field_lab_array(bx, by, float(track.times[i]), p, d)
+        max_flux = max(max_flux,
+                       float(np.max((gx - vcx) * normal[:, 0] + (gy - vcy) * normal[:, 1])))
+    return max_flux
+
+
+@pytest.mark.parametrize("drive, radius, samples", [
+    (D17, 0.16, 720), (D17, 1.5, 64), (PULL, 0.32, 720), (PULL, 0.02, 100),
+])
+def test_boundary_flux_equals_per_instant_reference(drive, radius, samples):
+    # 151 sample instants over [0, 15]: nine full chunks and a partial one
+    track = attractor_track(drive, P, 0.0, 15.0, 1e-3)
+    cand = TrappingCandidate(track, radius, samples)
+    _, max_flux = verify_trapping(cand, P, drive)
+    assert max_flux == per_instant_boundary_flux(cand, P, drive)
 
 
 def test_radius_ladder_picks_largest_certified_rung():
@@ -222,9 +253,9 @@ def bench_pull(seed):
 
 
 @pytest.mark.parametrize("drive, steps, blocks", [
-    (bench_pull(1), 87_394, 3),
-    (bench_pull(7919), 91_490, 5),
-    (PULL, 116_066, 17),
+    (bench_pull(1), 57_394, 3),
+    (bench_pull(7919), 61_490, 5),
+    (PULL, 86_066, 17),
 ], ids=["bench-seed-1", "bench-seed-7919", "pull"])
 def test_verification_work_counts(monkeypatch, drive, steps, blocks):
     # RK4 steps as counted by the kernel, and drive tapes.  Separate runs
@@ -233,10 +264,10 @@ def test_verification_work_counts(monkeypatch, drive, steps, blocks):
     # for the pullback and 30,000 for the invariance re-run at dt/2.  The
     # forward members stop after the first `blocks` tape blocks, where all
     # are inside the certified tube and its contraction bound meets the
-    # forward tolerance: 8 x 256 x blocks steps.
+    # forward tolerance: 8 x 256 x blocks steps.  The certified tube also
+    # bounds the invariance defect, so the re-run at dt/2 does not run.
     # Tapes: 40 (warm-up) + 59 (track) + blocks (ensemble) + 44 + 59
-    # (pullback) + 118 (invariance) = 320 + blocks, where separate runs
-    # build 379
+    # (pullback) = 202 + blocks, where separate runs build 379
     lengths = []
     real_steps = integrate._rk4_steps
 
@@ -259,8 +290,8 @@ def test_verification_work_counts(monkeypatch, drive, steps, blocks):
     assert 0.0 < report.forward_defect <= report.thresholds["forward"]
     assert report.forward_bound_from == pytest.approx(blocks * 256 * 1e-3)
     assert sum(lengths) == steps
-    assert len(builds) == 320 + blocks
-    assert sum(builds) == 10_000 + 15_000 + blocks * 256 + 11_250 + 15_000 + 30_000
+    assert len(builds) == 202 + blocks
+    assert sum(builds) == 10_000 + 15_000 + blocks * 256 + 11_250 + 15_000
 
 
 @settings(max_examples=10, deadline=None)
@@ -309,6 +340,95 @@ def test_invariance_defect_detects_tampering():
     bent[len(bent) // 2:, 0] += 0.01
     fake = Trajectory(track.t0, track.dt, track.times, bent, "lab")
     assert verify_invariance(fake, P, D17) > 5e-3
+
+
+def reference_invariance_bound(track, p, d, rate):
+    """The invariance bound of a certified tube, step by step with the scalar
+    field: the residual r = p' - f(p, t) of the track's cubic Hermite
+    interpolant at the Gauss-Legendre points and the midpoint of each step,
+    rho_i the largest, and the bound the largest e_i + h_i rho_i for
+    e_0 = 0, e_{i+1} = exp(rate h_i) e_i + h_i rho_i."""
+    def f(x, y, t):
+        return field_lab(CartesianState(x, y), t, p, d)
+
+    times = track.times.tolist()
+    xs = track.states[:, 0].tolist()
+    ys = track.states[:, 1].tolist()
+    thetas = (0.5 - math.sqrt(3.0) / 6.0, 0.5, 0.5 + math.sqrt(3.0) / 6.0)
+    e = worst = 0.0
+    for i in range(len(times) - 1):
+        t, x, y = times[i], xs[i], ys[i]
+        h = times[i + 1] - t
+        ex = xs[i + 1] - x
+        ey = ys[i + 1] - y
+        fx0, fy0 = f(x, y, t)
+        fx1, fy1 = f(xs[i + 1], ys[i + 1], times[i + 1])
+        rho = 0.0
+        for th in thetas:
+            # Hermite basis h01, h10, h11 and their derivatives
+            w = th * th * (3.0 - 2.0 * th)
+            a0 = th * (1.0 - th) * (1.0 - th)
+            a1 = th * th * (th - 1.0)
+            dw = 6.0 * th * (1.0 - th)
+            da0 = (1.0 - th) * (1.0 - 3.0 * th)
+            da1 = th * (3.0 * th - 2.0)
+            gx, gy = f(x + w * ex + h * (a0 * fx0 + a1 * fx1),
+                       y + w * ey + h * (a0 * fy0 + a1 * fy1), t + th * h)
+            rx = dw * ex / h + da0 * fx0 + da1 * fx1 - gx
+            ry = dw * ey / h + da0 * fy0 + da1 * fy1 - gy
+            rho = max(rho, math.sqrt(rx * rx + ry * ry))
+        worst = max(worst, e + h * rho)
+        e = math.exp(rate * h) * e + h * rho
+    return worst
+
+
+def tube_rate(track, drive):
+    """The certified tube's eigenvalue bound around ``track``, as ``verify_schedule``
+    takes it."""
+    radius = select_trapping_radius(track, P, drive)
+    max_lam, max_flux = verify_trapping(TrappingCandidate(track, radius), P, drive)
+    assert max_lam < 0.0 and max_flux < 0.0
+    return max_lam
+
+
+def test_invariance_bound_equals_the_scalar_reference():
+    # 5,000 steps: the bound's residual arrays run in chunks of 1,024
+    track = track17()
+    rate = tube_rate(track, D17)
+    bound = _invariance_bound(track, P, D17, rate)
+    assert bound == reference_invariance_bound(track, P, D17, rate)
+    assert 0.0 < bound < 1e-9
+
+
+def test_invariance_bound_detects_tampering():
+    # the bent track of test_invariance_defect_detects_tampering, and the
+    # clean track moved by 0.01 throughout, its first sample included; the
+    # re-run at dt/2 starts from that moved sample, so the bound is what
+    # tells it from a solution
+    track = track17()
+    rate = tube_rate(track, D17)
+    bent = track.states.copy()
+    bent[len(bent) // 2:, 0] += 0.01
+    moved = track.states + 0.01
+    for states in (bent, moved):
+        fake = Trajectory(track.t0, track.dt, track.times, states, "lab")
+        assert _invariance_bound(fake, P, D17, rate) > 5e-3
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(1.5, 6.0), min_size=5, max_size=5))
+@example(np.random.default_rng(1).uniform(1.5, 6.0, size=5).tolist())
+def test_invariance_bound_holds_over_the_re_runs(pulls):
+    # pull schedules of the scheduled benchmark verification; wherever the
+    # tube certifies, the reported defect bounds the distance to the exact
+    # solution, for which the re-run at dt/8 stands in
+    drive = DriveSchedule(Schedule.sampled(np.linspace(0.0, 15.0, 5), pulls), FREQ)
+    report = verify_schedule(drive, P, 0.0, 15.0)
+    assume(report.radius is not None and report.max_lambda_on_A < 0.0
+           and report.max_inward_defect < 0.0)
+    track = attractor_track(drive, P, 0.0, 15.0, 1e-3)
+    assert verify_invariance(track, P, drive, refine=8) <= report.invariance_defect
+    assert verify_invariance(track, P, drive) <= report.invariance_defect
 
 
 @pytest.mark.parametrize("refine", [0, 1, -2, 2.0, True])
@@ -488,14 +608,16 @@ def test_verify_schedule_equals_staged_report(drive):
             chronotaxic=True, radius=radius, max_lambda_on_A=max_lam,
             max_inward_defect=max_flux, forward_defect=forward,
             forward_bound_from=bound_from, pullback_defect=pb,
-            invariance_defect=verify_invariance(track, P, drive), **staged,
+            invariance_defect=reference_invariance_bound(track, P, drive, max_lam),
+            **staged,
         )
     assert verify_schedule(drive, P, t0, t1, dt, 0.5, beta).to_dict() == expected.to_dict()
 
 
 def staged_failures(drive, t0, t1, dt, ensemble_size):
     """Report fields of the certificate's stages run one after another, each
-    failure recorded as ``verify_schedule`` records it."""
+    failure recorded as ``verify_schedule`` records it; where the tube
+    certifies, the invariance defect is the reference bound."""
     failures = []
     out = dict(radius=None, max_lambda_on_A=None, max_inward_defect=None,
                forward_defect=None, pullback_defect=None, invariance_defect=None)
@@ -520,8 +642,14 @@ def staged_failures(drive, t0, t1, dt, ensemble_size):
             P, drive, t0, t1, dt, ensemble_size)
     except ChronotaxError as exc:
         failures.append(f"attraction check failed: {exc}")
+    tube_ok = (out["radius"] is not None and out["max_lambda_on_A"] is not None
+               and out["max_lambda_on_A"] < 0.0 and out["max_inward_defect"] < 0.0)
     try:
-        out["invariance_defect"] = verify_invariance(track, P, drive)
+        if tube_ok:
+            out["invariance_defect"] = reference_invariance_bound(
+                track, P, drive, out["max_lambda_on_A"])
+        else:
+            out["invariance_defect"] = verify_invariance(track, P, drive)
     except ChronotaxError as exc:
         failures.append(f"invariance check failed: {exc}")
     return dict(out, failures=failures)
