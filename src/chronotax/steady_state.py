@@ -799,11 +799,14 @@ def _scan(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             for t in _check_times(d, t0, t1, interval).tolist()]
 
 
-def _track_start(d: DriveSchedule, p: OscillatorParams, t0: float, dt: float,
-                 scan, max_window: float = 500.0) -> tuple[float, float]:
-    """State at ``t0`` of the attractor track, from a scan whose every instant
-    is chronotaxic: the frozen attractor a pullback window before ``t0``, run
-    forward to ``t0``."""
+def _track_start(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: float,
+                 scan, max_window: float = 500.0) -> Trajectory:
+    """Warm-up of the attractor track over ``[t0, t1]``, from a scan whose every
+    instant is chronotaxic: the frozen attractor a pullback window before
+    ``t0``, run forward to ``t0`` on ``time_grid(t0 - window, t0, dt)``.  The
+    run is recorded from its first node at or after ``t0 - (t1 - t0)``, so it
+    holds at most as many samples as the track; its last sample is the
+    track's start."""
     slowest = min(-attractor.lambda_max_sym for _, _, attractor in scan)
     window = min(max(10.0 / slowest, 10.0), max_window)
 
@@ -813,7 +816,14 @@ def _track_start(d: DriveSchedule, p: OscillatorParams, t0: float, dt: float,
     a = float(d.alpha_p(t0 - window))
     x0 = u * math.cos(a) - v * math.sin(a)
     y0 = u * math.sin(a) + v * math.cos(a)
-    return rk4_path(LabField(p, d), x0, y0, time_grid(t0 - window, t0, dt), record=False)
+    field = LabField(p, d)
+    times = time_grid(t0 - window, t0, dt)
+    i = int(np.searchsorted(times, t0 - (t1 - t0)))
+    if i > 0:
+        x0, y0 = rk4_path(field, x0, y0, times[:i + 1], record=False)
+    times = times[i:]
+    return Trajectory(float(times[0]), dt, times,
+                      rk4_path(field, x0, y0, times, record=True), frame="lab")
 
 
 def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
@@ -834,7 +844,7 @@ def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             raise NotChronotaxicError(
                 f"parameters at t={t:g} classify as {cls.value}", time=t
             )
-    x, y = _track_start(d, p, t0, dt, scan, max_window)
+    x, y = _track_start(d, p, t0, t1, dt, scan, max_window).states[-1].tolist()
     times = time_grid(t0, t1, dt)
     return Trajectory(t0, dt, times, rk4_path(LabField(p, d), x, y, times, record=True),
                       frame="lab")

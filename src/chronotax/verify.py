@@ -15,10 +15,16 @@ The certificate assembles four sampling-based checks over a time window:
    falls at least as ``exp(max_lambda_on_A * t)`` (Lohmiller & Slotine,
    Automatica 34, 1998), so the ensemble stops once every member is inside
    and that decay carries its spread below ``forward_tol`` by the window's
-   end.  The bound inherits the tube's caveats: the tube is certified at
-   ``sample_interval`` instants only and is centred on the numerical
-   track.  Without a certified tube the defect is measured at the
-   window's end,
+   end.  The pullback defect is the same bound on a second tube, certified
+   the same way around the track's warm-up run (the stretch before the
+   window that brings the track onto the attractor): the two pullback runs
+   join the warm-up's grid and stop once both are inside that tube and the
+   decay to the window's start carries their gap below ``pullback_tol``
+   (Kloeden & Rasmussen, *Nonautonomous Dynamical Systems*, AMS 2011).
+   Both bounds inherit the tubes' caveats: a tube is certified at
+   ``sample_interval`` instants only and is centred on a numerical run.
+   Without a certified tube, or where no block end meets the tolerance, a
+   defect is measured at the end of its run,
 4. the track is invariant: it lies near the exact solution through its
    first sample.  Where the tube of item 2 certifies, the invariance defect
    is a bound on that distance.  The track's cubic Hermite interpolant p
@@ -115,6 +121,9 @@ class VerificationReport:
     forward_defect: float | None = None
     forward_bound_from: float | None = None
     pullback_defect: float | None = None
+    #: where the warm-up's tube bounds ``pullback_defect``, the time from which
+    #: (before ``window[0]``); ``None`` where it is measured
+    pullback_bound_from: float | None = None
     invariance_defect: float | None = None
     thresholds: dict[str, float] = dataclass_field(default_factory=dict)
     failures: list[str] = dataclass_field(default_factory=list)
@@ -133,6 +142,7 @@ class VerificationReport:
             "forward_defect": self.forward_defect,
             "forward_bound_from": self.forward_bound_from,
             "pullback_defect": self.pullback_defect,
+            "pullback_bound_from": self.pullback_bound_from,
             "invariance_defect": self.invariance_defect,
             "thresholds": dict(self.thresholds),
             "failures": list(self.failures),
@@ -276,19 +286,19 @@ def _spread(finals) -> float:
     return float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
 
 
-def _forward_defect(field: LabField, starts, track: Trajectory, radius: float | None,
-                    rate: float, tol: float) -> tuple[float, float | None]:
-    """Forward defect of the ensemble ``starts`` on the grid of ``track``, and
-    the time from which it is a bound (``None`` when it is measured).
+def _tube_defect(field: LabField, starts, track: Trajectory, radius: float | None,
+                 rate: float, tol: float) -> tuple[float, float | None]:
+    """Spread at the end of ``track`` of the members ``starts`` run on its grid,
+    and the time from which it is a bound (``None`` when it is measured).
 
-    The members run one tape block at a time.  Given a certified tube
-    (``radius`` not ``None``, leading symmetric eigenvalue at most ``rate``
-    < 0 in it, inward boundary flux), the run stops at the first block end
-    ``t_i`` before ``t1`` where every member lies strictly inside the disk
-    of ``radius`` around the track and ``spread(t_i) * exp(rate * (t1 -
-    t_i))`` is at most ``tol``; that bound is the defect.  Otherwise the
-    members run to ``t1`` and their spread there is the defect.  A member's
-    blow-up raises the error that the whole run of
+    The members run one tape block at a time.  Given a certified tube around
+    ``track`` (``radius`` not ``None``, leading symmetric eigenvalue at most
+    ``rate`` < 0 in it, inward boundary flux), the run stops at the first
+    block end ``t_i`` before the end ``t1`` where every member lies strictly
+    inside the disk of ``radius`` around the track and ``spread(t_i) *
+    exp(rate * (t1 - t_i))`` is at most ``tol``; that bound is the defect.
+    Otherwise the members run to ``t1`` and their spread there is the
+    defect.  A member's blow-up raises the error that the whole run of
     :func:`chronotax.integrate._rk4_ensemble` would raise.
     """
     times = track.times
@@ -310,6 +320,50 @@ def _forward_defect(field: LabField, starts, track: Trajectory, radius: float | 
     if failed is not None:
         raise failed
     return _spread(states), None
+
+
+def _warmup_tube(warmup: Trajectory, p: OscillatorParams, d: DriveSchedule, ladder,
+                 beta: float, boundary_samples: int,
+                 sample_interval: float) -> tuple[float | None, float | None]:
+    """Radius and eigenvalue bound of a certified tube around the track's
+    warm-up, by the checks that certify the track's own tube; ``(None,
+    None)`` where it does not certify."""
+    if warmup.times.size >= 3:
+        radius = select_trapping_radius(warmup, p, d, ladder, beta, sample_interval)
+        if radius is not None:
+            max_lam, max_flux = verify_trapping(
+                TrappingCandidate(warmup, radius, boundary_samples), p, d, sample_interval)
+            if max_lam < 0.0 and max_flux < 0.0:
+                return radius, max_lam
+    return None, None
+
+
+def _pullback_tube_defect(field: LabField, warmup: Trajectory, span: float,
+                          start_radius: float, radius: float | None, rate: float | None,
+                          tol: float) -> tuple[float, float | None]:
+    """The pullback Cauchy defect at the end ``t0`` of the recorded ``warmup``,
+    and the time from which it is a bound (``None`` when it is measured).
+
+    The runs from ``(start_radius, 0)`` at ``t0 - 0.75 span`` and ``t0 -
+    span`` each step to the first node of the warm-up's grid at or after
+    their start, then along that grid to ``G_j``, its first node at or after
+    ``t0 - 0.75 span``.  From there they run as members of
+    :func:`_tube_defect` around the warm-up, with the warm-up's certified
+    tube (``radius`` and ``rate``, or ``None``).  A blow-up on the way to
+    ``G_j`` raises at once, the later start's run going first, as in
+    :func:`chronotax.integrate.pullback`; one after ``G_j`` raises as in
+    :func:`_tube_defect`.
+    """
+    times = warmup.times
+    t0 = float(times[-1])
+    j = int(np.searchsorted(times, t0 - 0.75 * span))
+    members = []
+    for s in (t0 - 0.75 * span, t0 - span):
+        i = int(np.searchsorted(times, s))
+        grid = np.concatenate([time_grid(s, float(times[i]), warmup.dt), times[i + 1:j + 1]])
+        members.append(rk4_path(field, start_radius, 0.0, grid, record=False))
+    tail = Trajectory(float(times[j]), warmup.dt, times[j:], warmup.states[j:], frame="lab")
+    return _tube_defect(field, members, tail, radius, rate, tol)
 
 
 def _pullback_defect(p: OscillatorParams, d: DriveSchedule, t0: float, t1: float,
@@ -468,6 +522,23 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     certified at ``sample_interval`` instants around the numerical track.
     Otherwise the ensemble runs to ``t1``, its spread there is
     ``forward_defect`` and ``forward_bound_from`` is ``None``.
+    The pullback defect comes from a tube certified the same way (same
+    ``ladder``, ``beta``, ``sample_interval`` and ``boundary_samples``)
+    around the track's warm-up, the run that brings the frozen attractor
+    at ``t0 - window`` to the track's start at ``t0``.  The runs from
+    ``t0 - 0.75 span`` and ``t0 - span`` step to the first node of the
+    warm-up's grid at or after their start, then along it, and join at its
+    first node at or after ``t0 - 0.75 span``.  From there they run on as
+    the forward members do: at the first block end ``tau`` where both are
+    strictly inside the warm-up's tube and ``gap(tau) * exp(lambda * (t0 -
+    tau))`` is at most ``pullback_tol``, with lambda that tube's eigenvalue
+    bound, that bound is ``pullback_defect`` and ``tau`` is
+    ``pullback_bound_from``.  It has the forward bound's caveats.  Without
+    a certified warm-up tube, or with no block end that meets the
+    tolerance, the runs go on to ``t0``, their gap there is
+    ``pullback_defect`` and ``pullback_bound_from`` is ``None``; that gap
+    agrees with :func:`verify_attraction`'s to rounding, as the runs take
+    the warm-up's grid instead of their own.
     The same certified tube bounds ``invariance_defect``, the distance from
     the track to the exact solution through its first sample: the residual
     r = p' - f(p, t) of the track's cubic Hermite interpolant p, sampled at
@@ -478,10 +549,10 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     tube is certified at ``sample_interval`` instants only, and r is
     sampled at three points per step.  Without a certified tube the track
     is re-integrated at ``dt/2`` (:func:`verify_invariance`), as before.
-    On the benchmark's scheduled drives the members are inside the tube by
-    t ≈ 0.8–1.3 of 15, and a verification takes about 57k–61k RK4 steps,
-    where measuring the forward defect and re-running the track takes
-    155k–166k.
+    On the benchmark's scheduled drives the forward members are inside the
+    tube by t ≈ 0.8–1.3 of 15 and the pullback runs by t ≈ −9.7, and a
+    verification takes 37,906 (seed 1) and 42,002 (seed 7919) RK4 steps,
+    where measuring both defects and re-running the track takes 155k–166k.
     Stage failures are recorded in the report, never raised; a member's
     blow-up fails the attraction check and leaves the track standing.
     Bad input is refused before any work: the window must be finite with
@@ -513,11 +584,12 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     failures: list[str] = []
     radius = None
     max_lam = max_flux = None
-    forward = bound_from = pullback_defect = invariance = None
+    forward = bound_from = pullback_defect = pullback_from = invariance = None
     track = None
     field = LabField(p, d)
     try:
-        x, y = _track_start(d, p, t0, dt, scan)
+        warmup = _track_start(d, p, t0, t1, dt, scan)
+        x, y = warmup.states[-1].tolist()
         times = time_grid(t0, t1, dt)
         track = Trajectory(t0, dt, times, rk4_path(field, x, y, times), frame="lab")
     except ChronotaxError as exc:
@@ -540,12 +612,15 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             failures.append(f"trapping check failed: {exc}")
         try:
             starts = _forward_starts(ensemble_size, seed, DEFAULT_START_RADIUS)
-            defect, since = _forward_defect(field, starts, track,
-                                            radius if tube_ok else None, max_lam,
-                                            forward_tol)
-            # set together, so that a pullback blow-up leaves both unset
-            forward, bound_from, pullback_defect = (
-                defect, since, _pullback_defect(p, d, t0, t1, dt, DEFAULT_START_RADIUS),
+            defect, since = _tube_defect(field, starts, track,
+                                         radius if tube_ok else None, max_lam, forward_tol)
+            warm_radius, warm_rate = _warmup_tube(warmup, p, d, ladder, beta,
+                                                  boundary_samples, sample_interval)
+            # set together, so that a pullback blow-up leaves them all unset
+            forward, bound_from, (pullback_defect, pullback_from) = (
+                defect, since,
+                _pullback_tube_defect(field, warmup, t1 - t0, DEFAULT_START_RADIUS,
+                                      warm_radius, warm_rate, pullback_tol),
             )
         except ChronotaxError as exc:
             failures.append(f"attraction check failed: {exc}")
@@ -569,6 +644,6 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
         offending_intervals=[], radius=radius, max_lambda_on_A=max_lam,
         max_inward_defect=max_flux, forward_defect=forward,
         forward_bound_from=bound_from, pullback_defect=pullback_defect,
-        invariance_defect=invariance,
+        pullback_bound_from=pullback_from, invariance_defect=invariance,
         thresholds=thresholds, failures=failures,
     )

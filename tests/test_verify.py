@@ -174,7 +174,9 @@ def test_forward_and_pullback_defects_vanish_when_contracting():
 
 
 def forward_starts(ensemble_size=8, seed=2026, start_radius=2.0):
-    """The forward ensemble's seeded starts in their annulus."""
+    """The forward ensemble's seeded starts in their annulus, refused below two."""
+    if ensemble_size < 2:
+        raise InvalidInputError("need an ensemble of at least 2 starts")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, ensemble_size)
     radii = rng.uniform(0.25 * start_radius, start_radius, ensemble_size)
@@ -198,25 +200,68 @@ def per_member_forward_defect(p, d, t0, t1, dt, ensemble_size=8, seed=2026,
                    for x, y in forward_starts(ensemble_size, seed, start_radius)])
 
 
-def tube_forward_defect(track, radius, rate, p, d, tol=DEFAULT_FORWARD_TOL):
-    """The forward defect and the time it is bounded from, as ``verify_schedule``
-    takes them from a certified tube, with one ``rk4_path`` run per member
-    and tape block: at the first block end t_i before the track's end where
-    every member is strictly inside the tube and spread(t_i) *
-    exp(rate * (t1 - t_i)) <= tol, that bound; else the spread at t1."""
-    field = LabField(p, d)
-    times = track.times
+def tube_defect(field, states, times, centers, radius, rate, tol):
+    """The spread at ``times[-1]`` of ``states`` run on ``times``, and the time
+    it is bounded from, with one ``rk4_path`` run per member and tape block:
+    given a tube (``radius`` not None) around ``centers``, at the first block
+    end t_i before the end where every member is strictly inside the tube
+    and spread(t_i) * exp(rate * (t1 - t_i)) <= tol, that bound; else the
+    spread at t1."""
     last = times.size - 1
-    states = forward_starts()
     for i0 in range(0, last, integrate.TAPE_BLOCK):
         i1 = min(i0 + integrate.TAPE_BLOCK, last)
         states = [rk4_path(field, x, y, times[i0:i1 + 1], record=False) for x, y in states]
-        if i1 < last:
-            off = np.array(states) - track.states[i1]
+        if radius is not None and i1 < last:
+            off = np.array(states) - centers[i1]
             bound = spread(states) * math.exp(rate * (times[-1] - times[i1]))
             if np.all(np.hypot(off[:, 0], off[:, 1]) < radius) and bound <= tol:
                 return bound, float(times[i1])
     return spread(states), None
+
+
+def tube_forward_defect(track, radius, rate, p, d, tol=DEFAULT_FORWARD_TOL, ensemble_size=8):
+    """The forward defect and the time it is bounded from, as ``verify_schedule``
+    takes them from a certified tube around ``track`` (or measures them at
+    t1 for ``radius`` None)."""
+    return tube_defect(LabField(p, d), forward_starts(ensemble_size), track.times,
+                       track.states, radius, rate, tol)
+
+
+def recorded_warmup(d, t0, t1, dt=1e-3, beta=1e-3):
+    """The track's warm-up over ``[t0, t1]``, recorded from ``t0 - (t1 - t0)`` on."""
+    scan = steady_state._scan(d, P, t0, t1, 0.5, beta)
+    return steady_state._track_start(d, P, t0, t1, dt, scan)
+
+
+def warmup_tube(warmup, d, beta=1e-3):
+    """Radius and eigenvalue bound of the certified tube around ``warmup``,
+    or ``(None, None)``."""
+    radius = select_trapping_radius(warmup, P, d, beta=beta)
+    if radius is None:
+        return None, None
+    max_lam, max_flux = verify_trapping(TrappingCandidate(warmup, radius, 720), P, d)
+    return (radius, max_lam) if max_lam < 0.0 and max_flux < 0.0 else (None, None)
+
+
+def tube_pullback_defect(d, t0, t1, dt=1e-3, beta=1e-3, tol=DEFAULT_PULLBACK_TOL):
+    """The pullback defect and the time it is bounded from, as ``verify_schedule``
+    takes them from the warm-up of the track over ``[t0, t1]`` (grid G):
+    the runs from (2, 0) at t0 - 0.75 span and t0 - span step to the first
+    node of G at or after their start, then along G to its first node at or
+    after t0 - 0.75 span; from there on, :func:`tube_defect` around the
+    warm-up with its certified tube."""
+    field = LabField(P, d)
+    warmup = recorded_warmup(d, t0, t1, dt, beta)
+    radius, rate = warmup_tube(warmup, d, beta)
+    times = warmup.times
+    span = t1 - t0
+    j = int(np.flatnonzero(times >= t0 - 0.75 * span)[0])
+    states = []
+    for s in (t0 - 0.75 * span, t0 - span):
+        i = int(np.flatnonzero(times >= s)[0])
+        x, y = rk4_path(field, 2.0, 0.0, time_grid(s, times[i], dt), record=False)
+        states.append(rk4_path(field, x, y, times[i:j + 1], record=False))
+    return tube_defect(field, states, times[j:], warmup.states[j:], radius, rate, tol)
 
 
 @pytest.mark.parametrize("drive", [D17, PULL], ids=["constant", "sampled"])
@@ -252,12 +297,12 @@ def bench_pull(seed):
     )
 
 
-@pytest.mark.parametrize("drive, steps, blocks", [
-    (bench_pull(1), 57_394, 3),
-    (bench_pull(7919), 61_490, 5),
-    (PULL, 86_066, 17),
+@pytest.mark.parametrize("drive, steps, blocks, pullback_blocks", [
+    (bench_pull(1), 37_906, 3, 1),
+    (bench_pull(7919), 42_002, 5, 1),
+    (PULL, 73_746, 17, 15),
 ], ids=["bench-seed-1", "bench-seed-7919", "pull"])
-def test_verification_work_counts(monkeypatch, drive, steps, blocks):
+def test_verification_work_counts(monkeypatch, drive, steps, blocks, pullback_blocks):
     # RK4 steps as counted by the kernel, and drive tapes.  Separate runs
     # would take 201,250 steps: the track's 10,000 warm-up and 15,000
     # recorded steps, 8 x 15,000 for the forward ensemble, 11,250 + 15,000
@@ -266,8 +311,14 @@ def test_verification_work_counts(monkeypatch, drive, steps, blocks):
     # are inside the certified tube and its contraction bound meets the
     # forward tolerance: 8 x 256 x blocks steps.  The certified tube also
     # bounds the invariance defect, so the re-run at dt/2 does not run.
-    # Tapes: 40 (warm-up) + 59 (track) + blocks (ensemble) + 44 + 59
-    # (pullback) = 202 + blocks, where separate runs build 379
+    # The two pullback runs step from t = -11.25 and -15 to the warm-up's
+    # first node at t = -10 (1,250 + 5,000 steps), then run on the warm-up's
+    # grid and stop after the first `pullback_blocks` blocks, where both are
+    # inside its certified tube and its bound meets the pullback tolerance:
+    # 2 x 256 x pullback_blocks steps.
+    # Tapes: 40 (warm-up) + 59 (track) + blocks (ensemble) + 5 + 20
+    # (pullback to t = -10) + pullback_blocks = 124 + blocks +
+    # pullback_blocks, where separate runs build 379
     lengths = []
     real_steps = integrate._rk4_steps
 
@@ -289,9 +340,14 @@ def test_verification_work_counts(monkeypatch, drive, steps, blocks):
     assert report.chronotaxic
     assert 0.0 < report.forward_defect <= report.thresholds["forward"]
     assert report.forward_bound_from == pytest.approx(blocks * 256 * 1e-3)
+    assert 0.0 < report.pullback_defect <= report.thresholds["pullback"]
+    assert report.pullback_bound_from == pytest.approx(-10.0 + pullback_blocks * 256 * 1e-3)
     assert sum(lengths) == steps
-    assert len(builds) == 202 + blocks
-    assert sum(builds) == 10_000 + 15_000 + blocks * 256 + 11_250 + 15_000
+    assert steps == (10_000 + 15_000 + 8 * 256 * blocks + 1_250 + 5_000
+                     + 2 * 256 * pullback_blocks)
+    assert len(builds) == 124 + blocks + pullback_blocks
+    assert sum(builds) == (10_000 + 15_000 + blocks * 256 + 1_250 + 5_000
+                           + pullback_blocks * 256)
 
 
 @settings(max_examples=10, deadline=None)
@@ -323,6 +379,77 @@ def test_forward_bound_holds_past_the_tube_entry(pulls):
         elif entry is not None:
             assert spread(states) <= entry * math.exp(rate * (t - report.forward_bound_from))
     assert entry is not None
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(1.5, 6.0), min_size=5, max_size=5))
+@example(np.random.default_rng(1).uniform(1.5, 6.0, size=5).tolist())
+def test_pullback_bound_holds_over_the_measured_gap(pulls):
+    # pull schedules of the scheduled benchmark verification; wherever the
+    # warm-up's tube gives the bound, the runs from t0 - 0.75 span and
+    # t0 - span measured to t0 on their own grids stay under it
+    drive = DriveSchedule(Schedule.sampled(np.linspace(0.0, 15.0, 5), pulls), FREQ)
+    report = verify_schedule(drive, P, 0.0, 15.0)
+    assume(report.pullback_bound_from is not None)
+    _, measured = verify_attraction(P, drive, 0.0, 15.0, 1e-3)
+    assert measured <= report.pullback_defect
+
+
+@pytest.mark.parametrize("t1", [10.0, 5.0])
+def test_pullback_runs_join_the_warm_up_mid_grid(t1):
+    # D17's warm-up window (10) is longer than 0.75 span: the run from
+    # t0 - span steps along the warm-up's grid, recorded from t0 - span on,
+    # to its first node at or after t0 - 0.75 span, where the other run joins
+    span = t1
+    warmup = recorded_warmup(D17, 0.0, t1)
+    assert warmup.times[0] == pytest.approx(-span)
+    assert warmup.times[0] < -0.75 * span
+    report = verify_schedule(D17, P, 0.0, t1)
+    expected = tube_pullback_defect(D17, 0.0, t1)
+    assert (report.pullback_defect, report.pullback_bound_from) == expected
+    # no block end meets the tolerance over so short a window: measured at
+    # t0, within rounding of the runs on their own grids
+    assert report.pullback_bound_from is None
+    _, measured = verify_attraction(P, D17, 0.0, t1, 1e-3)
+    assert abs(report.pullback_defect - measured) <= 1e-12
+    assert report.pullback_defect > DEFAULT_PULLBACK_TOL
+    assert not report.chronotaxic
+
+
+#: a pull of 3 that stops over [-9, -8.7], before the verified window [0, 15]:
+#: at zero pull the leading eigenvalue on the unit circle is 0, so no ladder
+#: rung certifies a tube around the warm-up
+STALL_BEFORE_WINDOW = DriveSchedule(
+    Schedule.sampled([-20.0, -9.2, -9.0, -8.7, -8.5, 15.0], [3.0, 3.0, 0.0, 0.0, 3.0, 3.0]),
+    FREQ,
+)
+
+
+def test_pullback_is_measured_without_a_warm_up_tube():
+    assert warmup_tube(recorded_warmup(STALL_BEFORE_WINDOW, 0.0, 15.0),
+                       STALL_BEFORE_WINDOW) == (None, None)
+    report = verify_schedule(STALL_BEFORE_WINDOW, P, 0.0, 15.0)
+    assert report.pullback_bound_from is None
+    assert report.pullback_defect == tube_pullback_defect(STALL_BEFORE_WINDOW, 0.0, 15.0)[0]
+    _, measured = verify_attraction(P, STALL_BEFORE_WINDOW, 0.0, 15.0, 1e-3)
+    assert abs(report.pullback_defect - measured) <= 1e-12
+    # the verdict of the measured pullback, and of every other stage
+    assert report.chronotaxic
+    assert report.failures == []
+
+
+def test_a_warm_up_of_two_samples_has_no_tube():
+    # a gentle oscillator stays stable at dt = 0.4, where the warm-up of a
+    # window of 0.5 is recorded from t = -0.4 on: two samples, too few for
+    # the trapping check's central differences, so the pullback is measured
+    p = OscillatorParams(1.0, 1.0, 1.0)
+    d = DriveSchedule.constant(1.7, 0.5)
+    scan = steady_state._scan(d, p, 0.0, 0.5, 0.5, 1e-3)
+    assert steady_state._track_start(d, p, 0.0, 0.5, 0.4, scan).times.size == 2
+    report = verify_schedule(d, p, 0.0, 0.5, 0.4)
+    assert report.failures == []
+    assert report.pullback_bound_from is None
+    assert report.pullback_defect > DEFAULT_PULLBACK_TOL
 
 
 def test_forward_defect_survives_without_drive():
@@ -603,11 +730,15 @@ def test_verify_schedule_equals_staged_report(drive):
         max_lam, max_flux = verify_trapping(TrappingCandidate(track, radius, 720), P, drive)
         forward, bound_from = tube_forward_defect(track, radius, max_lam, P, drive)
         assert bound_from is not None
-        _, pb = verify_attraction(P, drive, t0, t1, dt)
+        pb, pb_from = tube_pullback_defect(drive, t0, t1, dt, beta)
+        assert pb_from is not None
+        # the measured gap of the runs from t0 - 0.75 span and t0 - span
+        _, measured = verify_attraction(P, drive, t0, t1, dt)
+        assert measured <= pb
         expected = VerificationReport(
             chronotaxic=True, radius=radius, max_lambda_on_A=max_lam,
             max_inward_defect=max_flux, forward_defect=forward,
-            forward_bound_from=bound_from, pullback_defect=pb,
+            forward_bound_from=bound_from, pullback_defect=pb, pullback_bound_from=pb_from,
             invariance_defect=reference_invariance_bound(track, P, drive, max_lam),
             **staged,
         )
@@ -617,10 +748,12 @@ def test_verify_schedule_equals_staged_report(drive):
 def staged_failures(drive, t0, t1, dt, ensemble_size):
     """Report fields of the certificate's stages run one after another, each
     failure recorded as ``verify_schedule`` records it; where the tube
-    certifies, the invariance defect is the reference bound."""
+    certifies, the forward and invariance defects are the reference bounds,
+    and the pullback defect is :func:`tube_pullback_defect` throughout."""
     failures = []
     out = dict(radius=None, max_lambda_on_A=None, max_inward_defect=None,
-               forward_defect=None, pullback_defect=None, invariance_defect=None)
+               forward_defect=None, forward_bound_from=None, pullback_defect=None,
+               pullback_bound_from=None, invariance_defect=None)
     try:
         track = attractor_track(drive, P, t0, t1, dt)
     except ChronotaxError as exc:
@@ -637,13 +770,17 @@ def staged_failures(drive, t0, t1, dt, ensemble_size):
             failures.append("boundary flux is not strictly inward")
     except ChronotaxError as exc:
         failures.append(f"trapping check failed: {exc}")
-    try:
-        out["forward_defect"], out["pullback_defect"] = verify_attraction(
-            P, drive, t0, t1, dt, ensemble_size)
-    except ChronotaxError as exc:
-        failures.append(f"attraction check failed: {exc}")
     tube_ok = (out["radius"] is not None and out["max_lambda_on_A"] is not None
                and out["max_lambda_on_A"] < 0.0 and out["max_inward_defect"] < 0.0)
+    try:
+        forward = tube_forward_defect(track, out["radius"] if tube_ok else None,
+                                      out["max_lambda_on_A"], P, drive,
+                                      ensemble_size=ensemble_size)
+        pullback = tube_pullback_defect(drive, t0, t1, dt)
+        out["forward_defect"], out["forward_bound_from"] = forward
+        out["pullback_defect"], out["pullback_bound_from"] = pullback
+    except ChronotaxError as exc:
+        failures.append(f"attraction check failed: {exc}")
     try:
         if tube_ok:
             out["invariance_defect"] = reference_invariance_bound(
