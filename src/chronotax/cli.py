@@ -8,9 +8,12 @@ classification), ``verify`` (chronotaxicity certificate), ``cwt``
 (regenerates the canonical data sets at desk scale).
 
 Every flag mirrors a config-file key one-to-one: ``--config file.json``
-supplies defaults, explicit flags win, unknown config keys are rejected,
-and each config value is read with its flag's type and choices.
-A model field set by either beats a ``--params`` file.
+supplies values, explicit flags win, and unknown config keys are rejected.
+Each config value is read by its flag's own parser (type, choices and
+number of values), as if it were given on the command line before the
+flags; ``null`` leaves the key unset, and ``eps_a`` and ``omega_p`` may
+also hold a ``{t, v}`` schedule object.  A model field set by either
+beats a ``--params`` file.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -25,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import signal as sig
-from .contraction import contraction_map, linear_system_report
+from .contraction import DEFAULT_BETA, contraction_map, linear_system_report
 from .errors import ChronotaxError, ConfigError, InvalidInputError
-from .integrate import NoiseSpec, integrate_det, integrate_sde
+from .integrate import DEFAULT_DT, NoiseSpec, integrate_det, integrate_sde
 from .model import (
     CartesianState,
     DriveSchedule,
@@ -60,43 +63,15 @@ _MODEL_DEFAULTS = {
 
 DEFAULT_DELTA_OMEGA = 0.5
 
-#: the model keys of a command start unset, so that :func:`_resolve_system`
-#: can tell a value given by the config file or a flag from a default
-_MODEL_KEYS = dict.fromkeys(_MODEL_DEFAULTS)
+#: config keys that may hold a ``{t, v}`` schedule object, which no flag reads
+_DRIVE_KEYS = ("eps_a", "omega_p")
 
-_DEFAULTS = {
-    "simulate": {
-        **_MODEL_KEYS,
-        "t0": 0.0, "t1": None, "dt": 1e-3, "x0": None, "y0": None,
-        "frame": "lab", "noise": 0.0, "seed": 0, "out": "trajectory.csv",
-    },
-    "portrait": {
-        **_MODEL_KEYS,
-        "time": 0.0, "bounds": (-2.5, 2.5), "resolution": 500, "beta": 1e-3,
-        "outdir": "portrait", "format": "csv",
-    },
-    "sweep": {
-        "eps_gamma": 7.0, "omega0": 1.0, "r_p": 1.0, "delta_omega": DEFAULT_DELTA_OMEGA,
-        "eps_a_min": 0.1, "eps_a_max": 2.0, "out": None,
-    },
-    "regionmap": {
-        "eps_gamma": 7.0, "omega0": 1.0, "r_p": 1.0,
-        "delta_omega_min": 0.0, "delta_omega_max": 1.5,
-        "eps_a_min": 0.0, "eps_a_max": 8.0, "resolution": 150,
-        "beta": 1e-3, "out": "region_map.csv",
-    },
-    "verify": {
-        **_MODEL_KEYS,
-        "t0": 0.0, "t1": 30.0, "dt": 1e-3, "check_interval": 0.5,
-        "beta": 1e-3, "out": None,
-    },
-    "cwt": {
-        "input": None, "column": None, "fmin": 0.005, "fmax": 2.0,
-        "voices": 32, "f0": 1.0, "out": "scalogram.csv",
-        "ridge_out": "ridge.csv", "format": "csv",
-    },
-    "make-figures": {"outdir": "figures"},
-}
+
+class _HelpWithDefaults(argparse.ArgumentDefaultsHelpFormatter):
+    """Help that shows each flag's default with ``%(default)s``, where it has one."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,164 +81,177 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = root.add_subparsers(dest="command", required=True)
 
-    def cfg_flag(sp):
-        sp.add_argument("--config", help="JSON file of flag defaults (flags override)")
+    def command(name, help):
+        sp = sub.add_parser(name, help=help, formatter_class=_HelpWithDefaults)
+        sp.add_argument("--config", help="JSON file of flag values (flags override)")
+        return sp
+
+    def oscillator_flags(sp, model):
+        # a model command leaves them unset, so that a value given by a flag
+        # or the config file beats --params
+        for flag, what in (("--eps-gamma", "radial stiffness"),
+                           ("--omega0", "natural frequency, rad/time"),
+                           ("--r-p", "drive radius")):
+            default = _MODEL_DEFAULTS[flag[2:].replace("-", "_")]
+            sp.add_argument(flag, type=float, default=None if model else default,
+                            help=f"{what} (default: {default})" if model else what)
 
     def model_flags(sp):
         sp.add_argument("--params", help="JSON parameter document (see save_params)")
-        sp.add_argument("--eps-gamma", type=float, help="radial stiffness (default 7)")
-        sp.add_argument("--omega0", type=float, help="natural frequency, rad/time (default 1)")
-        sp.add_argument("--r-p", type=float, help="drive radius (default 1)")
-        sp.add_argument("--eps-a", type=float, help="pull strength (default 1.7)")
+        oscillator_flags(sp, model=True)
+        sp.add_argument("--eps-a", type=float,
+                        help=f"pull strength (default: {_MODEL_DEFAULTS['eps_a']})")
         sp.add_argument("--omega-p", type=float, help="drive frequency, rad/time")
         sp.add_argument("--delta-omega", type=float,
-                        help="detuning omega0 - omega_p (default 0.5 when neither given)")
-        sp.add_argument("--alpha0", type=float, help="drive angle at t=0 (default 0)")
+                        help="detuning omega0 - omega_p "
+                             f"(default: {DEFAULT_DELTA_OMEGA} when neither given)")
+        sp.add_argument("--alpha0", type=float,
+                        help=f"drive angle at t=0 (default: {_MODEL_DEFAULTS['alpha0']})")
 
-    sp = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    cfg_flag(sp)
+    sp = command("simulate", "integrate one trajectory to CSV")
     model_flags(sp)
-    sp.add_argument("--t0", type=float)
+    sp.add_argument("--t0", type=float, default=0.0, help="start time")
     sp.add_argument("--t1", type=float, help="end time (required)")
-    sp.add_argument("--dt", type=float, help="fixed step (default 1e-3)")
+    sp.add_argument("--dt", type=float, default=DEFAULT_DT, help="fixed step")
     sp.add_argument("--x0", type=float, help="start x (default: r_p)")
-    sp.add_argument("--y0", type=float, help="start y (default: 0)")
-    sp.add_argument("--frame", choices=("lab", "rotating"))
-    sp.add_argument("--noise", type=float, help="noise intensity sigma (0 = deterministic)")
-    sp.add_argument("--seed", type=int, help="noise RNG seed (default 0)")
-    sp.add_argument("--out", help="output CSV path (default trajectory.csv)")
+    sp.add_argument("--y0", type=float, default=0.0, help="start y")
+    sp.add_argument("--frame", choices=("lab", "rotating"), default="lab", help="output frame")
+    sp.add_argument("--noise", type=float, default=0.0, help="noise intensity, 0 for none")
+    sp.add_argument("--seed", type=int, default=0, help="noise RNG seed")
+    sp.add_argument("--out", default="trajectory.csv", help="output CSV path")
 
-    sp = sub.add_parser("portrait", help="contraction map, fixed points, closed curve")
-    cfg_flag(sp)
+    sp = command("portrait", "contraction map, fixed points, closed curve")
     model_flags(sp)
-    sp.add_argument("--time", type=float, help="instant at which schedules are frozen")
+    sp.add_argument("--time", type=float, default=0.0,
+                    help="instant at which schedules are frozen")
     sp.add_argument("--bounds", type=float, nargs=2, metavar=("LO", "HI"),
-                    help="square grid bounds (default -2.5 2.5)")
-    sp.add_argument("--resolution", type=int, help="cells per axis (default 500)")
-    sp.add_argument("--beta", type=float, help="contraction margin (default 1e-3)")
-    sp.add_argument("--outdir", help="output directory (default portrait)")
-    sp.add_argument("--format", choices=("csv", "block"), help="map file format")
+                    default=(-2.5, 2.5), help="square grid bounds")
+    sp.add_argument("--resolution", type=int, default=500, help="cells per axis")
+    sp.add_argument("--beta", type=float, default=DEFAULT_BETA, help="contraction margin")
+    sp.add_argument("--outdir", default="portrait", help="output directory")
+    sp.add_argument("--format", choices=("csv", "block"), default="csv", help="map format")
 
-    sp = sub.add_parser("sweep", help="saddle-node continuation along the pull strength")
-    cfg_flag(sp)
-    sp.add_argument("--eps-gamma", type=float)
-    sp.add_argument("--omega0", type=float)
-    sp.add_argument("--r-p", type=float)
-    sp.add_argument("--delta-omega", type=float, help="detuning (default 0.5)")
-    sp.add_argument("--eps-a-min", type=float)
-    sp.add_argument("--eps-a-max", type=float)
+    sp = command("sweep", "saddle-node continuation along the pull strength")
+    oscillator_flags(sp, model=False)
+    sp.add_argument("--delta-omega", type=float, default=DEFAULT_DELTA_OMEGA, help="detuning")
+    sp.add_argument("--eps-a-min", type=float, default=0.1, help="lowest pull strength")
+    sp.add_argument("--eps-a-max", type=float, default=2.0, help="highest pull strength")
     sp.add_argument("--out", help="JSON output path (default: stdout)")
 
-    sp = sub.add_parser("regionmap", help="classify the detuning/pull-strength plane")
-    cfg_flag(sp)
-    sp.add_argument("--eps-gamma", type=float)
-    sp.add_argument("--omega0", type=float)
-    sp.add_argument("--r-p", type=float)
-    sp.add_argument("--delta-omega-min", type=float)
-    sp.add_argument("--delta-omega-max", type=float)
-    sp.add_argument("--eps-a-min", type=float)
-    sp.add_argument("--eps-a-max", type=float)
-    sp.add_argument("--resolution", type=int, help="cells per axis (default 150)")
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--out", help="CSV output path (default region_map.csv)")
+    sp = command("regionmap", "classify the detuning/pull-strength plane")
+    oscillator_flags(sp, model=False)
+    sp.add_argument("--delta-omega-min", type=float, default=0.0, help="lowest detuning")
+    sp.add_argument("--delta-omega-max", type=float, default=1.5, help="highest detuning")
+    sp.add_argument("--eps-a-min", type=float, default=0.0, help="lowest pull strength")
+    sp.add_argument("--eps-a-max", type=float, default=8.0, help="highest pull strength")
+    sp.add_argument("--resolution", type=int, default=150, help="cells per axis")
+    sp.add_argument("--beta", type=float, default=DEFAULT_BETA, help="contraction margin")
+    sp.add_argument("--out", default="region_map.csv", help="CSV output path")
 
-    sp = sub.add_parser("verify", help="chronotaxicity certificate for a schedule")
-    cfg_flag(sp)
+    sp = command("verify", "chronotaxicity certificate for a schedule")
     model_flags(sp)
-    sp.add_argument("--t0", type=float)
-    sp.add_argument("--t1", type=float, help="end of the verification window (default 30)")
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--check-interval", type=float,
-                    help="classification sampling interval (default 0.5)")
-    sp.add_argument("--beta", type=float)
+    sp.add_argument("--t0", type=float, default=0.0, help="start of the verification window")
+    sp.add_argument("--t1", type=float, default=30.0, help="end of the verification window")
+    sp.add_argument("--dt", type=float, default=DEFAULT_DT, help="fixed step")
+    sp.add_argument("--check-interval", type=float, default=0.5,
+                    help="classification sampling interval")
+    sp.add_argument("--beta", type=float, default=DEFAULT_BETA, help="contraction margin")
     sp.add_argument("--out", help="report JSON path (default: stdout)")
 
-    sp = sub.add_parser("cwt", help="scalogram and ridge of a trajectory CSV")
-    cfg_flag(sp)
+    sp = command("cwt", "scalogram and ridge of a trajectory CSV")
     sp.add_argument("--input", help="trajectory CSV (required)")
     sp.add_argument("--column", help="signal column (default: x, or r)")
-    sp.add_argument("--fmin", type=float)
-    sp.add_argument("--fmax", type=float)
-    sp.add_argument("--voices", type=int, help="frequency bins per octave (default 32)")
-    sp.add_argument("--f0", type=float, help="wavelet central frequency (default 1)")
-    sp.add_argument("--out", help="scalogram path (default scalogram.csv)")
-    sp.add_argument("--ridge-out", help="ridge CSV path (default ridge.csv)")
-    sp.add_argument("--format", choices=("csv", "block"))
+    sp.add_argument("--fmin", type=float, default=sig.DEFAULT_FMIN, help="lowest frequency")
+    sp.add_argument("--fmax", type=float, default=sig.DEFAULT_FMAX, help="highest frequency")
+    sp.add_argument("--voices", type=int, default=sig.DEFAULT_VOICES,
+                    help="frequency bins per octave")
+    sp.add_argument("--f0", type=float, default=sig.DEFAULT_F0,
+                    help="wavelet central frequency")
+    sp.add_argument("--out", default="scalogram.csv", help="scalogram path")
+    sp.add_argument("--ridge-out", default="ridge.csv", help="ridge CSV path")
+    sp.add_argument("--format", choices=("csv", "block"), default="csv",
+                    help="scalogram file format")
 
-    sp = sub.add_parser("make-figures",
-                        help="regenerate the canonical data sets at desk scale")
-    cfg_flag(sp)
-    sp.add_argument("--outdir", help="output directory (default figures)")
+    sp = command("make-figures", "regenerate the canonical data sets at desk scale")
+    sp.add_argument("--outdir", default="figures", help="output directory")
 
     return root
 
 
-def _merge_config(command: str, args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS[command])
-    config_path = getattr(args, "config", None)
-    file_values = {}
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_values) - set(merged)
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys for {command}: {sorted(unknown)}"
-            )
-        sub = next(a for a in _build_parser()._actions if a.dest == "command")
-        flags = {a.dest: a for a in sub.choices[command]._actions}
-        file_values = {key: _config_value(flags[key], value)
-                       for key, value in file_values.items()}
-    merged.update(file_values)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        merged[key] = value
-    return merged
+def _options(argv: list[str]) -> dict:
+    """The options of a command line: its flags, over its config file's values,
+    over the flags' defaults.
 
-
-def _config_value(flag: argparse.Action, value):
-    """A config-file value read as its flag would read it from the command line.
-
-    ``null`` leaves the key unset, a drive key may hold a ``{t, v}`` schedule
-    object, and a flag taking several values takes a list of them.
+    The config values become command-line tokens placed before the command
+    line's own, so the command's parser converts and checks them and the
+    later flags win.
     """
-    if value is None or (flag.dest in ("eps_a", "omega_p") and isinstance(value, dict)):
-        return value
-    if flag.nargs is None:
-        return _config_word(flag, value)
-    if not (isinstance(value, list) and len(value) == flag.nargs):
-        raise ConfigError(f"config key {flag.dest!r} needs a list of {flag.nargs} "
-                          f"values, got {value!r}")
-    return [_config_word(flag, v) for v in value]
-
-
-def _config_word(flag: argparse.Action, value):
-    """One config-file value converted with its flag's type and checked against
-    its choices.  A JSON number stands for a number only, and for an integer
-    flag only when it is whole."""
-    convert = flag.type or str
-    accepted = (str,) if convert is str else (str, int, float)
+    root = _build_parser()
+    args = root.parse_args(argv)
+    if not args.config:
+        return vars(args)
+    parser = next(a for a in root._actions if a.dest == "command").choices[args.command]
+    flags = {a.dest: a for a in parser._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    values = _read_config(args.config)
+    unknown = set(values) - set(flags)
+    if unknown:
+        raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    schedules = {key: value for key, value in values.items()
+                 if key in _DRIVE_KEYS and isinstance(value, dict)}
+    tokens = []
+    for key, value in values.items():
+        if value is None or key in schedules:
+            continue
+        flag = flags[key]
+        if flag.nargs is None:
+            tokens.append(f"{flag.option_strings[0]}={_command_word(key, flag, value)}")
+        elif isinstance(value, list) and len(value) == flag.nargs:
+            tokens += [flag.option_strings[0], *(_command_word(key, flag, v) for v in value)]
+        else:
+            raise ConfigError(f"config key {key!r} needs a list of {flag.nargs} "
+                              f"values, got {value!r}")
+    # set only now, so that a command-line error still prints this command's usage
+    parser.exit_on_error = False
+    keys = {flag.option_strings[0]: key for key, flag in flags.items()}
     try:
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise TypeError(type(value).__name__)
-        if convert is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError("not a whole number")
-        word = convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {flag.dest!r}: cannot read {value!r} "
-                          f"as {convert.__name__}") from exc
-    if flag.choices is not None and word not in flag.choices:
-        raise ConfigError(f"config key {flag.dest!r} must be one of "
-                          f"{list(flag.choices)}, got {value!r}")
-    return word
+        options = vars(parser.parse_args(tokens + argv[argv.index(args.command) + 1:]))
+    except argparse.ArgumentError as exc:
+        key = keys.get(exc.argument_name, exc.argument_name)
+        raise ConfigError(f"config key {key!r}: {exc.message}") from exc
+    options["command"] = args.command
+    options.update((key, value) for key, value in schedules.items() if options[key] is None)
+    return options
+
+
+def _read_config(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return values
+
+
+def _command_word(key: str, flag: argparse.Action, value) -> str:
+    """One config value as the command-line word its flag reads.  A JSON bool
+    is no value, a number is no string, and a whole number counts for an
+    integer flag; a number is written out without an exponent, so that a
+    negative one never reads as a flag."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or flag.type is None:
+        raise ConfigError(f"config key {key!r}: cannot read {value!r} as "
+                          f"{getattr(flag.type, '__name__', 'str')}")
+    if flag.type is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, float):
+        return np.format_float_positional(value, trim="-")
+    return str(value)
 
 
 def _as_drive_value(value, name: str) -> Schedule:
@@ -333,11 +321,9 @@ def cmd_simulate(m: dict) -> int:
     p, d = _resolve_system(m)
     if m["t1"] is None:
         raise ConfigError("simulate needs --t1")
-    t0, t1, dt = float(m["t0"]), float(m["t1"]), float(m["dt"])
-    x0 = p.r_p if m["x0"] is None else float(m["x0"])
-    y0 = 0.0 if m["y0"] is None else float(m["y0"])
-    start = CartesianState(x0, y0)
-    noise = NoiseSpec(float(m["noise"]), m["seed"])
+    t0, t1, dt = m["t0"], m["t1"], m["dt"]
+    start = CartesianState(p.r_p if m["x0"] is None else m["x0"], m["y0"])
+    noise = NoiseSpec(m["noise"], m["seed"])
     if noise.sigma > 0.0:
         traj = integrate_sde(start, t0, t1, dt, p, d, noise)
     else:
@@ -361,11 +347,10 @@ def _write_fixed_points(path, points) -> None:
 
 def cmd_portrait(m: dict) -> int:
     p, d = _resolve_system(m)
-    t = float(m["time"])
+    t = m["time"]
     outdir = Path(m["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    cmap = contraction_map(tuple(m["bounds"]), int(m["resolution"]), t, p, d,
-                           beta=float(m["beta"]))
+    cmap = contraction_map(tuple(m["bounds"]), m["resolution"], t, p, d, beta=m["beta"])
     if m["format"] == "block":
         map_path = outdir / "contraction_map.block"
         cmap.to_block(map_path)
@@ -386,7 +371,7 @@ def cmd_portrait(m: dict) -> int:
         "eps_a": fp.eps_a,
         "delta_omega": fp.delta_omega,
         "time": t,
-        "class": classify(fp, beta=float(m["beta"])).value,
+        "class": classify(fp, beta=m["beta"]).value,
         "gamma_exists": gamma.exists,
         "non_contraction_present": bool(cmap.non_contraction_present()),
         "fixed_points": [
@@ -402,10 +387,10 @@ def cmd_portrait(m: dict) -> int:
 
 
 def cmd_sweep(m: dict) -> int:
-    p = OscillatorParams(float(m["eps_gamma"]), float(m["omega0"]), float(m["r_p"]))
-    lo, hi = float(m["eps_a_min"]), float(m["eps_a_max"])
+    p = OscillatorParams(m["eps_gamma"], m["omega0"], m["r_p"])
+    lo, hi = m["eps_a_min"], m["eps_a_max"]
     # the thresholds are exact; continuation_sweep only checks its unused step
-    result = continuation_sweep(float(m["delta_omega"]), (lo, hi), 0.5 * (hi - lo), p)
+    result = continuation_sweep(m["delta_omega"], (lo, hi), 0.5 * (hi - lo), p)
     doc = json.dumps(result.to_dict(), indent=2)
     if m["out"]:
         Path(m["out"]).write_text(doc + "\n", encoding="utf-8")
@@ -416,12 +401,9 @@ def cmd_sweep(m: dict) -> int:
 
 
 def cmd_regionmap(m: dict) -> int:
-    p = OscillatorParams(float(m["eps_gamma"]), float(m["omega0"]), float(m["r_p"]))
-    rm = region_map(
-        (float(m["delta_omega_min"]), float(m["delta_omega_max"])),
-        (float(m["eps_a_min"]), float(m["eps_a_max"])),
-        int(m["resolution"]), p, beta=float(m["beta"]),
-    )
+    p = OscillatorParams(m["eps_gamma"], m["omega0"], m["r_p"])
+    rm = region_map((m["delta_omega_min"], m["delta_omega_max"]),
+                    (m["eps_a_min"], m["eps_a_max"]), m["resolution"], p, beta=m["beta"])
     rm.to_csv(m["out"])
     print(f"wrote {m['out']} (classes present: {sorted(rm.labels_present())}, "
           f"failed cells: {rm.failed})")
@@ -430,10 +412,8 @@ def cmd_regionmap(m: dict) -> int:
 
 def cmd_verify(m: dict) -> int:
     p, d = _resolve_system(m)
-    report = verify_schedule(
-        d, p, float(m["t0"]), float(m["t1"]), dt=float(m["dt"]),
-        check_interval=float(m["check_interval"]), beta=float(m["beta"]),
-    )
+    report = verify_schedule(d, p, m["t0"], m["t1"], dt=m["dt"],
+                             check_interval=m["check_interval"], beta=m["beta"])
     if m["out"]:
         report.save(m["out"])
         print(f"wrote {m['out']} (chronotaxic={report.chronotaxic})")
@@ -473,8 +453,8 @@ def cmd_cwt(m: dict) -> int:
     if not m["input"]:
         raise ConfigError("cwt needs --input")
     series, fs = _load_trajectory_csv(m["input"], m["column"])
-    freqs = sig.morlet_freq_grid(float(m["fmin"]), float(m["fmax"]), int(m["voices"]))
-    sc = sig.cwt(series, fs, freqs, float(m["f0"]))
+    freqs = sig.morlet_freq_grid(m["fmin"], m["fmax"], m["voices"])
+    sc = sig.cwt(series, fs, freqs, m["f0"])
     if m["format"] == "block":
         sc.to_block(m["out"])
     else:
@@ -512,13 +492,11 @@ def cmd_make_figures(m: dict) -> int:
     written.append(path)
 
     for eps_a in (0.3, 0.5, 1.2, 1.7, 7.2):
-        sub = {
-            **_DEFAULTS["portrait"],
-            "eps_a": eps_a, "delta_omega": DEFAULT_DELTA_OMEGA,
-            "resolution": 200, "outdir": str(outdir / f"portrait_eps_a_{eps_a:g}"),
-        }
-        cmd_portrait(sub)
-        written.append(Path(sub["outdir"]))
+        sub = outdir / f"portrait_eps_a_{eps_a:g}"
+        cmd_portrait(_options(["portrait", f"--eps-a={eps_a!r}",
+                               f"--delta-omega={DEFAULT_DELTA_OMEGA!r}",
+                               "--resolution=200", f"--outdir={sub}"]))
+        written.append(sub)
 
     rm = region_map((0.0, 1.5), (0.0, 8.0), 75, p)
     path = outdir / "region_map.csv"
@@ -576,10 +554,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        merged = _merge_config(args.command, args)
-        return _COMMANDS[args.command](merged)
+        m = _options(argv)
+        return _COMMANDS[m["command"]](m)
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

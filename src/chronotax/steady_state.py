@@ -806,12 +806,16 @@ def _track_start(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt
     ``t0``, run forward to ``t0`` on ``time_grid(t0 - window, t0, dt)``.  The
     run is recorded from its first node at or after ``t0 - (t1 - t0)``, so it
     holds at most as many samples as the track; its last sample is the
-    track's start."""
+    track's start.  Raises :class:`NotChronotaxicError` when the frozen system
+    at ``t0 - window``, before the scanned window, has no stable point."""
     slowest = min(-attractor.lambda_max_sym for _, _, attractor in scan)
     window = min(max(10.0 / slowest, 10.0), max_window)
 
     fp0 = frozen_at(p, d, t0 - window)
     stable = [q for q in find_fixed_points(fp0) if q.is_stable]
+    if not stable:
+        raise NotChronotaxicError(f"no stable fixed point at t={t0 - window:g}, where the "
+                                  "track's warm-up starts", time=t0 - window)
     u, v = min(stable, key=lambda q: q.lambda_max_sym).uv
     a = float(d.alpha_p(t0 - window))
     x0 = u * math.cos(a) - v * math.sin(a)

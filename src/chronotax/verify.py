@@ -556,15 +556,20 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     Stage failures are recorded in the report, never raised; a member's
     blow-up fails the attraction check and leaves the track standing.
     Bad input is refused before any work: the window must be finite with
-    ``t1 > t0``, ``dt``, ``check_interval``, ``sample_interval`` and
-    ``beta`` finite and positive, and ``ladder`` must hold finite positive
-    radii.
+    ``t1 > t0``, the track's grid ``time_grid(t0, t1, dt)`` must hold at
+    least 3 samples, ``dt``, ``check_interval``, ``sample_interval`` and
+    ``beta`` must be finite and positive, and ``ladder`` must hold finite
+    positive radii.
     """
     for name, value in (("dt", dt), ("sample_interval", sample_interval), ("beta", beta)):
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
     if not (len(ladder) > 0 and all(math.isfinite(r) and r > 0.0 for r in ladder)):
         raise InvalidInputError(f"ladder must hold finite positive radii, got {ladder!r}")
+    times = time_grid(t0, t1, dt)
+    if times.size < 3:
+        raise InvalidInputError(f"the track over [{t0!r}, {t1!r}] at dt={dt!r} has "
+                                f"{times.size} samples; it needs at least 3")
     thresholds = {
         "forward": forward_tol,
         "pullback": pullback_tol,
@@ -590,7 +595,6 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     try:
         warmup = _track_start(d, p, t0, t1, dt, scan)
         x, y = warmup.states[-1].tolist()
-        times = time_grid(t0, t1, dt)
         track = Trajectory(t0, dt, times, rk4_path(field, x, y, times), frame="lab")
     except ChronotaxError as exc:
         failures.append(f"attractor tracking failed: {exc}")

@@ -1,10 +1,13 @@
 """Command-line interface: files produced, config precedence, exit codes."""
 
+import argparse
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronotax import (
     DriveSchedule,
@@ -13,11 +16,16 @@ from chronotax import (
     region_map,
     save_params,
 )
-from chronotax.cli import _build_parser, _merge_config, _resolve_system, main
+from chronotax.cli import _build_parser, _options, _resolve_system, main
 
 
 def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
+
+
+def subparsers():
+    """The parser of each subcommand, by name."""
+    return next(a for a in _build_parser()._actions if a.dest == "command").choices
 
 
 def test_simulate_row_count(tmp_path):
@@ -91,17 +99,98 @@ def test_config_values_are_read_as_their_flags(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"t1": "0.1", "dt": 0.01, "seed": 3.0, "noise": "0.2",
                                "eps_a": {"t": [0.0, 1.0], "v": [1.0, 2.0]}}))
-    args = _build_parser().parse_args(["simulate", "--config", str(cfg)])
-    m = _merge_config("simulate", args)
+    m = _options(["simulate", "--config", str(cfg)])
     assert (m["t1"], m["seed"], m["noise"]) == (0.1, 3, 0.2)
     assert type(m["seed"]) is int
     out = tmp_path / "t.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert read_csv(out).size == 11
     cfg.write_text(json.dumps({"bounds": [-2, 2], "resolution": 5.0, "format": "block"}))
-    args = _build_parser().parse_args(["portrait", "--config", str(cfg)])
-    m = _merge_config("portrait", args)
+    m = _options(["portrait", "--config", str(cfg)])
     assert (m["bounds"], m["resolution"], m["format"]) == ([-2.0, 2.0], 5, "block")
+
+
+#: every flag that a config key stands for, but --config and --params
+FLAGS = [(command, flag) for command, parser in subparsers().items()
+         for flag in parser._actions
+         if flag.option_strings and flag.dest not in ("help", "config", "params")]
+
+
+def flag_values(flag):
+    """Values the flag reads, negative numbers and strings led by '-' among them."""
+    if flag.choices:
+        return st.sampled_from(flag.choices)
+    if flag.nargs:
+        # multiples of 1/64 print without an exponent, so the command line
+        # reads a negative one as a value, not as a flag
+        word = st.integers(-2**40, 2**40).map(lambda k: k / 64)
+        return st.lists(word, min_size=flag.nargs, max_size=flag.nargs)
+    if flag.type is int:
+        return st.integers()
+    if flag.type is float:
+        return st.floats(allow_nan=False)
+    text = st.text(st.characters(exclude_categories=("Cs",)))
+    return text | text.map("-".__add__)
+
+
+def flag_words(flag, value):
+    """The command-line words that give ``value`` to ``flag``."""
+    name = flag.option_strings[0]
+    if flag.nargs:
+        return [name, *map(repr, value)]
+    return [f"{name}={value if isinstance(value, str) else repr(value)}"]
+
+
+def options_but_config(argv):
+    return {k: v for k, v in _options(argv).items() if k != "config"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_config_key_is_its_flag(tmp_path_factory, data):
+    command, flag = data.draw(st.sampled_from(FLAGS), label="flag")
+    value = data.draw(flag_values(flag), label="config value")
+    given_value = data.draw(flag_values(flag), label="flag value")
+    cfg = tmp_path_factory.mktemp("config") / "c.json"
+    cfg.write_text(json.dumps({flag.dest: value}))
+    from_file = options_but_config([command, "--config", str(cfg)])
+    assert from_file == options_but_config([command, *flag_words(flag, value)])
+    # the command line beats the config file, wherever --config stands
+    given = flag_words(flag, given_value)
+    expected = options_but_config([command, *given])
+    assert options_but_config([command, "--config", str(cfg), *given]) == expected
+    assert options_but_config([command, *given, "--config", str(cfg)]) == expected
+
+
+def test_config_numbers_read_as_their_values_in_any_notation(tmp_path):
+    # a negative number in exponent notation is no flag in a config list
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"bounds": [-1e-05, 2e16], "time": -1e-300, "resolution": 1e20}))
+    m = _options(["portrait", "--config", str(cfg)])
+    assert (m["bounds"], m["time"], m["resolution"]) == ([-1e-05, 2e16], -1e-300, 10**20)
+
+
+@pytest.mark.parametrize("command", ["simulate", "portrait", "verify"])
+def test_a_drive_schedule_in_the_config_loses_to_its_flag(tmp_path, command):
+    schedule = {"t": [0.0, 1.0], "v": [1.0, 2.0]}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"eps_a": schedule, "omega_p": None}))
+    m = _options([command, "--config", str(cfg)])
+    assert (m["eps_a"], m["omega_p"]) == (schedule, None)
+    assert _options([command, "--config", str(cfg), "--eps-a", "3"])["eps_a"] == 3.0
+    assert _options([command, "--eps-a", "3", "--config", str(cfg)])["eps_a"] == 3.0
+
+
+@pytest.mark.parametrize("command", sorted(subparsers()))
+def test_help_shows_every_default(capsys, command):
+    # a stray '%' in a help string fails only here, when help is rendered
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag in subparsers()[command]._actions:
+        if flag.default not in (None, argparse.SUPPRESS):
+            assert f"(default: {flag.default})" in text, flag.dest
 
 
 def test_simulate_requires_end_time():
@@ -189,11 +278,9 @@ def test_given_value_equal_to_the_default_beats_the_params_file(tmp_path, given)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"eps_gamma": 7.0}))
         given = ["--config", str(cfg)]
-    args = _build_parser().parse_args(["simulate", "--params", str(params), *given])
-    p, _ = _resolve_system(_merge_config("simulate", args))
+    p, _ = _resolve_system(_options(["simulate", "--params", str(params), *given]))
     assert p.eps_gamma == 7.0
-    args = _build_parser().parse_args(["simulate", "--params", str(params)])
-    p, _ = _resolve_system(_merge_config("simulate", args))
+    p, _ = _resolve_system(_options(["simulate", "--params", str(params)]))
     assert p.eps_gamma == 5.0
 
 
@@ -301,6 +388,7 @@ def test_verify_verdicts(tmp_path):
     ["--t0", "5", "--t1", "5"],
     ["--t1", "3", "--dt", "0"],
     ["--t0", "5", "--t1", "1"],
+    ["--eps-gamma", "1", "--t1", "0.5", "--dt", "0.5"],
 ])
 def test_verify_refuses_bad_input(tmp_path, capsys, args):
     rep = tmp_path / "rep.json"

@@ -13,6 +13,7 @@ from chronotax import (
     DriveSchedule,
     FrozenParams,
     InvalidInputError,
+    NotChronotaxicError,
     OscillatorParams,
     Schedule,
     TrappingCandidate,
@@ -452,6 +453,21 @@ def test_a_warm_up_of_two_samples_has_no_tube():
     assert report.pullback_defect > DEFAULT_PULLBACK_TOL
 
 
+def test_a_warm_up_without_a_stable_start_is_a_tracking_failure():
+    # chronotaxic over [0, 15], but the pull is too weak before t = -1, and
+    # the warm-up starts from the frozen attractor at t = -10, which is none:
+    # the report records the failed track, and the track raises
+    d = DriveSchedule(Schedule.sampled([-20.0, -1.0, 0.0, 15.0], [0.3, 0.3, 3.0, 3.0]), FREQ)
+    report = verify_schedule(d, P, 0.0, 15.0)
+    assert report.offending_intervals == []
+    assert not report.chronotaxic
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("attractor tracking failed: ")
+    with pytest.raises(NotChronotaxicError) as exc:
+        attractor_track(d, P, 0.0, 15.0, 1e-3)
+    assert exc.value.time == -10.0
+
+
 def test_forward_defect_survives_without_drive():
     # undriven: ensemble phases never collapse
     d0 = DriveSchedule.constant(0.0, P.omega0 - 0.5)
@@ -680,6 +696,7 @@ def test_verify_schedule_solves_each_instant_once(fixed_point_solves):
     ((0.0, 3.0), {"check_interval": math.nan}),
     ((0.0, 3.0), {"dt": 0.0}),
     ((0.0, 3.0), {"dt": -1e-3}),
+    ((0.0, 0.5), {"dt": 0.5}),      # a track grid of two samples
     ((0.0, 3.0), {"sample_interval": math.nan}),
     ((0.0, 3.0), {"sample_interval": 0.0}),
     ((0.0, 3.0), {"beta": 0.0}),
