@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -74,8 +75,17 @@ class _HelpWithDefaults(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads a word such as ``-1e-5``, ``-2.5E+1`` or ``-.5`` as a
+    negative number, not as a flag; its subcommand parsers share the rule."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Parser(
         prog="chronotax",
         description="Chronotaxic-oscillator simulation and analysis toolkit.",
     )
@@ -240,8 +250,7 @@ def _read_config(path) -> dict:
 def _command_word(key: str, flag: argparse.Action, value) -> str:
     """One config value as the command-line word its flag reads.  A JSON bool
     is no value, a number is no string, and a whole number counts for an
-    integer flag; a number is written out without an exponent, so that a
-    negative one never reads as a flag."""
+    integer flag."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)) or flag.type is None:
@@ -249,8 +258,6 @@ def _command_word(key: str, flag: argparse.Action, value) -> str:
                           f"{getattr(flag.type, '__name__', 'str')}")
     if flag.type is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, float):
-        return np.format_float_positional(value, trim="-")
     return str(value)
 
 

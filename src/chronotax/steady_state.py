@@ -799,15 +799,16 @@ def _scan(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             for t in _check_times(d, t0, t1, interval).tolist()]
 
 
-def _track_start(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: float,
-                 scan, max_window: float = 500.0) -> Trajectory:
-    """Warm-up of the attractor track over ``[t0, t1]``, from a scan whose every
-    instant is chronotaxic: the frozen attractor a pullback window before
-    ``t0``, run forward to ``t0`` on ``time_grid(t0 - window, t0, dt)``.  The
-    run is recorded from its first node at or after ``t0 - (t1 - t0)``, so it
-    holds at most as many samples as the track; its last sample is the
-    track's start.  Raises :class:`NotChronotaxicError` when the frozen system
-    at ``t0 - window``, before the scanned window, has no stable point."""
+def _track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: float,
+           scan, max_window: float = 500.0) -> tuple[Trajectory, Trajectory]:
+    """The warm-up and the attractor track over ``[t0, t1]``, from a scan whose
+    every instant is chronotaxic.  The warm-up runs the frozen attractor a
+    pullback window before ``t0`` forward to ``t0`` on ``time_grid(t0 -
+    window, t0, dt)``, recorded from its first node at or after ``t0 - (t1 -
+    t0)``, so it holds at most as many samples as the track.  The track runs
+    from the warm-up's last sample on ``time_grid(t0, t1, dt)``.  Raises
+    :class:`NotChronotaxicError` when the frozen system at ``t0 - window``,
+    before the scanned window, has no stable point."""
     slowest = min(-attractor.lambda_max_sym for _, _, attractor in scan)
     window = min(max(10.0 / slowest, 10.0), max_window)
 
@@ -826,8 +827,10 @@ def _track_start(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt
     if i > 0:
         x0, y0 = rk4_path(field, x0, y0, times[:i + 1], record=False)
     times = times[i:]
-    return Trajectory(float(times[0]), dt, times,
-                      rk4_path(field, x0, y0, times, record=True), frame="lab")
+    warmup = Trajectory(float(times[0]), dt, times, rk4_path(field, x0, y0, times), "lab")
+    x, y = warmup.states[-1].tolist()
+    times = time_grid(t0, t1, dt)
+    return warmup, Trajectory(t0, dt, times, rk4_path(field, x, y, times), "lab")
 
 
 def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
@@ -848,7 +851,4 @@ def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             raise NotChronotaxicError(
                 f"parameters at t={t:g} classify as {cls.value}", time=t
             )
-    x, y = _track_start(d, p, t0, t1, dt, scan, max_window).states[-1].tolist()
-    times = time_grid(t0, t1, dt)
-    return Trajectory(t0, dt, times, rk4_path(LabField(p, d), x, y, times, record=True),
-                      frame="lab")
+    return _track(d, p, t0, t1, dt, scan, max_window)[1]

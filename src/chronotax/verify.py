@@ -1,42 +1,13 @@
 """Numerical certificate of chronotaxicity for a drive schedule.
 
 The certificate assembles four sampling-based checks over a time window:
-
-1. every sampled instant classifies chronotaxic (offending intervals are
-   reported otherwise); one scan of the instants classifies each once and
-   hands its attractors to the tracking,
-2. a moving disk around the tracked attractor stays inside the contraction
-   region (the exact supremum of the leading symmetric eigenvalue over the
-   disk, at each sampled time) and traps the flow (boundary flux relative
-   to the moving center points inward),
-3. forward ensembles collapse and pullback evaluations form a Cauchy
-   sequence.  Where the tube of item 2 certifies, the forward defect is a
-   contraction bound: inside the tube the distance between trajectories
-   falls at least as ``exp(max_lambda_on_A * t)`` (Lohmiller & Slotine,
-   Automatica 34, 1998), so the ensemble stops once every member is inside
-   and that decay carries its spread below ``forward_tol`` by the window's
-   end.  The pullback defect is the same bound on a second tube, certified
-   the same way around the track's warm-up run (the stretch before the
-   window that brings the track onto the attractor): the two pullback runs
-   join the warm-up's grid and stop once both are inside that tube and the
-   decay to the window's start carries their gap below ``pullback_tol``
-   (Kloeden & Rasmussen, *Nonautonomous Dynamical Systems*, AMS 2011).
-   Both bounds inherit the tubes' caveats: a tube is certified at
-   ``sample_interval`` instants only and is centred on a numerical run.
-   Without a certified tube, or where no block end meets the tolerance, a
-   defect is measured at the end of its run,
-4. the track is invariant: it lies near the exact solution through its
-   first sample.  Where the tube of item 2 certifies, the invariance defect
-   is a bound on that distance.  The track's cubic Hermite interpolant p
-   (the field at the samples as slopes) has residual r = p' - f(p, t), and
-   inside the tube the distance e from p to the solution obeys
-   e' <= max_lambda_on_A * e + |r| (Lohmiller & Slotine 1998; Söderlind,
-   "The logarithmic norm", BIT 46, 2006).  So e is at most the residual
-   weighted by the contraction, step by step, and at most about
-   ``max|r| / |max_lambda_on_A|``.  r is sampled at three points per step,
-   and the bound inherits the tube's caveats of item 3.  Without a
-   certified tube the defect is measured against a re-integration from the
-   first sample at half the step.
+every sampled instant classifies chronotaxic; a moving disk around the
+tracked attractor (a tube) stays inside the contraction region and traps the
+flow; forward ensembles collapse and pullback runs converge; and the track
+lies near the exact solution through its first sample.  Where a tube
+certifies, the attraction and invariance defects are contraction bounds
+taken from it rather than measurements; the README's design notes derive
+them.
 
 Verdicts are sampling-based in time, not proofs; the report carries every
 margin so callers can tighten the sampling.
@@ -65,7 +36,7 @@ from .integrate import (
     time_grid,
 )
 from .model import CartesianState, DriveSchedule, OscillatorParams, pulled_field
-from .steady_state import _scan, _track_start
+from .steady_state import _scan, _track
 
 #: geometric radius ladder for the auto-selected trapping disk
 DEFAULT_RADIUS_LADDER = tuple(0.02 * 2.0**k for k in range(8))
@@ -97,8 +68,9 @@ class TrappingCandidate:
     boundary_samples: int = 720
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise InvalidInputError("trapping radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise InvalidInputError(f"trapping radius must be finite and positive, "
+                                    f"got {self.radius!r}")
         if self.boundary_samples < MIN_BOUNDARY_SAMPLES:
             raise InvalidInputError(
                 f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples"
@@ -157,6 +129,17 @@ class VerificationReport:
             fh.write("\n")
 
 
+def _check_sampling(sample_interval: float, ladder=None) -> None:
+    """Refuse a ``sample_interval`` that is not finite and positive, and a
+    ``ladder`` (where given) that does not hold finite positive radii."""
+    if not (math.isfinite(sample_interval) and sample_interval > 0.0):
+        raise InvalidInputError(
+            f"sample_interval must be finite and positive, got {sample_interval!r}")
+    if ladder is not None and not (
+            len(ladder) > 0 and all(math.isfinite(r) and r > 0.0 for r in ladder)):
+        raise InvalidInputError(f"ladder must hold finite positive radii, got {ladder!r}")
+
+
 def _sample_indices(n: int, dt: float, sample_interval: float) -> list[int]:
     """Interior indices (central-differentiable) roughly sample_interval apart."""
     stride = max(1, int(round(sample_interval / dt)))
@@ -178,8 +161,10 @@ def verify_trapping(c: TrappingCandidate, p: OscillatorParams, d: DriveSchedule,
     flux check probes the disk's boundary (the field relative to the moving
     center, projected on the outward normal, must be negative everywhere
     for trapping).  Returns ``(max_lambda, max_inward_defect)`` — both
-    maxima over all samples, so trapping holds when both are < 0.
+    maxima over all samples, so trapping holds when both are < 0.  Refuses
+    a ``sample_interval`` that is not finite and positive.
     """
+    _check_sampling(sample_interval)
     track = c.track
     n = track.times.size
     if n < 3:
@@ -236,8 +221,10 @@ def select_trapping_radius(track: Trajectory, p: OscillatorParams, d: DriveSched
     """Largest ladder radius whose disk stays inside the contraction region.
 
     Returns None when even the smallest rung pokes out of the region at some
-    sampled time.
+    sampled time.  Refuses a ``sample_interval`` that is not finite and
+    positive, and a ladder that does not hold finite positive radii.
     """
+    _check_sampling(sample_interval, ladder)
     indices = _sample_indices(track.times.size, track.dt, sample_interval)
     best = None
     for radius in sorted(ladder):
@@ -266,7 +253,10 @@ def verify_attraction(p: OscillatorParams, d: DriveSchedule, t0: float, t1: floa
     """
     starts = _forward_starts(ensemble_size, seed, start_radius)
     finals = _rk4_ensemble(LabField(p, d), starts, time_grid(t0, t1, dt), record=False)
-    return _spread(finals), _pullback_defect(p, d, t0, t1, dt, start_radius)
+    span = t1 - t0
+    prev, last = pullback(CartesianState(start_radius, 0.0),
+                          [t0 - span * 0.75, t0 - span], t0, dt, p, d)
+    return _spread(finals), math.hypot(last.x - prev.x, last.y - prev.y)
 
 
 def _forward_starts(ensemble_size: int, seed: int, start_radius: float):
@@ -286,74 +276,95 @@ def _spread(finals) -> float:
     return float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
 
 
-def _tube_defect(field: LabField, starts, track: Trajectory, radius: float | None,
-                 rate: float, tol: float) -> tuple[float, float | None]:
-    """Spread at the end of ``track`` of the members ``starts`` run on its grid,
-    and the time from which it is a bound (``None`` when it is measured).
+@dataclass(frozen=True)
+class _Tube:
+    """A moving disk around the recorded lab-frame ``run``.
 
-    The members run one tape block at a time.  Given a certified tube around
-    ``track`` (``radius`` not ``None``, leading symmetric eigenvalue at most
-    ``rate`` < 0 in it, inward boundary flux), the run stops at the first
-    block end ``t_i`` before the end ``t1`` where every member lies strictly
-    inside the disk of ``radius`` around the track and ``spread(t_i) *
-    exp(rate * (t1 - t_i))`` is at most ``tol``; that bound is the defect.
-    Otherwise the members run to ``t1`` and their spread there is the
-    defect.  A member's blow-up raises the error that the whole run of
-    :func:`chronotax.integrate._rk4_ensemble` would raise.
+    ``radius`` is the largest ladder rung inside the contraction region, or
+    ``None`` where no rung fits; ``rate`` and ``flux`` are the
+    ``(max_lambda, max_inward_defect)`` of :func:`verify_trapping` at that
+    radius, or at the smallest rung where none fits.  All three are ``None``
+    for a run too short to check.
     """
-    times = track.times
+
+    run: Trajectory
+    radius: float | None = None
+    rate: float | None = None
+    flux: float | None = None
+
+    @property
+    def certified(self) -> bool:
+        """Whether the disk is contracting (leading symmetric eigenvalue at
+        most ``rate`` < 0) and trapping (inward boundary flux)."""
+        return self.radius is not None and self.rate < 0.0 and self.flux < 0.0
+
+
+def _certify_tube(run: Trajectory, p: OscillatorParams, d: DriveSchedule, ladder,
+                  beta: float, boundary_samples: int, sample_interval: float) -> _Tube:
+    """The tube around ``run``: :func:`select_trapping_radius`, then
+    :func:`verify_trapping` at the radius found or at the smallest rung."""
+    if run.times.size < 3:
+        return _Tube(run)
+    radius = select_trapping_radius(run, p, d, ladder, beta, sample_interval)
+    probe = radius if radius is not None else min(ladder)
+    rate, flux = verify_trapping(TrappingCandidate(run, probe, boundary_samples), p, d,
+                                 sample_interval)
+    return _Tube(run, radius, rate, flux)
+
+
+def _tube_defect(field: LabField, starts, tube: _Tube, tol: float,
+                 start: int = 0) -> tuple[float, float | None]:
+    """Spread at the end of ``tube.run`` of the members ``starts`` run on its
+    grid from node ``start``, and the time from which it is a bound (``None``
+    when it is measured).
+
+    The members run one tape block at a time.  Where the tube certifies, the
+    run stops at the first block end ``t_i`` before the end ``t1`` where
+    every member lies strictly inside the disk of ``tube.radius`` around the
+    run and ``spread(t_i) * exp(tube.rate * (t1 - t_i))`` is at most
+    ``tol``; that bound is the defect.  Otherwise the members run to ``t1``
+    and their spread there is the defect.  A member's blow-up raises the
+    error that the whole run of :func:`chronotax.integrate._rk4_ensemble`
+    would raise.
+    """
+    run = tube.run
+    times = run.times
     last = times.size - 1
     t1 = float(times[-1])
     states = starts
     failed = None
-    for i0 in range(0, last, TAPE_BLOCK):
+    for i0 in range(start, last, TAPE_BLOCK):
         i1 = min(i0 + TAPE_BLOCK, last)
         states = _rk4_members(field, states, times[i0:i1 + 1], False)
         if states and isinstance(states[-1], BlowUpError):
             # the members before it run on: a lower one may fail later
             failed = states.pop()
-        elif failed is None and radius is not None and i1 < last:
-            cx, cy = track.states[i1]
-            bound = _spread(states) * math.exp(rate * (t1 - float(times[i1])))
-            if bound <= tol and all(math.hypot(x - cx, y - cy) < radius for x, y in states):
+        elif failed is None and tube.certified and i1 < last:
+            cx, cy = run.states[i1]
+            bound = _spread(states) * math.exp(tube.rate * (t1 - float(times[i1])))
+            if bound <= tol and all(math.hypot(x - cx, y - cy) < tube.radius
+                                    for x, y in states):
                 return bound, float(times[i1])
     if failed is not None:
         raise failed
     return _spread(states), None
 
 
-def _warmup_tube(warmup: Trajectory, p: OscillatorParams, d: DriveSchedule, ladder,
-                 beta: float, boundary_samples: int,
-                 sample_interval: float) -> tuple[float | None, float | None]:
-    """Radius and eigenvalue bound of a certified tube around the track's
-    warm-up, by the checks that certify the track's own tube; ``(None,
-    None)`` where it does not certify."""
-    if warmup.times.size >= 3:
-        radius = select_trapping_radius(warmup, p, d, ladder, beta, sample_interval)
-        if radius is not None:
-            max_lam, max_flux = verify_trapping(
-                TrappingCandidate(warmup, radius, boundary_samples), p, d, sample_interval)
-            if max_lam < 0.0 and max_flux < 0.0:
-                return radius, max_lam
-    return None, None
-
-
-def _pullback_tube_defect(field: LabField, warmup: Trajectory, span: float,
-                          start_radius: float, radius: float | None, rate: float | None,
+def _pullback_tube_defect(field: LabField, tube: _Tube, span: float, start_radius: float,
                           tol: float) -> tuple[float, float | None]:
-    """The pullback Cauchy defect at the end ``t0`` of the recorded ``warmup``,
+    """The pullback Cauchy defect at the end ``t0`` of the warm-up ``tube.run``,
     and the time from which it is a bound (``None`` when it is measured).
 
     The runs from ``(start_radius, 0)`` at ``t0 - 0.75 span`` and ``t0 -
     span`` each step to the first node of the warm-up's grid at or after
     their start, then along that grid to ``G_j``, its first node at or after
     ``t0 - 0.75 span``.  From there they run as members of
-    :func:`_tube_defect` around the warm-up, with the warm-up's certified
-    tube (``radius`` and ``rate``, or ``None``).  A blow-up on the way to
+    :func:`_tube_defect` in the warm-up's tube.  A blow-up on the way to
     ``G_j`` raises at once, the later start's run going first, as in
     :func:`chronotax.integrate.pullback`; one after ``G_j`` raises as in
     :func:`_tube_defect`.
     """
+    warmup = tube.run
     times = warmup.times
     t0 = float(times[-1])
     j = int(np.searchsorted(times, t0 - 0.75 * span))
@@ -362,17 +373,7 @@ def _pullback_tube_defect(field: LabField, warmup: Trajectory, span: float,
         i = int(np.searchsorted(times, s))
         grid = np.concatenate([time_grid(s, float(times[i]), warmup.dt), times[i + 1:j + 1]])
         members.append(rk4_path(field, start_radius, 0.0, grid, record=False))
-    tail = Trajectory(float(times[j]), warmup.dt, times[j:], warmup.states[j:], frame="lab")
-    return _tube_defect(field, members, tail, radius, rate, tol)
-
-
-def _pullback_defect(p: OscillatorParams, d: DriveSchedule, t0: float, t1: float,
-                     dt: float, start_radius: float) -> float:
-    """The pullback Cauchy defect of :func:`verify_attraction`."""
-    span = t1 - t0
-    prev, last = pullback(CartesianState(start_radius, 0.0),
-                          [t0 - span * 0.75, t0 - span], t0, dt, p, d)
-    return math.hypot(last.x - prev.x, last.y - prev.y)
+    return _tube_defect(field, members, tube, tol, j)
 
 
 def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
@@ -506,70 +507,59 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
                     invariance_tol: float = DEFAULT_INVARIANCE_TOL) -> VerificationReport:
     """Full chronotaxicity certificate for a drive schedule over ``[t0, t1]``.
 
-    Composes the classification prescan, attractor tracking, the auto-sized
-    trapping disk, attraction defects, and the invariance defect into one
-    report.  One scan classifies each sample instant once; the prescan and
-    the tracking both read it.  The track runs first, then the trapping
-    check, then the forward ensemble of :func:`verify_attraction`, block by
-    block on the track's grid.  Where the tube certifies (a ladder radius,
-    ``max_lambda_on_A`` < 0 and ``max_inward_defect`` < 0), the ensemble
-    stops at the first block end ``t_i`` where every member lies strictly
-    inside the tube and ``spread(t_i) * exp(max_lambda_on_A * (t1 - t_i))``
-    is at most ``forward_tol``: inside a contracting tube the distance
-    between trajectories falls at least at that rate (Lohmiller & Slotine,
-    Automatica 34, 1998).  That bound is ``forward_defect`` and ``t_i`` is
-    ``forward_bound_from``.  It holds as far as the tube does, which is
-    certified at ``sample_interval`` instants around the numerical track.
-    Otherwise the ensemble runs to ``t1``, its spread there is
-    ``forward_defect`` and ``forward_bound_from`` is ``None``.
-    The pullback defect comes from a tube certified the same way (same
-    ``ladder``, ``beta``, ``sample_interval`` and ``boundary_samples``)
-    around the track's warm-up, the run that brings the frozen attractor
-    at ``t0 - window`` to the track's start at ``t0``.  The runs from
-    ``t0 - 0.75 span`` and ``t0 - span`` step to the first node of the
-    warm-up's grid at or after their start, then along it, and join at its
-    first node at or after ``t0 - 0.75 span``.  From there they run on as
-    the forward members do: at the first block end ``tau`` where both are
-    strictly inside the warm-up's tube and ``gap(tau) * exp(lambda * (t0 -
-    tau))`` is at most ``pullback_tol``, with lambda that tube's eigenvalue
-    bound, that bound is ``pullback_defect`` and ``tau`` is
-    ``pullback_bound_from``.  It has the forward bound's caveats.  Without
-    a certified warm-up tube, or with no block end that meets the
-    tolerance, the runs go on to ``t0``, their gap there is
-    ``pullback_defect`` and ``pullback_bound_from`` is ``None``; that gap
-    agrees with :func:`verify_attraction`'s to rounding, as the runs take
-    the warm-up's grid instead of their own.
-    The same certified tube bounds ``invariance_defect``, the distance from
-    the track to the exact solution through its first sample: the residual
-    r = p' - f(p, t) of the track's cubic Hermite interpolant p, sampled at
-    the two Gauss-Legendre points and the midpoint of every step, weighted
-    by the contraction (``e' <= max_lambda_on_A * e + |r|``; Söderlind,
-    "The logarithmic norm", BIT 46, 2006).  It is at most about
-    ``max|r| / |max_lambda_on_A|``.  It has two sampling caveats: the
-    tube is certified at ``sample_interval`` instants only, and r is
-    sampled at three points per step.  Without a certified tube the track
-    is re-integrated at ``dt/2`` (:func:`verify_invariance`), as before.
-    On the benchmark's scheduled drives the forward members are inside the
-    tube by t ≈ 0.8–1.3 of 15 and the pullback runs by t ≈ −9.7, and a
-    verification takes 37,906 (seed 1) and 42,002 (seed 7919) RK4 steps,
-    where measuring both defects and re-running the track takes 155k–166k.
-    Stage failures are recorded in the report, never raised; a member's
-    blow-up fails the attraction check and leaves the track standing.
-    Bad input is refused before any work: the window must be finite with
-    ``t1 > t0``, the track's grid ``time_grid(t0, t1, dt)`` must hold at
-    least 3 samples, ``dt``, ``check_interval``, ``sample_interval`` and
+    Every run steps by ``dt``.  ``check_interval`` spaces the classification
+    scan (the schedule knots inside the window join it) and ``beta`` is the
+    contraction margin of the scan and of the trapping radius.  A tube is
+    sized from ``ladder`` and checked at ``sample_interval`` instants
+    against ``boundary_samples`` boundary points, around the track and
+    around its warm-up (the run that brings the frozen attractor before the
+    window to the track's start).  ``ensemble_size`` and ``seed`` draw the
+    forward ensemble, and the three tolerances are the report's
+    ``thresholds``.  The README's design notes derive each bound.
+
+    Report fields:
+
+    - ``times_checked`` and ``offending_intervals``: the scan's instants and
+      its runs of non-chronotaxic ones; any offending instant ends the
+      verification there.
+    - ``radius``: the largest ladder rung whose disk around the track stays
+      in the contraction region, or ``None``; ``max_lambda_on_A`` and
+      ``max_inward_defect``: the largest leading symmetric eigenvalue and
+      boundary flux of that disk (of the smallest rung's where no rung
+      fits).  The tube certifies where there is a radius and both are < 0.
+    - ``forward_defect``: the spread of the forward ensemble at ``t1``.
+      Where the track's tube certifies it is a contraction bound taken from
+      ``forward_bound_from`` on; otherwise it is measured and
+      ``forward_bound_from`` is ``None``.
+    - ``pullback_defect``: the gap at ``t0`` of the runs from ``(2, 0)`` at
+      ``t0 - 0.75 span`` and ``t0 - span``, likewise a bound from
+      ``pullback_bound_from`` on where the warm-up's tube certifies.
+    - ``invariance_defect``: the distance from the track to the exact
+      solution through its first sample, a bound where the track's tube
+      certifies and otherwise measured against a re-run at ``dt/2``
+      (:func:`verify_invariance`).
+    - ``chronotaxic``: no failure, a certified tube and every defect within
+      its threshold.
+
+    Stage failures are recorded in ``failures``, never raised, in this
+    order: the prescan, the tracking, the trapping check (no rung fits, the
+    flux is not inward, or it raised), the attraction check and the
+    invariance check.  A member's blow-up fails the attraction check and
+    leaves the track standing.  Bad input is refused with
+    :class:`InvalidInputError` before any work: the window must be finite
+    with ``t1 > t0``, the track's grid ``time_grid(t0, t1, dt)`` must hold
+    at least 3 samples, ``dt``, ``check_interval``, ``sample_interval`` and
     ``beta`` must be finite and positive, and ``ladder`` must hold finite
     positive radii.
     """
-    for name, value in (("dt", dt), ("sample_interval", sample_interval), ("beta", beta)):
+    for name, value in (("dt", dt), ("beta", beta)):
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
-    if not (len(ladder) > 0 and all(math.isfinite(r) and r > 0.0 for r in ladder)):
-        raise InvalidInputError(f"ladder must hold finite positive radii, got {ladder!r}")
-    times = time_grid(t0, t1, dt)
-    if times.size < 3:
+    _check_sampling(sample_interval, ladder)
+    samples = time_grid(t0, t1, dt).size
+    if samples < 3:
         raise InvalidInputError(f"the track over [{t0!r}, {t1!r}] at dt={dt!r} has "
-                                f"{times.size} samples; it needs at least 3")
+                                f"{samples} samples; it needs at least 3")
     thresholds = {
         "forward": forward_tol,
         "pullback": pullback_tol,
@@ -587,67 +577,48 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
         )
 
     failures: list[str] = []
-    radius = None
-    max_lam = max_flux = None
-    forward = bound_from = pullback_defect = pullback_from = invariance = None
-    track = None
+    forward = pullback = (None, None)
+    invariance = track = None
     field = LabField(p, d)
     try:
-        warmup = _track_start(d, p, t0, t1, dt, scan)
-        x, y = warmup.states[-1].tolist()
-        track = Trajectory(t0, dt, times, rk4_path(field, x, y, times), frame="lab")
+        warmup, track = _track(d, p, t0, t1, dt, scan)
     except ChronotaxError as exc:
         failures.append(f"attractor tracking failed: {exc}")
 
-    tube_ok = False
+    tube = _Tube(track)
     if track is not None:
         try:
-            radius = select_trapping_radius(track, p, d, ladder, beta, sample_interval)
-            probe = radius if radius is not None else min(ladder)
-            max_lam, max_flux = verify_trapping(
-                TrappingCandidate(track, probe, boundary_samples), p, d, sample_interval
-            )
-            tube_ok = radius is not None and max_lam < 0.0 and max_flux < 0.0
-            if radius is None:
+            tube = _certify_tube(track, p, d, ladder, beta, boundary_samples, sample_interval)
+            if tube.radius is None:
                 failures.append("no ladder radius stays inside the contraction region")
-            elif max_flux >= 0.0:
+            elif tube.flux >= 0.0:
                 failures.append("boundary flux is not strictly inward")
         except ChronotaxError as exc:
             failures.append(f"trapping check failed: {exc}")
         try:
             starts = _forward_starts(ensemble_size, seed, DEFAULT_START_RADIUS)
-            defect, since = _tube_defect(field, starts, track,
-                                         radius if tube_ok else None, max_lam, forward_tol)
-            warm_radius, warm_rate = _warmup_tube(warmup, p, d, ladder, beta,
-                                                  boundary_samples, sample_interval)
-            # set together, so that a pullback blow-up leaves them all unset
-            forward, bound_from, (pullback_defect, pullback_from) = (
-                defect, since,
-                _pullback_tube_defect(field, warmup, t1 - t0, DEFAULT_START_RADIUS,
-                                      warm_radius, warm_rate, pullback_tol),
-            )
+            defect = _tube_defect(field, starts, tube, forward_tol)
+            warm = _certify_tube(warmup, p, d, ladder, beta, boundary_samples, sample_interval)
+            # set together, so that a pullback blow-up leaves both unset
+            forward, pullback = defect, _pullback_tube_defect(
+                field, warm, t1 - t0, DEFAULT_START_RADIUS, pullback_tol)
         except ChronotaxError as exc:
             failures.append(f"attraction check failed: {exc}")
         try:
-            if tube_ok:
-                invariance = _invariance_bound(track, p, d, max_lam)
+            if tube.certified:
+                invariance = _invariance_bound(track, p, d, tube.rate)
             else:
                 invariance = verify_invariance(track, p, d)
         except ChronotaxError as exc:
             failures.append(f"invariance check failed: {exc}")
 
-    defects_ok = (
-        tube_ok
-        and forward is not None and forward <= forward_tol
-        and pullback_defect is not None and pullback_defect <= pullback_tol
-        and invariance is not None and invariance <= invariance_tol
-    )
     return VerificationReport(
-        chronotaxic=bool(defects_ok and not failures),
+        chronotaxic=(not failures and tube.certified and forward[0] <= forward_tol
+                     and pullback[0] <= pullback_tol and invariance <= invariance_tol),
         window=(t0, t1), dt=dt, beta=beta, times_checked=times_checked,
-        offending_intervals=[], radius=radius, max_lambda_on_A=max_lam,
-        max_inward_defect=max_flux, forward_defect=forward,
-        forward_bound_from=bound_from, pullback_defect=pullback_defect,
-        pullback_bound_from=pullback_from, invariance_defect=invariance,
+        offending_intervals=[], radius=tube.radius, max_lambda_on_A=tube.rate,
+        max_inward_defect=tube.flux, forward_defect=forward[0],
+        forward_bound_from=forward[1], pullback_defect=pullback[0],
+        pullback_bound_from=pullback[1], invariance_defect=invariance,
         thresholds=thresholds, failures=failures,
     )

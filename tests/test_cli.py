@@ -170,6 +170,19 @@ def test_config_numbers_read_as_their_values_in_any_notation(tmp_path):
     assert (m["bounds"], m["time"], m["resolution"]) == ([-1e-05, 2e16], -1e-300, 10**20)
 
 
+@pytest.mark.parametrize("word, value", [("-1e-5", -1e-5), ("-2.5E+1", -25.0),
+                                         ("-.5", -0.5)])
+def test_a_negative_number_in_exponent_notation_is_a_value(tmp_path, word, value):
+    # a word led by '-' that spells a number is no flag on the command line
+    # either, in a subcommand's pair of values or as a single one
+    assert _options(["portrait", "--bounds", word, "2"])["bounds"] == [value, 2.0]
+    assert _options(["portrait", "--time", word])["time"] == value
+    out = tmp_path / "portrait"
+    assert main(["portrait", "--bounds", word, "2", "--resolution", "5",
+                 "--outdir", str(out)]) == 0
+    assert (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "portrait", "verify"])
 def test_a_drive_schedule_in_the_config_loses_to_its_flag(tmp_path, command):
     schedule = {"t": [0.0, 1.0], "v": [1.0, 2.0]}

@@ -30,7 +30,7 @@ from chronotax import (
     verify_schedule,
     verify_trapping,
 )
-from chronotax import integrate
+from chronotax import integrate, verify
 from chronotax.integrate import LabField, Trajectory, rk4_path, time_grid
 from chronotax.model import field_lab, field_lab_array
 from chronotax.verify import (
@@ -159,6 +159,29 @@ def test_boundary_flux_equals_per_instant_reference(drive, radius, samples):
     assert max_flux == per_instant_boundary_flux(cand, P, drive)
 
 
+@pytest.mark.parametrize("check, kwargs", [
+    (check, kwargs)
+    for check in ("verify_trapping", "select_trapping_radius")
+    for kwargs in ({"sample_interval": math.nan}, {"sample_interval": math.inf},
+                   {"sample_interval": 0.0}, {"sample_interval": -1.0})
+] + [
+    ("select_trapping_radius", {"ladder": ladder})
+    for ladder in ((-0.1,), (0.02, 0.0), (math.nan,), (0.02, math.inf), ())
+] + [
+    ("candidate", {"radius": radius}) for radius in (math.nan, math.inf)
+], ids=str)
+def test_trapping_checks_refuse_bad_sampling(check, kwargs):
+    # a bad interval or rung is refused as bad input, never certified
+    track = track17(1.0)
+    with pytest.raises(InvalidInputError):
+        if check == "verify_trapping":
+            verify_trapping(TrappingCandidate(track, 0.1), P, D17, **kwargs)
+        elif check == "select_trapping_radius":
+            select_trapping_radius(track, P, D17, **kwargs)
+        else:
+            TrappingCandidate(track, **kwargs)
+
+
 def test_radius_ladder_picks_largest_certified_rung():
     track = track17()
     radius = select_trapping_radius(track, P, D17)
@@ -231,7 +254,7 @@ def tube_forward_defect(track, radius, rate, p, d, tol=DEFAULT_FORWARD_TOL, ense
 def recorded_warmup(d, t0, t1, dt=1e-3, beta=1e-3):
     """The track's warm-up over ``[t0, t1]``, recorded from ``t0 - (t1 - t0)`` on."""
     scan = steady_state._scan(d, P, t0, t1, 0.5, beta)
-    return steady_state._track_start(d, P, t0, t1, dt, scan)
+    return steady_state._track(d, P, t0, t1, dt, scan)[0]
 
 
 def warmup_tube(warmup, d, beta=1e-3):
@@ -446,7 +469,7 @@ def test_a_warm_up_of_two_samples_has_no_tube():
     p = OscillatorParams(1.0, 1.0, 1.0)
     d = DriveSchedule.constant(1.7, 0.5)
     scan = steady_state._scan(d, p, 0.0, 0.5, 0.5, 1e-3)
-    assert steady_state._track_start(d, p, 0.0, 0.5, 0.4, scan).times.size == 2
+    assert steady_state._track(d, p, 0.0, 0.5, 0.4, scan)[0].times.size == 2
     report = verify_schedule(d, p, 0.0, 0.5, 0.4)
     assert report.failures == []
     assert report.pullback_bound_from is None
@@ -725,7 +748,8 @@ def test_scans_refuse_a_bad_window_or_interval(fixed_point_solves, t0, t1,
     assert fixed_point_solves == []
 
 
-@pytest.mark.parametrize("drive", [PULL, DIPPED], ids=["pull", "dip"])
+@pytest.mark.parametrize("drive", [PULL, DIPPED, bench_pull(1), bench_pull(7919)],
+                         ids=["pull", "dip", "bench-seed-1", "bench-seed-7919"])
 def test_verify_schedule_equals_staged_report(drive):
     t0, t1, dt, beta = 0.0, 15.0, 1e-3, 1e-3
     n, intervals = offending_intervals(drive, P, t0, t1, 0.5, beta)
@@ -760,6 +784,22 @@ def test_verify_schedule_equals_staged_report(drive):
             **staged,
         )
     assert verify_schedule(drive, P, t0, t1, dt, 0.5, beta).to_dict() == expected.to_dict()
+
+
+def test_both_tubes_are_certified_through_the_public_checks(monkeypatch):
+    # the track's tube and the warm-up's, each by one radius selection and
+    # one trapping check, made through the names a tracer can wrap
+    calls = []
+    for name in ("select_trapping_radius", "verify_trapping"):
+        def counted(*args, _real=getattr(verify, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    report = verify_schedule(bench_pull(1), P, 0.0, 15.0)
+    assert report.chronotaxic
+    assert report.pullback_bound_from is not None
+    assert calls == ["select_trapping_radius", "verify_trapping"] * 2
 
 
 def staged_failures(drive, t0, t1, dt, ensemble_size):
