@@ -10,8 +10,7 @@ The integrators run one field, the laboratory-frame field of
 :class:`LabField`, and evaluate its drive schedules once per block of steps,
 as a drive tape, not once per stage.  The tests hold per-call reference
 steppers that the tape runs must equal bit for bit.
-Runs from several starts on one grid share one tape per block, and a run
-that comes to equal an earlier one bit for bit retires into it.
+Runs from several starts on one grid share one tape per block.
 
 Random increments come from a counter-based Philox generator keyed by the
 caller's seed, one independent stream per trajectory, so runs are
@@ -151,38 +150,23 @@ def rk4_path(field: LabField, x0: float, y0: float, times: FloatArray,
     return _rk4_ensemble(field, [(x0, y0)], times, record)[0]
 
 
-def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool):
+def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool, stop=None):
     """:func:`rk4_path` of ``field`` from each of ``starts`` over one grid ``times``.
 
-    Returns one result per start, as :func:`rk4_path` returns it, and
-    raises the error that running the members one after another would
+    Returns one result per start, as :func:`rk4_path` returns it.  Each
+    block's drive tape is built once and serves every member, so memory
+    stays at one block.
+
+    Raises the error that running the members one after another would
     raise: that of the lowest-index member leaving the guard radius, at its
-    own time.  See :func:`_rk4_members` for the shared tape and for how
-    members that meet bit for bit retire.
-    """
-    outcomes = _rk4_members(field, starts, times, record)
-    if isinstance(outcomes[-1], BlowUpError):
-        raise outcomes[-1]
-    return outcomes
+    own time.  Members after it stop there, as their results can no longer
+    matter; the members before it run to the end.
 
-
-def _rk4_members(field: LabField, starts, times: FloatArray, record: bool):
-    """Outcomes of :func:`rk4_path` of ``field`` from each of ``starts`` over ``times``.
-
-    Each block's drive tape is built once and serves every member, so
-    memory stays at one block.  With ``record`` set the members return
-    their (n, 2) state arrays, otherwise their final ``(x, y)``.
-
-    Before each block, a member whose state equals that of an earlier
-    running member bit for bit retires: from there on the same arithmetic
-    on the same tape would repeat that member's steps, so the retired
-    member's outcome is that member's.  No tolerance enters; every outcome
-    equals that of the member's own run bit for bit.
-
-    The outcomes stop at the lowest-index member that leaves the guard
-    radius, whose outcome is its :class:`BlowUpError`, at its own time.
-    Members after it stop there, as their outcome can no longer matter;
-    the members before it run to the end.
+    ``stop``, where given, is called after every block but the last while
+    no member has left the guard radius, with the grid index of the block's
+    end and the members' ``(x, y)`` states there.  The first value it
+    returns that is not ``None`` ends the run and is returned in place of
+    the results.
     """
     n = times.size
     states = []
@@ -191,7 +175,7 @@ def _rk4_members(field: LabField, starts, times: FloatArray, record: bool):
         try:
             states.append(_start(x0, y0, times[0]))
         except BlowUpError as exc:
-            failed = len(states), exc
+            failed = exc
             break
     outs = []
     if record:
@@ -200,45 +184,30 @@ def _rk4_members(field: LabField, starts, times: FloatArray, record: bool):
             out[0, 0] = x
             out[0, 1] = y
             outs.append(out)
-    running = list(range(len(states)))
-    leader = {}  # retired member -> (the earlier member it equals, grid index)
     for i0 in range(0, n - 1, TAPE_BLOCK):
-        first = {}  # state -> the lowest running member in it
-        for j in running:
-            x, y = states[j]
-            # as bit patterns: equal exactly when the floats are, and zeros
-            # only with the same sign
-            i = first.setdefault((x.hex(), y.hex()), j)
-            if i != j:
-                leader[j] = i, i0
-        running = list(first.values())
-        if not running:
+        if not states:
             break
         i1 = min(i0 + TAPE_BLOCK, n - 1)
         t = times[i0:i1]
         h = times[i0 + 1:i1 + 1] - t
         tape = field.rk4_tape(t, h)
-        for k, j in enumerate(running):
-            xs, ys = _rk4_steps(field, *states[j], tape)
+        for j, (x, y) in enumerate(states):
+            xs, ys = _rk4_steps(field, x, y, tape)
             if len(xs) < i1 - i0:
-                failed = j, _blow_up(t[len(xs)] + h[len(xs)])
-                del running[k:]
+                failed = _blow_up(t[len(xs)] + h[len(xs)])
+                del states[j:]
                 break
             states[j] = xs[-1], ys[-1]
             if record:
                 outs[j][i0 + 1:i1 + 1, 0] = xs
                 outs[j][i0 + 1:i1 + 1, 1] = ys
-    outcomes = []
-    for j in range(len(states) if failed is None else failed[0]):
-        if j in leader:
-            i, i0 = leader[j]
-            states[j] = states[i]
-            if record:
-                outs[j][i0 + 1:] = outs[i][i0 + 1:]
-        outcomes.append(outs[j] if record else states[j])
+        if stop is not None and failed is None and i1 < n - 1:
+            result = stop(i1, states)
+            if result is not None:
+                return result
     if failed is not None:
-        outcomes.append(failed[1])
-    return outcomes
+        raise failed
+    return outs if record else states
 
 
 def rk4_blocks(field: LabField, x0: float, y0: float, dt: float):

@@ -24,13 +24,11 @@ from itertools import groupby
 import numpy as np
 
 from .contraction import DEFAULT_BETA, sym_eigs_radial
-from .errors import BlowUpError, ChronotaxError, InvalidInputError
+from .errors import ChronotaxError, InvalidInputError
 from .integrate import (
     LabField,
     Trajectory,
-    TAPE_BLOCK,
     _rk4_ensemble,
-    _rk4_members,
     pullback,
     rk4_path,
     time_grid,
@@ -242,11 +240,8 @@ def verify_attraction(p: OscillatorParams, d: DriveSchedule, t0: float, t1: floa
 
     Forward: integrates a seeded ensemble of starts scattered in an annulus
     and returns the largest pairwise distance at ``t1``.  The members share
-    one grid, so each block's drive tape is built once for all of them, and
-    a member whose state equals an earlier member's bit for bit retires
-    into it (:func:`chronotax.integrate._rk4_members`).  That is exact
-    equality, never a tolerance: the defect is measured from every
-    member's own final state.
+    one grid, so each block's drive tape is built once for all of them
+    (:func:`chronotax.integrate._rk4_ensemble`).
     Pullback: runs the same fixed start from two receding start times,
     ``t0 - 0.75 span`` and ``t0 - span``, and returns the gap between their
     evaluations at ``t0`` (the Cauchy defect).
@@ -323,31 +318,22 @@ def _tube_defect(field: LabField, starts, tube: _Tube, tol: float,
     every member lies strictly inside the disk of ``tube.radius`` around the
     run and ``spread(t_i) * exp(tube.rate * (t1 - t_i))`` is at most
     ``tol``; that bound is the defect.  Otherwise the members run to ``t1``
-    and their spread there is the defect.  A member's blow-up raises the
-    error that the whole run of :func:`chronotax.integrate._rk4_ensemble`
-    would raise.
+    and their spread there is the defect.  A member's blow-up raises as in
+    :func:`chronotax.integrate._rk4_ensemble`.
     """
     run = tube.run
-    times = run.times
-    last = times.size - 1
+    times = run.times[start:]
     t1 = float(times[-1])
-    states = starts
-    failed = None
-    for i0 in range(start, last, TAPE_BLOCK):
-        i1 = min(i0 + TAPE_BLOCK, last)
-        states = _rk4_members(field, states, times[i0:i1 + 1], False)
-        if states and isinstance(states[-1], BlowUpError):
-            # the members before it run on: a lower one may fail later
-            failed = states.pop()
-        elif failed is None and tube.certified and i1 < last:
-            cx, cy = run.states[i1]
-            bound = _spread(states) * math.exp(tube.rate * (t1 - float(times[i1])))
-            if bound <= tol and all(math.hypot(x - cx, y - cy) < tube.radius
-                                    for x, y in states):
-                return bound, float(times[i1])
-    if failed is not None:
-        raise failed
-    return _spread(states), None
+
+    def bound(i, states):
+        cx, cy = run.states[start + i]
+        b = _spread(states) * math.exp(tube.rate * (t1 - float(times[i])))
+        if b <= tol and all(math.hypot(x - cx, y - cy) < tube.radius for x, y in states):
+            return b, float(times[i])
+        return None
+
+    out = _rk4_ensemble(field, starts, times, False, bound if tube.certified else None)
+    return out if isinstance(out, tuple) else (_spread(out), None)
 
 
 def _pullback_tube_defect(field: LabField, tube: _Tube, span: float, start_radius: float,
@@ -440,6 +426,7 @@ def _invariance_bound(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
     ys = track.states[:, 1]
     last = times.size - 1
     e = worst = 0.0
+    decay = {}  # step width -> exp(rate * width)
     for i0 in range(0, last, _RESIDUAL_CHUNK):
         i1 = min(i0 + _RESIDUAL_CHUNK, last)
         t = times[i0:i1 + 1]
@@ -471,8 +458,12 @@ def _invariance_bound(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
             ry = dw * ey / h + da0 * fy0 + da1 * fy1 - gy
             rho = np.maximum(rho, np.sqrt(rx * rx + ry * ry))
         for hi, si in zip(h.tolist(), (h * rho).tolist()):
-            worst = max(worst, e + si)
-            e = math.exp(rate * hi) * e + si
+            if e + si > worst:
+                worst = e + si
+            f = decay.get(hi)
+            if f is None:
+                f = decay[hi] = math.exp(rate * hi)
+            e = f * e + si
     return worst
 
 
@@ -549,13 +540,17 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     :class:`InvalidInputError` before any work: the window must be finite
     with ``t1 > t0``, the track's grid ``time_grid(t0, t1, dt)`` must hold
     at least 3 samples, ``dt``, ``check_interval``, ``sample_interval`` and
-    ``beta`` must be finite and positive, and ``ladder`` must hold finite
-    positive radii.
+    ``beta`` must be finite and positive, ``ladder`` must hold finite
+    positive radii, and ``boundary_samples`` must be at least
+    :data:`MIN_BOUNDARY_SAMPLES`.
     """
     for name, value in (("dt", dt), ("beta", beta)):
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
     _check_sampling(sample_interval, ladder)
+    if boundary_samples < MIN_BOUNDARY_SAMPLES:
+        raise InvalidInputError(f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples, "
+                                f"got {boundary_samples!r}")
     samples = time_grid(t0, t1, dt).size
     if samples < 3:
         raise InvalidInputError(f"the track over [{t0!r}, {t1!r}] at dt={dt!r} has "

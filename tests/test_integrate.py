@@ -436,7 +436,7 @@ def test_shared_tape_raises_the_first_members_blow_up(record):
     assert err.value.time == 0.0
 
 
-# --- members that meet bit for bit retire ---
+# --- twin starts: repeated, or one ulp apart ---
 
 
 @contextmanager
@@ -467,7 +467,7 @@ def same_bits(a, b):
 @st.composite
 def twin_starts(draw):
     """Starts drawn, with repeats, from up to three distinct ones, each taken
-    as it is or moved one ulp in x or in y (the moved ones must not retire)."""
+    as it is or moved one ulp in x or in y."""
     base = [(r * math.cos(a), r * math.sin(a))
             for r, a in draw(st.lists(starts, min_size=1, max_size=3))]
     picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
@@ -489,7 +489,7 @@ def twin_starts(draw):
 @example(d=DriveSchedule.constant(1.7, 0.5), grid=(0.0, 3.02, 0.01),
          xy=[(1.0, 0.0), (1.0, 0.0), (math.nextafter(1.0, 2.0), 0.0), (1.0, 0.0)],
          record=True)
-def test_retired_members_equal_per_member_runs(d, grid, xy, record):
+def test_twin_starts_equal_per_member_runs(d, grid, xy, record):
     times = time_grid(*grid)
     lab = LabField(P, d)
     with counted_steps() as lengths:
@@ -497,29 +497,8 @@ def test_retired_members_equal_per_member_runs(d, grid, xy, record):
     assert len(shared) == len(xy)
     for got, (x0, y0) in zip(shared, xy):
         assert same_bits(got, rk4_path(lab, x0, y0, times, record=record))
-    # a repeated start retires before the first step; starts one ulp apart
-    # all run the first block, and none runs more steps than the grid has
-    distinct = len({(x.hex(), y.hex()) for x, y in xy})
-    first = min(times.size - 1, TAPE_BLOCK)
-    assert distinct * first <= sum(lengths) <= distinct * (times.size - 1)
-
-
-@pytest.mark.parametrize("record", [False, True])
-def test_members_retire_once_they_meet(record):
-    # under a strong pull the members become equal bit for bit well inside
-    # the run: they then take less than half the steps of separate runs, and
-    # every result still equals the member's own run
-    pull = DriveSchedule(Schedule.sampled([0.0, 5.0, 10.0, 15.0], [2.5, 4.0, 3.0, 5.5]),
-                         Schedule.constant(0.5))
-    lab = LabField(P, pull)
-    times = time_grid(0.0, 60.0, 0.05)
-    rng = np.random.default_rng(5)
-    xy = [(2.0 * math.cos(a), 2.0 * math.sin(a)) for a in rng.uniform(0.0, 2.0 * math.pi, 6)]
-    with counted_steps() as lengths:
-        shared = _rk4_ensemble(lab, xy, times, record)
-    assert len(xy) * TAPE_BLOCK < sum(lengths) < 0.5 * len(xy) * (times.size - 1)
-    for got, (x0, y0) in zip(shared, xy):
-        assert same_bits(got, rk4_path(lab, x0, y0, times, record=record))
+    # every member, repeated or not, runs every step of the grid
+    assert sum(lengths) == len(xy) * (times.size - 1)
 
 
 #: starts under BLOW_UP_DRIVE, over [0, t1] at dt = 0.01: the first
@@ -534,10 +513,10 @@ BLOW_UP_STARTS = [(1.0, 0.0), (1e3, 0.0), (0.0, 1.0), (2e6, 0.0)]
 @example(picks=[2, 1, 2], t1=6.0, record=False)  # the first to blow up has a twin
 @example(picks=[1, 0, 1], t1=6.0, record=True)   # ... that blows up first in time
 @example(picks=[0, 0, 1, 1, 2, 2], t1=2.0, record=True)
-def test_retirement_keeps_the_first_members_blow_up(picks, t1, record):
+def test_twin_starts_keep_the_first_members_blow_up(picks, t1, record):
     # the ensemble raises what running the members one after another raises
-    # first: the lowest-index member's error at its own time, whether or not
-    # a twin of that member retired into it
+    # first: the lowest-index member's error at its own time, also where a
+    # twin of that member, or a later member, blows up earlier in time
     lab = LabField(P, BLOW_UP_DRIVE)
     times = time_grid(0.0, t1, 0.01)
     xy = [BLOW_UP_STARTS[i] for i in picks]

@@ -728,6 +728,8 @@ def test_verify_schedule_solves_each_instant_once(fixed_point_solves):
     ((0.0, 3.0), {"ladder": (math.nan,)}),
     ((0.0, 3.0), {"ladder": (0.02, -0.1)}),
     ((0.0, 3.0), {"ladder": (0.02, math.inf)}),
+    ((0.0, 3.0), {"boundary_samples": 8}),
+    ((0.0, 3.0), {"boundary_samples": 63}),
 ])
 def test_verify_schedule_refuses_bad_input_before_any_work(fixed_point_solves,
                                                            window, kwargs):
