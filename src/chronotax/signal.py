@@ -41,14 +41,12 @@ DWELL_BAND = 0.5
 SLIP_WINDOW = 4096
 _TWO_PI = 2.0 * math.pi
 
-#: frequency rows per inverse-FFT block in :func:`cwt`.  Record lengths with
-#: a large prime factor (5001 = 3 * 1667) run through Bluestein's algorithm,
-#: which pocketfft applies to several rows at once in SIMD lanes.  Kernels and
-#: inverse FFTs of 213 x 5001 on a 2-vCPU Xeon host (numpy 2.4, median of 21):
-#: 0.16 s row by row, 0.085 s in 8-row blocks (1.3 MB of temporaries), 0.080 s
-#: in 16-row blocks (2.6 MB, which raises the peak RSS of a read-out pass by
-#: about 0.3 MB over row by row) and 0.094 s as one 2-D transform of all rows
-#: (26 MB).
+#: frequency rows per inverse-FFT block in :func:`cwt`.  The read-out's
+#: 213 x 5001 scalogram, transformed at length 5040, on a 2-vCPU Xeon host
+#: (numpy 2.4, median of 21; temporaries above the magnitudes by
+#: tracemalloc): 0.046 s row by row (1.2 MB), 0.037 s in 8-row blocks
+#: (1.7 MB), 0.036 s in 16-row blocks (3.4 MB) and 0.049 s as one 2-D
+#: transform of all rows (43 MB).
 CWT_ROWS = 8
 
 
@@ -126,20 +124,37 @@ class Scalogram:
                    float(meta["central_freq"]))
 
 
+def _fft_length(n: int) -> int:
+    """The smallest integer >= n whose prime factors all lie in {2, 3, 5, 7}."""
+    while True:
+        m = n
+        for prime in (2, 3, 5, 7):
+            while m % prime == 0:
+                m //= prime
+        if m == 1:
+            return n
+        n += 1
+
+
 def cwt(series: FloatArray, fs: float, freqs: FloatArray | None = None,
         f0: float = DEFAULT_F0) -> Scalogram:
     """Continuous wavelet transform of a uniformly sampled real signal.
 
-    One FFT of the input, then one batched inverse FFT per block of
-    :data:`CWT_ROWS` frequency rows; the kernel for frequency f is the
-    wavelet's Fourier transform evaluated at scale f0/f, which is the L1
-    normalization.  It is evaluated only on the band of angular frequencies
-    where it is not exactly 0.0 (see :data:`_GAUSS_ZERO`) and is 0.0
-    elsewhere, as the full evaluation gives it.  A block only runs its rows
-    side by side: each row goes through the same operations as on its own,
-    so the magnitudes equal those of one inverse FFT per row bit for bit,
-    and the temporaries stay a few rows in size.  The record must cover at
-    least four cycles of the lowest requested frequency.
+    The n samples are padded with zeros to N, the smallest length of at
+    least n whose prime factors all lie in {2, 3, 5, 7}, a fast FFT length
+    (the padding of Torrence & Compo 1998, section 3f).  One FFT of the
+    padded input, then one batched inverse FFT per block of
+    :data:`CWT_ROWS` frequency rows, of which the first n columns are kept.
+    Where n is already 7-smooth, N = n: there is no zero tail, and the
+    transform is the circular one at length n.  The kernel for frequency f
+    is the wavelet's Fourier transform on the N-point grid at scale f0/f,
+    which is the L1 normalization.  It is evaluated only on the band of angular
+    frequencies where it is not exactly 0.0 (see :data:`_GAUSS_ZERO`) and
+    is 0.0 elsewhere, as the full evaluation gives it.  A block only runs
+    its rows side by side: each row goes through the same operations as on
+    its own, so the magnitudes equal those of one inverse FFT per row bit
+    for bit, and the temporaries stay a few rows in size.  The record must
+    cover at least four cycles of the lowest requested frequency.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -165,24 +180,25 @@ def cwt(series: FloatArray, fs: float, freqs: FloatArray | None = None,
             f"frequency {freqs[0]:g}: need at least {needed:g} (4 cycles)"
         )
     n = x.size
-    spectrum = np.fft.fft(x)
-    omega = _TWO_PI * np.fft.fftfreq(n, d=1.0 / fs)
+    size = _fft_length(n)
+    spectrum = np.fft.fft(x, size)
+    omega = _TWO_PI * np.fft.fftfreq(size, d=1.0 / fs)
     scale = f0 / freqs
     # each row's band, where its kernel is not 0.0: scale * omega up to
     # 2 pi f0 + _GAUSS_ZERO in the positive half of the FFT layout (indices
-    # 0, 1, ...) and down to -_GAUSS_ZERO in the negative half (..., n - 1)
-    half = (n + 1) // 2
+    # 0, 1, ...) and down to -_GAUSS_ZERO in the negative half (..., size - 1)
+    half = (size + 1) // 2
     pos = np.searchsorted(omega[:half], (_TWO_PI * f0 + _GAUSS_ZERO) / scale,
                           side="right").tolist()
     neg = (half + np.searchsorted(omega[half:], -_GAUSS_ZERO / scale)).tolist()
     mag = np.empty((freqs.size, n), dtype=float)
     for i0 in range(0, freqs.size, CWT_ROWS):
         rows = range(i0, min(i0 + CWT_ROWS, freqs.size))
-        kern = np.zeros((len(rows), n))
+        kern = np.zeros((len(rows), size))
         for k, i in enumerate(rows):
             kern[k, :pos[i]] = morlet_fourier(scale[i] * omega[:pos[i]], f0)
             kern[k, neg[i]:] = morlet_fourier(scale[i] * omega[neg[i]:], f0)
-        np.abs(np.fft.ifft(spectrum * kern, axis=-1), out=mag[i0:i0 + len(rows)])
+        np.abs(np.fft.ifft(spectrum * kern, axis=-1)[:, :n], out=mag[i0:i0 + len(rows)])
         del kern  # so no block's temporaries outlive it
     times = np.arange(x.size) / fs
     return Scalogram(times, freqs, mag, f0)

@@ -175,7 +175,6 @@ def verify_trapping(c: TrappingCandidate, p: OscillatorParams, d: DriveSchedule,
     ny = np.sin(theta)
     rx = c.radius * nx
     ry = c.radius * ny
-    two_dt = 2.0 * track.dt
 
     # a few instants at a time, each a row against the boundary's columns;
     # numpy's float64 cos and sin of the drive point equal libm's, those of
@@ -188,8 +187,11 @@ def verify_trapping(c: TrappingCandidate, p: OscillatorParams, d: DriveSchedule,
         dx, dy = d.drive_point(t, p.r_p)
         cx = track.states[i, 0][:, None]
         cy = track.states[i, 1][:, None]
-        vcx = ((track.states[i + 1, 0] - track.states[i - 1, 0]) / two_dt)[:, None]
-        vcy = ((track.states[i + 1, 1] - track.states[i - 1, 1]) / two_dt)[:, None]
+        # over the true spacing: the last step is shorter when dt does not
+        # divide the window
+        span = track.times[i + 1] - track.times[i - 1]
+        vcx = ((track.states[i + 1, 0] - track.states[i - 1, 0]) / span)[:, None]
+        vcy = ((track.states[i + 1, 1] - track.states[i - 1, 1]) / span)[:, None]
         bx = cx + rx
         by = cy + ry
         gx, gy = pulled_field(bx, by, np.sqrt(bx * bx + by * by), p.eps_gamma, p.omega0,

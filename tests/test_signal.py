@@ -273,13 +273,25 @@ def test_slip_event_fields():
 # must give the same results bit for bit.
 
 
-def cwt_per_row(x, fs, freqs, f0=1.0):
-    spectrum = np.fft.fft(x)
-    omega = TWO_PI * np.fft.fftfreq(x.size, d=1.0 / fs)
+#: every integer up to 2**15 whose prime factors all lie in {2, 3, 5, 7}
+SMOOTH = sorted(2**a * 3**b * 5**c * 7**d for a in range(16) for b in range(10)
+                for c in range(7) for d in range(6))
+
+
+def next_smooth_length(n):
+    return next(m for m in SMOOTH if m >= n)
+
+
+def cwt_per_row(x, fs, freqs, f0=1.0, size=None):
+    # the record padded with zeros to size (by default the next 7-smooth
+    # length), the first x.size columns of each row kept
+    size = next_smooth_length(x.size) if size is None else size
+    spectrum = np.fft.fft(x, size)
+    omega = TWO_PI * np.fft.fftfreq(size, d=1.0 / fs)
     mag = np.empty((freqs.size, x.size), dtype=float)
     for i, f in enumerate(freqs):
         scale = f0 / f
-        mag[i] = np.abs(np.fft.ifft(spectrum * morlet_fourier(scale * omega, f0)))
+        mag[i] = np.abs(np.fft.ifft(spectrum * morlet_fourier(scale * omega, f0)))[:x.size]
     return mag
 
 
@@ -349,6 +361,22 @@ def test_cwt_blocks_equal_per_row_reference(n, rows, voices, f0, seed):
     sc = cwt(x, fs, freqs, f0)
     assert np.array_equal(sc.magnitude, cwt_per_row(x, fs, freqs, f0))
     assert same_ridge(ridge(sc), ridge_per_column(sc))
+
+
+@pytest.mark.parametrize("n", [512, 4096, 5040])
+def test_cwt_at_a_smooth_length_is_circular(n):
+    # no zero tail where n is 7-smooth: the circular transform at length n
+    fs = 10.0
+    x = np.random.default_rng(n).standard_normal(n)
+    freqs = 4.0 * fs / n * 1.01 * 2.0 ** (np.arange(2 * CWT_ROWS + 5) / 8)
+    assert np.array_equal(cwt(x, fs, freqs).magnitude, cwt_per_row(x, fs, freqs, size=n))
+
+
+@settings(max_examples=300)
+@given(n=st.integers(2, 20000))
+@example(n=5001)
+def test_fft_length_is_the_next_smooth_length(n):
+    assert readout._fft_length(n) == next_smooth_length(n)
 
 
 @settings(max_examples=200)

@@ -138,8 +138,9 @@ def per_instant_boundary_flux(c, p, d, sample_interval=0.1):
     normal = np.column_stack([np.cos(theta), np.sin(theta)])
     max_flux = -math.inf
     for i in _sample_indices(track.times.size, track.dt, sample_interval):
-        vcx = (track.states[i + 1, 0] - track.states[i - 1, 0]) / (2.0 * track.dt)
-        vcy = (track.states[i + 1, 1] - track.states[i - 1, 1]) / (2.0 * track.dt)
+        span = track.times[i + 1] - track.times[i - 1]
+        vcx = (track.states[i + 1, 0] - track.states[i - 1, 0]) / span
+        vcy = (track.states[i + 1, 1] - track.states[i - 1, 1]) / span
         bx = track.states[i, 0] + c.radius * normal[:, 0]
         by = track.states[i, 1] + c.radius * normal[:, 1]
         gx, gy = field_lab_array(bx, by, float(track.times[i]), p, d)
@@ -157,6 +158,21 @@ def test_boundary_flux_equals_per_instant_reference(drive, radius, samples):
     cand = TrappingCandidate(track, radius, samples)
     _, max_flux = verify_trapping(cand, P, drive)
     assert max_flux == per_instant_boundary_flux(cand, P, drive)
+
+
+@pytest.mark.parametrize("dt", [0.0035, 0.0049])
+def test_last_sampled_velocity_follows_the_field(dt):
+    # 15 is no multiple of dt, so the track's last step is shorter (0.0025
+    # and 0.0011).  A disk of radius 1e-9 sampled at its first and last
+    # interior instants reads, as its largest flux, about the larger gap
+    # between the field at the centre and the centre's sampled velocity.
+    track = attractor_track(PULL, P, 0.0, 15.0, dt)
+    assert track.times[-1] - track.times[-2] < dt
+    cand = TrappingCandidate(track, 1e-9, 720)
+    _, max_flux = verify_trapping(cand, P, PULL, sample_interval=30.0)
+    assert _sample_indices(track.times.size, track.dt, 30.0) == [1, track.times.size - 2]
+    assert abs(max_flux) < 1e-3
+    assert max_flux == per_instant_boundary_flux(cand, P, PULL, sample_interval=30.0)
 
 
 @pytest.mark.parametrize("check, kwargs", [
