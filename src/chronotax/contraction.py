@@ -36,6 +36,12 @@ from .model import (
 #: margin below zero required of eigenvalues before a cell counts as contracting
 DEFAULT_BETA = 1e-3
 
+
+def _check_beta(beta: float) -> None:
+    """Refuse a contraction margin ``beta`` that is not finite and positive."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise InvalidInputError(f"beta must be finite and positive, got {beta!r}")
+
 #: class codes used in grids; labels are the interchange vocabulary
 CLASS_LABELS = ("none-negative", "one-negative", "both-negative")
 NONE_NEGATIVE, ONE_NEGATIVE, BOTH_NEGATIVE = 0, 1, 2
@@ -219,8 +225,7 @@ def contraction_map(bounds, resolution, t: float, p: OscillatorParams,
         nx, ny = (int(v) for v in resolution)
     if nx < 2 or ny < 2:
         raise InvalidInputError("resolution must be at least 2 per axis")
-    if not (beta > 0.0):
-        raise InvalidInputError("beta must be positive")
+    _check_beta(beta)
     xs = np.linspace(b[0, 0], b[0, 1], nx)
     ys = np.linspace(b[1, 0], b[1, 1], ny)
     xx, yy = np.meshgrid(xs, ys)
@@ -239,6 +244,7 @@ def linear_system_report(matrix, beta: float = DEFAULT_BETA) -> dict:
     positive leading symmetric eigenvalue means a non-contraction region
     exists even when both true eigenvalues are strictly negative.
     """
+    _check_beta(beta)
     j = np.asarray(matrix, dtype=float)
     lam_full = full_eigs(j)
     lam1, lam2 = sym_eigs(j)

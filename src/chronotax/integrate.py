@@ -210,29 +210,6 @@ def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool, stop
     return outs if record else states
 
 
-def rk4_blocks(field: LabField, x0: float, y0: float, dt: float):
-    """Endless RK4 run with step ``dt`` of a lab field whose drive stands still.
-
-    The drive must hold a constant pull at zero drive frequency, so one tape
-    block serves every step.  Yields the recorded states block by block as
-    ``(xs, ys)`` lists of at most :data:`TAPE_BLOCK` floats; the caller stops
-    the run by no longer asking for blocks.
-    """
-    d = field.drive
-    if not (d.eps_a.is_constant and d.omega_p.is_constant and d.omega_p.values == 0.0):
-        raise InvalidInputError("rk4_blocks needs a drive that stands still")
-    x, y = _start(x0, y0, 0.0)
-    tape = field.rk4_tape(np.zeros(TAPE_BLOCK), np.full(TAPE_BLOCK, float(dt)))
-    steps = 0
-    while True:
-        xs, ys = _rk4_steps(field, x, y, tape)
-        if len(xs) < TAPE_BLOCK:
-            raise _blow_up((steps + len(xs) + 1) * dt)
-        steps += TAPE_BLOCK
-        x, y = xs[-1], ys[-1]
-        yield xs, ys
-
-
 def em_path(field: LabField, x0: float, y0: float, times: FloatArray, sigma: float,
             rng: np.random.Generator):
     """Euler-Maruyama sweep: drift step plus independent N(0, sigma^2 h) kicks.

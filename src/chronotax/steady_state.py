@@ -65,14 +65,14 @@ from enum import Enum
 
 import numpy as np
 
-from . import export
-from .contraction import DEFAULT_BETA, global_contraction_threshold, sym_eigs_radial
+from . import export, integrate
+from .contraction import DEFAULT_BETA, _check_beta, global_contraction_threshold, sym_eigs_radial
 from .errors import (
     InvalidInputError,
     NotChronotaxicError,
     TraceFailureError,
 )
-from .integrate import LabField, Trajectory, rk4_blocks, rk4_path, time_grid
+from .integrate import LabField, Trajectory, rk4_path, time_grid
 from .model import (
     DriveSchedule,
     FloatArray,
@@ -442,45 +442,95 @@ def _linear_reach(fp: FrozenParams, point: FixedPoint, along: int,
     return min(max(reach, lo), hi), (ex, ey)
 
 
-def _integrate_to_target(field: LabField, start, target, slow, dt: float,
-                         max_time: float, reach_tol: float, stride: int,
-                         spacing: float):
-    """March the rotating flow until it reaches the node ``target``; polyline samples.
+def _march(field: LabField, start, dt: float, max_time: float, stride: int,
+           spacing: float, arrive, what: str):
+    """The polyline of an RK4 run with step ``dt`` of the stand-still ``field``
+    from ``start`` until ``arrive`` says so.
 
-    The march stops within ``reach_tol`` of the target or, given the node's
-    slow eigenline as ``slow = (radius, (ex, ey))``, within that radius of
-    the node and within ``reach_tol / 4`` of the line; the rest of the path
-    is then the straight segment into the node.  A zero radius leaves only
-    the first stop.  Every ``stride``-th state is
-    recorded when it lies at least ``spacing`` from the last recorded one.
+    The run steps one drive-tape block at a time.  ``arrive(u, v, xs, ys)``
+    sees a block's states and the state ``(u, v)`` before them, and returns
+    ``None`` or ``(j, end)``: the block index of the arrival state and the
+    last vertex.  Before it, every ``stride``-th state is recorded when it
+    lies at least ``spacing`` from the last recorded one.  A run that has
+    not arrived within ``max_time / dt`` states (rounded up) fails as
+    ``what``.
     """
-    tu, tv = target
-    near2 = reach_tol * reach_tol
-    rho, (ex, ey) = slow
-    rho2 = rho * rho
-    line_tol = 0.25 * reach_tol
+    x, y = integrate._start(start[0], start[1], 0.0)
+    tape = field.rk4_tape(np.zeros(integrate.TAPE_BLOCK),
+                          np.full(integrate.TAPE_BLOCK, float(dt)))
+    limit = max_time / dt  # the states allowed are those before this index
     gap2 = spacing * spacing
-    lu, lv = start
+    lu, lv = x, y
     pts = [start]
-    t = 0.0
-    k = 0
-    for xs, ys in rk4_blocks(field, start[0], start[1], dt):
-        for u, v in zip(xs, ys):
-            if not t < max_time:
-                raise TraceFailureError(
-                    f"manifold branch did not reach the node within {max_time:g} time units"
-                )
-            t += dt
-            k += 1
-            du = u - tu
-            dv = v - tv
-            d2 = du * du + dv * dv
-            if d2 < near2 or (d2 < rho2 and abs(du * ey - dv * ex) < line_tol):
-                pts.append((u, v))
-                return np.array(pts)
-            if k % stride == 0 and (u - lu) ** 2 + (v - lv) ** 2 >= gap2:
+    k = 0  # states before the block
+    while True:
+        xs, ys = integrate._rk4_steps(field, x, y, tape)
+        if len(xs) < integrate.TAPE_BLOCK:
+            raise integrate._blow_up((k + len(xs) + 1) * dt)
+        if k + len(xs) > limit:
+            xs, ys = xs[:math.ceil(limit) - k], ys[:math.ceil(limit) - k]
+        end = arrive(x, y, xs, ys)
+        for i in range(-(k + 1) % stride, len(xs) if end is None else end[0], stride):
+            u, v = xs[i], ys[i]
+            if (u - lu) ** 2 + (v - lv) ** 2 >= gap2:
                 pts.append((u, v))
                 lu, lv = u, v
+        if end is not None:
+            pts.append(end[1])
+            return np.array(pts)
+        if len(xs) < integrate.TAPE_BLOCK:  # cut short by the time limit
+            raise TraceFailureError(f"{what} within {max_time:g} time units")
+        k += len(xs)
+        x, y = xs[-1], ys[-1]
+
+
+def _node_arrival(node, reach_tol: float, slow):
+    """Arrival test of a manifold branch for :func:`_march`: the first state
+    within ``reach_tol`` of ``node`` or, given the node's slow eigenline as
+    ``slow = (radius, (ex, ey))``, within that radius of the node and within
+    ``reach_tol / 4`` of the line.  A zero radius leaves only the first test."""
+    tu, tv = node
+    rho, (ex, ey) = slow
+
+    def arrive(u, v, xs, ys):
+        du = np.array(xs) - tu
+        dv = np.array(ys) - tv
+        d2 = du * du + dv * dv
+        on_line = np.abs(du * ey - dv * ex) < 0.25 * reach_tol
+        hits = np.flatnonzero((d2 < reach_tol * reach_tol) | ((d2 < rho * rho) & on_line))
+        if hits.size == 0:
+            return None
+        j = int(hits[0])
+        return j, (xs[j], ys[j])
+
+    return arrive
+
+
+def _turn_arrival(start):
+    """Arrival test of the invariant circle for :func:`_march`: the state
+    at which the accumulated polar angle from ``start`` passes one full
+    turn, ending on the interpolated crossing."""
+    prev = math.atan2(start[1], start[0])
+    acc = 0.0
+
+    def arrive(u, v, xs, ys):
+        nonlocal prev, acc
+        for j, (un, vn) in enumerate(zip(xs, ys)):
+            theta = math.atan2(vn, un)
+            dth = theta - prev
+            if dth > math.pi:
+                dth -= _TWO_PI
+            elif dth < -math.pi:
+                dth += _TWO_PI
+            if abs(acc) < _TWO_PI <= abs(acc + dth):
+                frac = (_TWO_PI - abs(acc)) / abs(dth)
+                return j, (u + frac * (un - u), v + frac * (vn - v))
+            acc += dth
+            prev = theta
+            u, v = un, vn
+        return None
+
+    return arrive
 
 
 def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
@@ -501,7 +551,12 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
     focus); the saddle and the node are vertices, joined to the branches by
     straight segments.  The invariant circle is approached for 30 e-folds of
     its radial rate eps_gamma r_p, then followed for one turn, which must
-    close within ``close_tol`` (the transient doubles on a retry).
+    close within ``close_tol`` (the transient doubles on a retry).  Both
+    shapes run one fixed-step RK4 march; only its arrival test differs.
+
+    ``max_time`` bounds each run, a branch or a turn, to ``max_time / dt``
+    RK4 steps (rounded up, the transient not counted): a run that has not
+    arrived by then raises :class:`TraceFailureError`.
 
     Every ``0.01 / dt``-th state of a run becomes a vertex when it lies at
     least sqrt(8 reach_tol r_p) from the previous vertex.  ``reach_tol``
@@ -547,23 +602,12 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
         delta, (eu, ev) = _linear_reach(fp, saddle, 0, 0.25 * reach_tol)
         slow = (_linear_reach(fp, node, 0, 0.25 * reach_tol)
                 if node.kind == PointKind.STABLE_NODE else (0.0, (0.0, 0.0)))
-        branches = []
-        for sgn in (1.0, -1.0):
-            start = (su + sgn * delta * eu, sv + sgn * delta * ev)
-            branches.append(
-                _integrate_to_target(field, start, (nu, nv), slow, dt, max_time,
-                                     reach_tol, stride, spacing)
-            )
-        first, second = branches
-        pts = np.vstack(
-            [
-                np.array([[su, sv]]),
-                first,
-                np.array([[nu, nv]]),
-                second[::-1],
-                np.array([[su, sv]]),
-            ]
-        )
+        arrive = _node_arrival((nu, nv), reach_tol, slow)
+        first, second = (
+            _march(field, (su + sgn * delta * eu, sv + sgn * delta * ev), dt, max_time,
+                   stride, spacing, arrive, "manifold branch did not reach the node")
+            for sgn in (1.0, -1.0))
+        pts = np.vstack([[[su, sv]], first, [[nu, nv]], second[::-1], [[su, sv]]])
         curve = GammaCurve(True, pts)
     elif len(points) == 1 and not stable:
         # transient onto the attracting circle, then one full turn
@@ -575,7 +619,8 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
             times = time_grid(0.0, transient, dt)
             u, v = rk4_path(field, u, v, times, record=False)
             try:
-                pts = _trace_one_turn(field, (u, v), dt, max_time, stride, spacing)
+                pts = _march(field, (u, v), dt, max_time, stride, spacing,
+                             _turn_arrival((u, v)), "no full turn")
             except TraceFailureError as exc:
                 last_err = exc
                 transient *= 2.0
@@ -597,46 +642,6 @@ def trace_gamma(fp: FrozenParams, dt: float = 1e-3, max_time: float = 1e4,
     if abs(w) != 1:
         raise TraceFailureError(f"traced curve winds {w} times around the origin")
     return curve
-
-
-def _trace_one_turn(field: LabField, start, dt: float, max_time: float, stride: int,
-                    spacing: float):
-    """Integrate until the accumulated polar angle advances one full turn.
-
-    Every ``stride``-th state is recorded when it lies at least ``spacing``
-    from the last recorded one; the turn's end is interpolated.
-    """
-    u, v = start
-    prev = math.atan2(v, u)
-    acc = 0.0
-    gap2 = spacing * spacing
-    lu, lv = start
-    pts = [(u, v)]
-    t = 0.0
-    k = 0
-    for xs, ys in rk4_blocks(field, u, v, dt):
-        for un, vn in zip(xs, ys):
-            if not t < max_time:
-                raise TraceFailureError(f"no full turn within {max_time:g} time units")
-            theta = math.atan2(vn, un)
-            dth = theta - prev
-            if dth > math.pi:
-                dth -= _TWO_PI
-            elif dth < -math.pi:
-                dth += _TWO_PI
-            if abs(acc) < _TWO_PI <= abs(acc + dth):
-                # interpolate the crossing of the full turn
-                frac = (_TWO_PI - abs(acc)) / abs(dth)
-                pts.append((u + frac * (un - u), v + frac * (vn - v)))
-                return np.array(pts)
-            acc += dth
-            prev = theta
-            u, v = un, vn
-            t += dt
-            k += 1
-            if k % stride == 0 and (u - lu) ** 2 + (v - lv) ** 2 >= gap2:
-                pts.append((u, v))
-                lu, lv = u, v
 
 
 # --- classification ---
@@ -691,8 +696,10 @@ def classify(fp: FrozenParams, beta: float = DEFAULT_BETA) -> ChronotaxicClass:
     A class with a point attractor requires a stable equilibrium whose
     largest symmetric eigenvalue clears the margin ``-beta``; the subtype
     records whether the attracting curve coexists, a non-contraction region
-    remains, or the whole plane contracts.
+    remains, or the whole plane contracts.  ``beta`` must be finite and
+    positive.
     """
+    _check_beta(beta)
     return _attractor_class(fp, beta)[0]
 
 
@@ -731,7 +738,7 @@ def region_map(delta_omega_range: tuple[float, float],
     ``resolution`` is points per axis (int or ``(n_delta, n_eps)``).  Cells
     are classified serially with :func:`classify`.  Cells whose
     classification fails are tagged not-chronotaxic, logged, and counted in
-    ``RegionMap.failed``.
+    ``RegionMap.failed``; a bad ``beta`` is refused before the first cell.
     """
     if np.ndim(resolution) == 0:
         nd = ne = int(resolution)
@@ -739,6 +746,7 @@ def region_map(delta_omega_range: tuple[float, float],
         nd, ne = (int(v) for v in resolution)
     if nd < 2 or ne < 2:
         raise InvalidInputError("resolution must be at least 2 per axis")
+    _check_beta(beta)
     bounds = (*delta_omega_range, *eps_a_range)
     if not all(math.isfinite(float(v)) for v in bounds):
         raise InvalidInputError(f"ranges must be finite, got {bounds!r}")
@@ -795,6 +803,7 @@ def _check_times(d: DriveSchedule, t0: float, t1: float, interval: float):
 def _scan(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
           interval: float, beta: float):
     """Sample instants of ``[t0, t1]`` as ``(t, class, attractor or None)``."""
+    _check_beta(beta)
     return [(t, *_attractor_class(frozen_at(p, d, t), beta))
             for t in _check_times(d, t0, t1, interval).tolist()]
 

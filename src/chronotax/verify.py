@@ -23,7 +23,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .contraction import DEFAULT_BETA, sym_eigs_radial
+from .contraction import DEFAULT_BETA, _check_beta, sym_eigs_radial
 from .errors import ChronotaxError, InvalidInputError
 from .integrate import (
     LabField,
@@ -221,10 +221,12 @@ def select_trapping_radius(track: Trajectory, p: OscillatorParams, d: DriveSched
     """Largest ladder radius whose disk stays inside the contraction region.
 
     Returns None when even the smallest rung pokes out of the region at some
-    sampled time.  Refuses a ``sample_interval`` that is not finite and
-    positive, and a ladder that does not hold finite positive radii.
+    sampled time.  Refuses a ``sample_interval`` or ``beta`` that is not
+    finite and positive, and a ladder that does not hold finite positive
+    radii.
     """
     _check_sampling(sample_interval, ladder)
+    _check_beta(beta)
     indices = _sample_indices(track.times.size, track.dt, sample_interval)
     best = None
     for radius in sorted(ladder):
@@ -546,9 +548,9 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     positive radii, and ``boundary_samples`` must be at least
     :data:`MIN_BOUNDARY_SAMPLES`.
     """
-    for name, value in (("dt", dt), ("beta", beta)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidInputError(f"dt must be finite and positive, got {dt!r}")
+    _check_beta(beta)
     _check_sampling(sample_interval, ladder)
     if boundary_samples < MIN_BOUNDARY_SAMPLES:
         raise InvalidInputError(f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples, "

@@ -1,6 +1,6 @@
 """Per-call reference steppers: the lab field with both schedules evaluated at
 every call, and plain RK4 and Euler-Maruyama loops that call a field once per
-stage.
+stage; and an endless RK4 run of a lab field whose drive stands still.
 
 The library runs only :class:`chronotax.integrate.LabField`, on a drive tape
 built once per block of steps; its runs must equal these bit for bit.  The
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from chronotax.integrate import _BLOWUP_SQ, _blow_up, _start
+from chronotax.integrate import _BLOWUP_SQ, TAPE_BLOCK, _blow_up, _rk4_steps, _start
 
 
 def reference_field(p, d):
@@ -82,3 +82,21 @@ def em_reference(field, x0, y0, times, sigma, rng):
         out[i + 1, 0] = x
         out[i + 1, 1] = y
     return out
+
+
+def rk4_blocks(field, x0, y0, dt):
+    """Endless RK4 run with step ``dt`` of a lab field whose drive stands still
+    (a constant pull at zero drive frequency), on one tape block for every
+    step.  Yields the states block by block as ``(xs, ys)`` lists of
+    :data:`~chronotax.integrate.TAPE_BLOCK` floats; the caller stops the run
+    by no longer asking for blocks."""
+    x, y = _start(x0, y0, 0.0)
+    tape = field.rk4_tape(np.zeros(TAPE_BLOCK), np.full(TAPE_BLOCK, float(dt)))
+    steps = 0
+    while True:
+        xs, ys = _rk4_steps(field, x, y, tape)
+        if len(xs) < TAPE_BLOCK:
+            raise _blow_up((steps + len(xs) + 1) * dt)
+        steps += TAPE_BLOCK
+        x, y = xs[-1], ys[-1]
+        yield xs, ys

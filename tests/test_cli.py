@@ -206,6 +206,18 @@ def test_help_shows_every_default(capsys, command):
             assert f"(default: {flag.default})" in text, flag.dest
 
 
+@pytest.mark.parametrize("args", [
+    *(["regionmap", "--resolution", "3", "--beta", word]
+      for word in ("nan", "inf", "0", "-1")),
+    ["portrait", "--resolution", "5", "--beta", "inf"],
+], ids=lambda args: f"{args[0]}-beta={args[-1]}")
+def test_a_bad_beta_exits_2_and_writes_no_labels(tmp_path, args):
+    out = tmp_path / "out"
+    flag = "--out" if args[0] == "regionmap" else "--outdir"
+    assert main(args + [flag, str(out)]) == 2
+    assert [f for f in tmp_path.rglob("*") if f.is_file()] == []
+
+
 def test_simulate_requires_end_time():
     assert main(["simulate"]) == 2
 

@@ -31,7 +31,6 @@ from chronotax.integrate import (
     LabField,
     _rk4_ensemble,
     em_path,
-    rk4_blocks,
     rk4_path,
 )
 from chronotax.model import field_lab, field_lab_array
@@ -228,9 +227,10 @@ def test_start_outside_guard_radius_is_blow_up(x0):
         with pytest.raises(BlowUpError) as err:
             em_path(field, x0, 0.0, times, 0.1, rng)
         assert err.value.time == 2.0
+    # ... and so is the start of trace_gamma's march, at time 0
     with pytest.raises(BlowUpError) as err:
-        next(rk4_blocks(steady_state._frozen_lab_field(FrozenParams(1.7, 0.5, P)),
-                        x0, 0.0, 1e-3))
+        steady_state._march(steady_state._frozen_lab_field(FrozenParams(1.7, 0.5, P)),
+                            (x0, 0.0), 1e-3, 1.0, 1, 0.0, lambda *block: None, "no arrival")
     assert err.value.time == 0.0
     if math.isfinite(x0):  # CartesianState refuses the others as bad input
         with pytest.raises(BlowUpError) as err:
@@ -253,9 +253,6 @@ def test_integrators_run_only_a_lab_field():
             rk4_path(field, 1.0, 0.0, times, record=False)
         with pytest.raises(InvalidInputError):
             em_path(field, 1.0, 0.0, times, 0.1, rng)
-    # the endless run needs a drive that stands still: D17 turns at 0.5
-    with pytest.raises(InvalidInputError):
-        next(rk4_blocks(LabField(P, D17), 1.0, 0.0, 1e-3))
 
 
 # --- drive tape against the per-call reference ---

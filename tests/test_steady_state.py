@@ -46,9 +46,10 @@ from chronotax import (
     steady_state,
     trace_gamma,
 )
-from chronotax.integrate import rk4_blocks, rk4_path, time_grid
+from chronotax.integrate import rk4_path, time_grid
 from chronotax.model import pulled_field, pulled_jacobian
 from chronotax.steady_state import CLASS_CODES
+from reference_steppers import rk4_blocks
 
 P = OscillatorParams(7.0, 1.0, 1.0)
 
@@ -446,9 +447,22 @@ def test_counts_change_by_two_at_thresholds():
         assert abs(lo - hi) == 2
 
 
+def _arrival_after(n):
+    """An arrival test for ``steady_state._march`` that fires at the n-th state."""
+    seen = [0]
+
+    def arrive(u, v, xs, ys):
+        j = n - 1 - seen[0]
+        seen[0] += len(xs)
+        return (j, (xs[j], ys[j])) if j < len(xs) else None
+
+    return arrive
+
+
 def test_frozen_flow_blocks_match_per_call_rk4():
-    # trace_gamma's RK4 with h = dt on the lab-field kernel, against the
-    # per-call co-rotating field, across three tape blocks
+    # trace_gamma's march with h = dt on the lab-field kernel, against the
+    # per-call co-rotating field, across three tape blocks: with a stride of
+    # 1 and zero spacing it records every state up to the arrival
     fp = FrozenParams(0.5, 0.5, P)
     field = frozen_field(fp)
     dt = 1e-3
@@ -462,12 +476,9 @@ def test_frozen_flow_blocks_match_per_call_rk4():
         u += (dt / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
         v += (dt / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
         ref.append((u, v))
-    got = []
-    for xs, ys in rk4_blocks(steady_state._frozen_lab_field(fp), 1.2, 0.1, dt):
-        got += zip(xs, ys)
-        if len(got) >= len(ref):
-            break
-    assert got[:len(ref)] == ref
+    got = steady_state._march(steady_state._frozen_lab_field(fp), (1.2, 0.1), dt, 1.0, 1,
+                              0.0, _arrival_after(len(ref)), "no arrival")
+    assert got.tolist() == [[1.2, 0.1]] + [list(s) for s in ref]
 
 
 def test_trace_gamma_free_oscillator_is_unit_circle():
@@ -664,10 +675,12 @@ def test_trace_gamma_work_guard(monkeypatch):
         return xs, ys
 
     monkeypatch.setattr(integrate, "_rk4_steps", counted)
-    for eps_a, most_steps, most_vertices in ((0.5, 170_000, 3_000), (0.3, 25_000, None)):
+    # exact counts: whole tape blocks of the march, after the transient's
+    # 4,286 steps onto the invariant circle at eps_a = 0.3
+    for eps_a, exact_steps, most_vertices in ((0.5, 157_696, 3_000), (0.3, 20_414, None)):
         steps[0] = 0
         g = trace_gamma(FrozenParams(eps_a, 0.5, P))
-        assert steps[0] <= most_steps, eps_a
+        assert steps[0] == exact_steps, eps_a
         if most_vertices is not None:
             assert len(g.points) <= most_vertices
 

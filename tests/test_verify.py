@@ -20,8 +20,11 @@ from chronotax import (
     VerificationReport,
     attractor_track,
     classify,
+    contraction_map,
     find_fixed_points,
+    linear_system_report,
     offending_intervals,
+    region_map,
     select_trapping_radius,
     steady_state,
     sym_eigs_radial,
@@ -751,6 +754,29 @@ def test_verify_schedule_refuses_bad_input_before_any_work(fixed_point_solves,
                                                            window, kwargs):
     with pytest.raises(InvalidInputError):
         verify_schedule(D17, P, *window, **kwargs)
+    assert fixed_point_solves == []
+
+
+#: the entry points that take a contraction margin, called with ``beta``
+#: (verify_schedule refuses a bad one in the test above)
+BETA_CALLS = {
+    "classify": lambda beta: classify(FrozenParams(1.7, 0.5, P), beta=beta),
+    "region_map": lambda beta: region_map((0.0, 1.0), (0.0, 2.0), 3, P, beta=beta),
+    "attractor_track": lambda beta: attractor_track(D17, P, 0.0, 1.0, 1e-3, beta=beta),
+    "offending_intervals": lambda beta: offending_intervals(D17, P, 0.0, 1.0, beta=beta),
+    "select_trapping_radius": lambda beta: select_trapping_radius(
+        Trajectory(0.0, 0.1, time_grid(0.0, 1.0, 0.1), np.tile([0.6, 0.0], (11, 1))),
+        P, D17, beta=beta),
+    "contraction_map": lambda beta: contraction_map((-2.0, 2.0), 5, 0.0, P, D17, beta=beta),
+    "linear_system_report": lambda beta: linear_system_report(np.diag([-1.0, -2.0]), beta),
+}
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(BETA_CALLS))
+def test_a_bad_beta_is_refused_before_any_work(fixed_point_solves, entry, beta):
+    with pytest.raises(InvalidInputError, match="beta"):
+        BETA_CALLS[entry](beta)
     assert fixed_point_solves == []
 
 
