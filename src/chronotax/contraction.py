@@ -200,7 +200,11 @@ def _normalize_bounds(bounds):
 
 
 def classify_eigs(lam1, lam2, beta: float = DEFAULT_BETA):
-    """Class codes from eigenvalue arrays: 2 both below -beta, 1 only the second, 0 neither."""
+    """Class codes from eigenvalue arrays: 2 both below -beta, 1 only the second, 0 neither.
+
+    Refuses a ``beta`` that is not finite and positive.
+    """
+    _check_beta(beta)
     lam1 = np.asarray(lam1)
     lam2 = np.asarray(lam2)
     codes = np.zeros(lam1.shape, dtype=np.uint8)

@@ -346,12 +346,15 @@ def field_lab(s: CartesianState, t: float, p: OscillatorParams, d: DriveSchedule
                         p.r_p * math.sin(a))
 
 
-def field_lab_array(x: FloatArray, y: FloatArray, t: float, p: OscillatorParams,
+def field_lab_array(x: FloatArray, y: FloatArray, t, p: OscillatorParams,
                     d: DriveSchedule):
-    """Vectorized :func:`field_lab` over arrays of positions at one instant."""
-    a = float(d.alpha_p(t))
+    """Vectorized :func:`field_lab` over arrays of positions at instants ``t``
+    that broadcast with them (one instant, or one per position).  Each value
+    is :func:`field_lab`'s bit for bit: numpy's float64 cos and sin of the
+    drive point equal libm's on the tested platforms
+    (``test_tape_drive_point_is_libm_cos_and_sin``)."""
     return pulled_field(x, y, np.sqrt(x * x + y * y), p.eps_gamma, p.omega0, p.r_p,
-                        float(d.eps_a(t)), p.r_p * math.cos(a), p.r_p * math.sin(a))
+                        d.eps_a(t), *d.drive_point(t, p.r_p))
 
 
 def field_rotating(s: PolarState, t: float, p: OscillatorParams, d: DriveSchedule,

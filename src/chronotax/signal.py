@@ -161,8 +161,8 @@ def cwt(series: FloatArray, fs: float, freqs: FloatArray | None = None,
         raise InvalidInputError("series must be a 1-D array of at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("series must be finite")
-    if fs <= 0.0:
-        raise InvalidInputError("sampling rate must be positive")
+    if not (math.isfinite(fs) and fs > 0.0):
+        raise InvalidInputError(f"sampling rate must be finite and positive, got {fs!r}")
     if not (math.isfinite(f0) and f0 > 0.0):
         raise InvalidInputError(f"wavelet central frequency must be positive, got {f0!r}")
     if freqs is None:

@@ -272,8 +272,11 @@ def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX) -> list[Fi
     radii within ~sqrt(eps) of each other but well separated rates.
     delta_omega = 0 takes the same path, with c1 = 0.
     Zero pull is the degenerate uncoupled case: the origin is the only
-    isolated equilibrium and is reported as unstable.
+    isolated equilibrium and is reported as unstable.  Refuses an ``r_max``
+    that is NaN or not positive (``inf`` keeps every point).
     """
+    if not r_max > 0.0:
+        raise InvalidInputError(f"r_max must be positive, got {r_max!r}")
     p = fp.params
     ea = fp.eps_a
     dw = fp.delta_omega

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from itertools import groupby
 
 import numpy as np
@@ -33,7 +33,7 @@ from .integrate import (
     rk4_path,
     time_grid,
 )
-from .model import CartesianState, DriveSchedule, OscillatorParams, pulled_field
+from .model import CartesianState, DriveSchedule, OscillatorParams, field_lab_array
 from .steady_state import _scan, _track
 
 #: geometric radius ladder for the auto-selected trapping disk
@@ -99,24 +99,8 @@ class VerificationReport:
     failures: list[str] = dataclass_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "chronotaxic": self.chronotaxic,
-            "window": list(self.window),
-            "dt": self.dt,
-            "beta": self.beta,
-            "times_checked": self.times_checked,
-            "offending_intervals": [list(iv) for iv in self.offending_intervals],
-            "radius": self.radius,
-            "max_lambda_on_A": self.max_lambda_on_A,
-            "max_inward_defect": self.max_inward_defect,
-            "forward_defect": self.forward_defect,
-            "forward_bound_from": self.forward_bound_from,
-            "pullback_defect": self.pullback_defect,
-            "pullback_bound_from": self.pullback_bound_from,
-            "invariance_defect": self.invariance_defect,
-            "thresholds": dict(self.thresholds),
-            "failures": list(self.failures),
-        }
+        return dict(asdict(self), window=list(self.window),
+                    offending_intervals=[list(iv) for iv in self.offending_intervals])
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -139,12 +123,15 @@ def _check_sampling(sample_interval: float, ladder=None) -> None:
 
 
 def _sample_indices(n: int, dt: float, sample_interval: float) -> list[int]:
-    """Interior indices (central-differentiable) roughly sample_interval apart."""
+    """Interior indices (central-differentiable) roughly sample_interval apart
+    on a track of ``n`` samples; refuses a track of fewer than 3."""
+    if n < 3:
+        raise InvalidInputError(
+            "center track needs at least 3 samples for a finite-difference velocity"
+        )
     stride = max(1, int(round(sample_interval / dt)))
     idx = list(range(1, n - 1, stride))
-    if not idx:
-        idx = [n // 2] if n >= 3 else []
-    elif idx[-1] != n - 2:
+    if idx[-1] != n - 2:
         idx.append(n - 2)
     return idx
 
@@ -160,31 +147,22 @@ def verify_trapping(c: TrappingCandidate, p: OscillatorParams, d: DriveSchedule,
     center, projected on the outward normal, must be negative everywhere
     for trapping).  Returns ``(max_lambda, max_inward_defect)`` — both
     maxima over all samples, so trapping holds when both are < 0.  Refuses
-    a ``sample_interval`` that is not finite and positive.
+    a ``sample_interval`` that is not finite and positive, and a track of
+    fewer than 3 samples.
     """
     _check_sampling(sample_interval)
     track = c.track
-    n = track.times.size
-    if n < 3:
-        raise InvalidInputError(
-            "center track needs at least 3 samples for a finite-difference velocity"
-        )
-    indices = _sample_indices(n, track.dt, sample_interval)
+    indices = _sample_indices(track.times.size, track.dt, sample_interval)
     theta = np.linspace(0.0, 2.0 * math.pi, c.boundary_samples, endpoint=False)
     nx = np.cos(theta)
     ny = np.sin(theta)
     rx = c.radius * nx
     ry = c.radius * ny
 
-    # a few instants at a time, each a row against the boundary's columns;
-    # numpy's float64 cos and sin of the drive point equal libm's, those of
-    # the per-instant field (test_tape_drive_point_is_libm_cos_and_sin)
+    # a few instants at a time, each a row against the boundary's columns
     max_flux = -math.inf
     for k0 in range(0, len(indices), _FLUX_CHUNK):
         i = np.array(indices[k0:k0 + _FLUX_CHUNK])
-        t = track.times[i]
-        ea = d.eps_a(t)
-        dx, dy = d.drive_point(t, p.r_p)
         cx = track.states[i, 0][:, None]
         cy = track.states[i, 1][:, None]
         # over the true spacing: the last step is shorter when dt does not
@@ -194,8 +172,7 @@ def verify_trapping(c: TrappingCandidate, p: OscillatorParams, d: DriveSchedule,
         vcy = ((track.states[i + 1, 1] - track.states[i - 1, 1]) / span)[:, None]
         bx = cx + rx
         by = cy + ry
-        gx, gy = pulled_field(bx, by, np.sqrt(bx * bx + by * by), p.eps_gamma, p.omega0,
-                              p.r_p, ea[:, None], dx[:, None], dy[:, None])
+        gx, gy = field_lab_array(bx, by, track.times[i][:, None], p, d)
         max_flux = max(max_flux, float(np.max((gx - vcx) * nx + (gy - vcy) * ny)))
     return _tube_max_lambda(track, p, d, c.radius, indices), max_flux
 
@@ -222,8 +199,8 @@ def select_trapping_radius(track: Trajectory, p: OscillatorParams, d: DriveSched
 
     Returns None when even the smallest rung pokes out of the region at some
     sampled time.  Refuses a ``sample_interval`` or ``beta`` that is not
-    finite and positive, and a ladder that does not hold finite positive
-    radii.
+    finite and positive, a ladder that does not hold finite positive radii,
+    and a track of fewer than 3 samples.
     """
     _check_sampling(sample_interval, ladder)
     _check_beta(beta)
@@ -377,31 +354,29 @@ def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
     not, such as a bent one, shows its departure here.  A track offset from
     the true attractor from its first sample on is re-integrated from that
     offset start and follows it, so this check does not see the offset;
-    catching it is the pullback check's job.  ``refine`` must be an integer
-    of at least 2.
+    catching it is the pullback check's job.  The track's samples are those
+    of ``time_grid(t0, t1, dt)``, as :func:`attractor_track` records them,
+    and the re-run is read at its node ``refine * k`` for the track's
+    ``k``-th (:func:`_refined_nodes`).  ``refine`` must be an integer of at
+    least 2.
     """
     if not (isinstance(refine, numbers.Integral) and refine >= 2):
         raise InvalidInputError(f"refine must be an integer >= 2, got {refine!r}")
     if track.frame != "lab":
         raise InvalidInputError("invariance check expects a lab-frame track")
-    t0 = track.t0
-    t1 = track.final_time
-    fine = time_grid(t0, t1, track.dt / refine)
+    fine = time_grid(track.t0, track.final_time, track.dt / refine)
     states = rk4_path(LabField(p, d), float(track.states[0, 0]),
                       float(track.states[0, 1]), fine, record=True)
-    pos = np.searchsorted(fine, track.times)
-    pos = np.clip(pos, 0, fine.size - 1)
-    # snap to the nearer neighbor; the grids share t0 + k*dt up to rounding
-    left_ok = pos > 0
-    nearer_left = np.where(
-        left_ok & (np.abs(fine[np.maximum(pos - 1, 0)] - track.times)
-                   < np.abs(fine[pos] - track.times))
-    )
-    pos[nearer_left] = pos[nearer_left] - 1
-    if np.max(np.abs(fine[pos] - track.times)) > 1e-6 * track.dt:
-        raise InvalidInputError("refined grid failed to align with the track")
-    d_states = states[pos] - track.states
+    d_states = states[_refined_nodes(track.times.size, refine, fine.size)] - track.states
     return float(np.max(np.hypot(d_states[:, 0], d_states[:, 1])))
+
+
+def _refined_nodes(n: int, refine: int, m: int):
+    """Where the ``n`` nodes of ``time_grid(t0, t1, dt)`` sit among the ``m``
+    of ``time_grid(t0, t1, dt / refine)``: node ``refine * k`` for the
+    ``k``-th, and the last for the last, since both grids end on ``t1``
+    exactly."""
+    return np.append(refine * np.arange(n - 1), m - 1)
 
 
 def _invariance_bound(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
@@ -436,8 +411,7 @@ def _invariance_bound(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
         t = times[i0:i1 + 1]
         x = xs[i0:i1 + 1]
         y = ys[i0:i1 + 1]
-        fx, fy = pulled_field(x, y, np.sqrt(x * x + y * y), p.eps_gamma, p.omega0,
-                              p.r_p, d.eps_a(t), *d.drive_point(t, p.r_p))
+        fx, fy = field_lab_array(x, y, t, p, d)
         fx0, fy0, fx1, fy1 = fx[:-1], fy[:-1], fx[1:], fy[1:]
         h = t[1:] - t[:-1]
         ex = x[1:] - x[:-1]
@@ -455,9 +429,7 @@ def _invariance_bound(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
             da1 = th * (3.0 * th - 2.0)
             px = x + w * ex + h * (a0 * fx0 + a1 * fx1)
             py = y + w * ey + h * (a0 * fy0 + a1 * fy1)
-            tm = t + th * h
-            gx, gy = pulled_field(px, py, np.sqrt(px * px + py * py), p.eps_gamma,
-                                  p.omega0, p.r_p, d.eps_a(tm), *d.drive_point(tm, p.r_p))
+            gx, gy = field_lab_array(px, py, t + th * h, p, d)
             rx = dw * ex / h + da0 * fx0 + da1 * fx1 - gx
             ry = dw * ey / h + da0 * fy0 + da1 * fy1 - gy
             rho = np.maximum(rho, np.sqrt(rx * rx + ry * ry))
@@ -543,13 +515,15 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     leaves the track standing.  Bad input is refused with
     :class:`InvalidInputError` before any work: the window must be finite
     with ``t1 > t0``, the track's grid ``time_grid(t0, t1, dt)`` must hold
-    at least 3 samples, ``dt``, ``check_interval``, ``sample_interval`` and
-    ``beta`` must be finite and positive, ``ladder`` must hold finite
-    positive radii, and ``boundary_samples`` must be at least
-    :data:`MIN_BOUNDARY_SAMPLES`.
+    at least 3 samples, ``dt``, ``check_interval``, ``sample_interval``,
+    ``beta`` and the three tolerances must be finite and positive,
+    ``ladder`` must hold finite positive radii, and ``boundary_samples``
+    must be at least :data:`MIN_BOUNDARY_SAMPLES`.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidInputError(f"dt must be finite and positive, got {dt!r}")
+    for name, value in (("dt", dt), ("forward_tol", forward_tol),
+                        ("pullback_tol", pullback_tol), ("invariance_tol", invariance_tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
     _check_beta(beta)
     _check_sampling(sample_interval, ladder)
     if boundary_samples < MIN_BOUNDARY_SAMPLES:
@@ -559,30 +533,17 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     if samples < 3:
         raise InvalidInputError(f"the track over [{t0!r}, {t1!r}] at dt={dt!r} has "
                                 f"{samples} samples; it needs at least 3")
-    thresholds = {
-        "forward": forward_tol,
-        "pullback": pullback_tol,
-        "invariance": invariance_tol,
-    }
     scan = _scan(d, p, t0, t1, check_interval, beta)
-    times_checked = len(scan)
     intervals = _offending(scan)
-    if intervals:
-        return VerificationReport(
-            chronotaxic=False, window=(t0, t1), dt=dt, beta=beta,
-            times_checked=times_checked, offending_intervals=intervals,
-            thresholds=thresholds,
-            failures=["classification prescan found non-chronotaxic instants"],
-        )
-
-    failures: list[str] = []
+    failures = ["classification prescan found non-chronotaxic instants"] if intervals else []
     forward = pullback = (None, None)
     invariance = track = None
     field = LabField(p, d)
-    try:
-        warmup, track = _track(d, p, t0, t1, dt, scan)
-    except ChronotaxError as exc:
-        failures.append(f"attractor tracking failed: {exc}")
+    if not intervals:
+        try:
+            warmup, track = _track(d, p, t0, t1, dt, scan)
+        except ChronotaxError as exc:
+            failures.append(f"attractor tracking failed: {exc}")
 
     tube = _Tube(track)
     if track is not None:
@@ -614,10 +575,12 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     return VerificationReport(
         chronotaxic=(not failures and tube.certified and forward[0] <= forward_tol
                      and pullback[0] <= pullback_tol and invariance <= invariance_tol),
-        window=(t0, t1), dt=dt, beta=beta, times_checked=times_checked,
-        offending_intervals=[], radius=tube.radius, max_lambda_on_A=tube.rate,
+        window=(t0, t1), dt=dt, beta=beta, times_checked=len(scan),
+        offending_intervals=intervals, radius=tube.radius, max_lambda_on_A=tube.rate,
         max_inward_defect=tube.flux, forward_defect=forward[0],
         forward_bound_from=forward[1], pullback_defect=pullback[0],
         pullback_bound_from=pullback[1], invariance_defect=invariance,
-        thresholds=thresholds, failures=failures,
+        thresholds={"forward": forward_tol, "pullback": pullback_tol,
+                    "invariance": invariance_tol},
+        failures=failures,
     )

@@ -378,19 +378,26 @@ def test_mid_block_blow_up_matches_the_reference(start):
 @settings(max_examples=60)
 @given(d=drives(), t=st.floats(-6.0, 6.0),
        points=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-                       min_size=1, max_size=12))
-@example(d=DriveSchedule.constant(1.7, 0.5), t=0.3, points=[(0.0, 0.0), (1.0, -0.0)])
-def test_field_lab_is_the_per_call_reference_bit_for_bit(d, t, points):
+                       min_size=1, max_size=12),
+       spacing=st.floats(-1.0, 1.0))
+@example(d=DriveSchedule.constant(1.7, 0.5), t=0.3, points=[(0.0, 0.0), (1.0, -0.0)],
+         spacing=0.37)
+def test_field_lab_is_the_per_call_reference_bit_for_bit(d, t, points, spacing):
     # field_lab rounds the radius as the kernels do, and field_lab_array is
-    # field_lab point by point
+    # field_lab point by point, at one instant and at an instant per point
     ref = reference_field(P, d)
     xs = np.array([x for x, _ in points])
     ys = np.array([y for _, y in points])
+    ts = t + spacing * np.arange(len(points))
     gx, gy = field_lab_array(xs, ys, t, P, d)
-    for (x, y), ax, ay in zip(points, gx.tolist(), gy.tolist()):
+    hx, hy = field_lab_array(xs, ys, ts, P, d)
+    for (x, y), ti, ax, ay, bx, by in zip(points, ts.tolist(), gx.tolist(), gy.tolist(),
+                                          hx.tolist(), hy.tolist()):
         got = [v.hex() for v in field_lab(CartesianState(x, y), t, P, d)]
         assert got == [v.hex() for v in ref(t, x, y)]
         assert [ax.hex(), ay.hex()] == got
+        own = [v.hex() for v in field_lab(CartesianState(x, y), ti, P, d)]
+        assert [bx.hex(), by.hex()] == own
 
 
 @settings(max_examples=40)

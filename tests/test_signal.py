@@ -145,6 +145,14 @@ def test_rejects_bad_input():
         cwt(np.ones(64), -1.0, morlet_freq_grid(0.5, 2.0, 8))
 
 
+@pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -1.0])
+def test_rejects_a_bad_sampling_rate_at_entry(fs):
+    # a NaN rate would otherwise run the whole transform before failing
+    x = np.random.default_rng(3).standard_normal(512)
+    with pytest.raises(InvalidInputError, match="sampling rate"):
+        cwt(x, fs, morlet_freq_grid(0.1, 2.0, 4))
+
+
 def test_rejects_bad_central_frequency():
     # f0 = 0 cancels the kernel and f0 < 0 mirrors it; neither is a wavelet
     x = np.random.default_rng(3).standard_normal(512)

@@ -712,6 +712,17 @@ def test_trace_gamma_rejects_bad_numbers(kwargs):
 
 
 
+@pytest.mark.parametrize("r_max", [math.nan, 0.0, -1.0])
+def test_find_fixed_points_refuses_a_bad_r_max(r_max):
+    # such an r_max kept no point at all, where the default keeps three
+    fp = FrozenParams(0.8, 0.5, P)
+    assert len(find_fixed_points(fp)) == 3
+    assert len(find_fixed_points(fp, r_max=math.inf)) == 3
+    for eps_a in (0.0, 0.8):
+        with pytest.raises(InvalidInputError, match="r_max"):
+            find_fixed_points(FrozenParams(eps_a, 0.5, P), r_max=r_max)
+
+
 @pytest.mark.parametrize("eps_a, vertices", [(0.3, 8), (0.5, 12), (1.2, 10)])
 def test_trace_gamma_refuses_reach_tol_beyond_an_eighth_of_r_p(eps_a, vertices):
     # past r_p / 8 the minimum vertex gap sqrt(8 reach_tol r_p) exceeds r_p

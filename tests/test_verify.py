@@ -34,6 +34,7 @@ from chronotax import (
     verify_trapping,
 )
 from chronotax import integrate, verify
+from chronotax.contraction import classify_eigs
 from chronotax.integrate import LabField, Trajectory, rk4_path, time_grid
 from chronotax.model import field_lab, field_lab_array
 from chronotax.verify import (
@@ -42,6 +43,7 @@ from chronotax.verify import (
     DEFAULT_PULLBACK_TOL,
     DEFAULT_RADIUS_LADDER,
     _invariance_bound,
+    _refined_nodes,
     _sample_indices,
 )
 
@@ -89,10 +91,17 @@ def test_trapping_fails_on_huge_tube():
 
 
 def test_trapping_needs_enough_samples():
+    # no interior sample of a track of 1 or 2 has a central-difference
+    # velocity; both checks refuse it, where the radius selection crashed on
+    # the empty sample list
     track = track17()
-    short = Trajectory(track.t0, track.dt, track.times[:2], track.states[:2], "lab")
-    with pytest.raises(InvalidInputError):
-        verify_trapping(TrappingCandidate(short, 0.1), P, D17)
+    for samples in (1, 2):
+        short = Trajectory(track.t0, track.dt, track.times[:samples],
+                           track.states[:samples], "lab")
+        with pytest.raises(InvalidInputError, match="at least 3 samples"):
+            select_trapping_radius(short, P, D17)
+        with pytest.raises(InvalidInputError, match="at least 3 samples"):
+            verify_trapping(TrappingCandidate(short, 0.1), P, D17)
 
 
 @settings(max_examples=60)
@@ -616,6 +625,39 @@ def test_invariance_bound_holds_over_the_re_runs(pulls):
     assert verify_invariance(track, P, drive) <= report.invariance_defect
 
 
+def nearest_nodes(fine, times):
+    """Indices of the nodes of ``fine`` nearest to ``times``, ties to the
+    later one, after checking that each lies within 1e-6 dt of its time:
+    the reference for where a re-run on the refined grid is read."""
+    pos = np.clip(np.searchsorted(fine, times), 0, fine.size - 1)
+    nearer_left = (pos > 0) & (np.abs(fine[np.maximum(pos - 1, 0)] - times)
+                               < np.abs(fine[pos] - times))
+    pos[nearer_left] -= 1
+    dt = times[1] - times[0]
+    assert np.max(np.abs(fine[pos] - times)) <= 1e-6 * dt
+    return pos
+
+
+@settings(max_examples=300)
+@given(t0=st.floats(-1e4, 1e4), dt=st.sampled_from([1e-3, 0.0035, 0.0049, 0.01, 0.1, 0.3]),
+       steps=st.integers(2, 200), refine=st.sampled_from([2, 3, 8]),
+       rest=st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-2e-9, 2e-9),
+                      st.floats(0.0, 1.0)))
+@example(t0=0.0, dt=0.0035, steps=4285, refine=2, rest=5.0 / 7.0)  # [0, 15]
+@example(t0=0.0, dt=1e-3, steps=15000, refine=8, rest=0.0)
+@example(t0=1e4, dt=1e-3, steps=7, refine=3, rest=1e-9)
+@example(t0=-1e4, dt=0.0049, steps=7, refine=8, rest=-1e-9)
+def test_refined_nodes_are_the_nearest_nodes(t0, dt, steps, refine, rest):
+    # windows whose span is a whole number of steps up to rounding, within
+    # 1e-9 dt of one either way, or anywhere between two nodes
+    t1 = t0 + (steps + rest) * dt
+    assume(t1 > t0)
+    times = time_grid(t0, t1, dt)
+    fine = time_grid(t0, t1, dt / refine)
+    nodes = _refined_nodes(times.size, refine, fine.size)
+    assert nodes.tolist() == nearest_nodes(fine, times).tolist()
+
+
 @pytest.mark.parametrize("refine", [0, 1, -2, 2.0, True])
 def test_invariance_refuses_a_refine_below_two(refine):
     # refine = 1 would retrace the track's own arithmetic and read exactly 0
@@ -749,6 +791,10 @@ def test_verify_schedule_solves_each_instant_once(fixed_point_solves):
     ((0.0, 3.0), {"ladder": (0.02, math.inf)}),
     ((0.0, 3.0), {"boundary_samples": 8}),
     ((0.0, 3.0), {"boundary_samples": 63}),
+] + [
+    ((0.0, 15.0), {tol: value})
+    for tol in ("forward_tol", "pullback_tol", "invariance_tol")
+    for value in (math.nan, math.inf, 0.0, -1.0)
 ])
 def test_verify_schedule_refuses_bad_input_before_any_work(fixed_point_solves,
                                                            window, kwargs):
@@ -769,6 +815,7 @@ BETA_CALLS = {
         P, D17, beta=beta),
     "contraction_map": lambda beta: contraction_map((-2.0, 2.0), 5, 0.0, P, D17, beta=beta),
     "linear_system_report": lambda beta: linear_system_report(np.diag([-1.0, -2.0]), beta),
+    "classify_eigs": lambda beta: classify_eigs([-1.0, 2.0], [-3.0, -1.0], beta),
 }
 
 
