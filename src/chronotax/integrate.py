@@ -163,10 +163,11 @@ def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool, stop
     matter; the members before it run to the end.
 
     ``stop``, where given, is called after every block but the last while
-    no member has left the guard radius, with the grid index of the block's
-    end and the members' ``(x, y)`` states there.  The first value it
-    returns that is not ``None`` ends the run and is returned in place of
-    the results.
+    no member has left the guard radius, with the grid indices of the
+    block's start and end and each member's states at the block's nodes
+    after its start, as lists ``(xs, ys)``.  The first value it returns
+    that is not ``None`` ends the run and is returned in place of the
+    results.
     """
     n = times.size
     states = []
@@ -191,6 +192,7 @@ def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool, stop
         t = times[i0:i1]
         h = times[i0 + 1:i1 + 1] - t
         tape = field.rk4_tape(t, h)
+        paths = []
         for j, (x, y) in enumerate(states):
             xs, ys = _rk4_steps(field, x, y, tape)
             if len(xs) < i1 - i0:
@@ -198,11 +200,12 @@ def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool, stop
                 del states[j:]
                 break
             states[j] = xs[-1], ys[-1]
+            paths.append((xs, ys))
             if record:
                 outs[j][i0 + 1:i1 + 1, 0] = xs
                 outs[j][i0 + 1:i1 + 1, 1] = ys
         if stop is not None and failed is None and i1 < n - 1:
-            result = stop(i1, states)
+            result = stop(i0, i1, paths)
             if result is not None:
                 return result
     if failed is not None:

@@ -168,8 +168,8 @@ def cwt(series: FloatArray, fs: float, freqs: FloatArray | None = None,
     if freqs is None:
         freqs = morlet_freq_grid()
     freqs = np.asarray(freqs, dtype=float)
-    if freqs.ndim != 1 or freqs.size == 0 or np.any(freqs <= 0.0):
-        raise InvalidInputError("freqs must be positive")
+    if freqs.ndim != 1 or freqs.size == 0 or not np.all(np.isfinite(freqs) & (freqs > 0.0)):
+        raise InvalidInputError("freqs must be finite and positive")
     if np.any(np.diff(freqs) <= 0.0):
         raise InvalidInputError("freqs must be strictly increasing")
     duration = x.size / fs

@@ -84,8 +84,6 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-DEFAULT_R_MAX = 2.5
-
 _TWO_PI = 2.0 * math.pi
 
 
@@ -256,8 +254,8 @@ def _frozen(fp: FrozenParams):
     return p.eps_gamma, fp.delta_omega, p.r_p, fp.eps_a
 
 
-def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX) -> list[FixedPoint]:
-    """All equilibria of the frozen co-rotating flow with radius in (0, r_max].
+def find_fixed_points(fp: FrozenParams) -> list[FixedPoint]:
+    """All equilibria of the frozen co-rotating flow.
 
     Roots G(k) = (b - k) q - eps_gamma eps_a r_p of the module docstring on
     its monotone pieces: G falls on k < c1, rises on (c1, c2) and falls on
@@ -272,11 +270,13 @@ def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX) -> list[Fi
     radii within ~sqrt(eps) of each other but well separated rates.
     delta_omega = 0 takes the same path, with c1 = 0.
     Zero pull is the degenerate uncoupled case: the origin is the only
-    isolated equilibrium and is reported as unstable.  Refuses an ``r_max``
-    that is NaN or not positive (``inf`` keeps every point).
+    isolated equilibrium and is reported as unstable.
+
+    Every equilibrium has r <= r_p, so no radius needs a cap: with psi the
+    angle from the drive point, the radial balance reads
+    eps_gamma (r_p - r) r - eps_a (r - r_p cos psi) = 0, and for r > r_p
+    both terms are negative.
     """
-    if not r_max > 0.0:
-        raise InvalidInputError(f"r_max must be positive, got {r_max!r}")
     p = fp.params
     ea = fp.eps_a
     dw = fp.delta_omega
@@ -308,8 +308,7 @@ def find_fixed_points(fp: FrozenParams, r_max: float = DEFAULT_R_MAX) -> list[Fi
         k = _bisect(g, lo, hi) or math.ulp(0.0)  # 0 brackets a root in (0, ulp(0)]
         q = math.hypot(k, dw)
         r = pull / q
-        if r <= r_max * (1.0 + 1e-9):
-            points.append(_point_from_uv(fp, r * (-k / q), r * (dw / q)))
+        points.append(_point_from_uv(fp, r * (-k / q), r * (dw / q)))
     points.sort(key=lambda q: q.location.r)
     return points
 

@@ -39,6 +39,11 @@ from .steady_state import _scan, _track
 #: geometric radius ladder for the auto-selected trapping disk
 DEFAULT_RADIUS_LADDER = tuple(0.02 * 2.0**k for k in range(8))
 
+#: step of every run of :func:`verify_schedule`.  Its error is part of the
+#: forward, pullback and invariance bounds, so it need not be the
+#: integrators' finer default step.
+DEFAULT_VERIFY_DT = 2.5e-3
+
 DEFAULT_FORWARD_TOL = 1e-6
 DEFAULT_PULLBACK_TOL = 1e-6
 DEFAULT_INVARIANCE_TOL = 1e-4
@@ -288,37 +293,50 @@ def _certify_tube(run: Trajectory, p: OscillatorParams, d: DriveSchedule, ladder
     return _Tube(run, radius, rate, flux)
 
 
-def _tube_defect(field: LabField, starts, tube: _Tube, tol: float,
-                 start: int = 0) -> tuple[float, float | None]:
+def _tube_defect(p: OscillatorParams, d: DriveSchedule, starts, tube: _Tube, tol: float,
+                 start: int = 0, errors=None) -> tuple[float, float | None]:
     """Spread at the end of ``tube.run`` of the members ``starts`` run on its
     grid from node ``start``, and the time from which it is a bound (``None``
     when it is measured).
 
-    The members run one tape block at a time.  Where the tube certifies, the
-    run stops at the first block end ``t_i`` before the end ``t1`` where
-    every member lies strictly inside the disk of ``tube.radius`` around the
-    run and ``spread(t_i) * exp(tube.rate * (t1 - t_i))`` is at most
-    ``tol``; that bound is the defect.  Otherwise the members run to ``t1``
-    and their spread there is the defect.  A member's blow-up raises as in
+    The members run one tape block at a time.  Where the tube certifies,
+    each member's distance from the exact solution through its start is
+    bounded block by block (:func:`_run_error`), from ``errors`` at node
+    ``start`` (zero by default), as E_m.  The run stops at the first block
+    end ``t_i`` before the end ``t1`` where ``|x_m - c(t_i)| + E_m`` is below
+    ``tube.radius`` for every member, c being the run, and ``(spread(t_i) +
+    2 max E_m) * exp(tube.rate * (t1 - t_i))`` is at most ``tol``; that
+    bound, which holds for the exact members, is the defect.  Otherwise the
+    members run to ``t1`` and their spread there, a measurement, is the
+    defect.  A member's blow-up raises as in
     :func:`chronotax.integrate._rk4_ensemble`.
     """
     run = tube.run
     times = run.times[start:]
     t1 = float(times[-1])
+    heads = list(starts)  # the members' states at the start of the block
+    errors = [0.0] * len(heads) if errors is None else list(errors)
 
-    def bound(i, states):
-        cx, cy = run.states[start + i]
-        b = _spread(states) * math.exp(tube.rate * (t1 - float(times[i])))
-        if b <= tol and all(math.hypot(x - cx, y - cy) < tube.radius for x, y in states):
-            return b, float(times[i])
+    def bound(i0, i1, paths):
+        xs = np.array([[x, *px] for (x, _), (px, _) in zip(heads, paths)])
+        ys = np.array([[y, *py] for (_, y), (_, py) in zip(heads, paths)])
+        errors[:] = _run_error(times[i0:i1 + 1], xs, ys, p, d, e=errors)[0]
+        heads[:] = [(px[-1], py[-1]) for px, py in paths]
+        cx, cy = run.states[start + i1]
+        b = (_spread(heads) + 2.0 * max(errors)) * math.exp(
+            tube.rate * (t1 - float(times[i1])))
+        if b <= tol and all(math.hypot(x - cx, y - cy) + e < tube.radius
+                            for (x, y), e in zip(heads, errors)):
+            return b, float(times[i1])
         return None
 
-    out = _rk4_ensemble(field, starts, times, False, bound if tube.certified else None)
+    out = _rk4_ensemble(LabField(p, d), starts, times, False,
+                        bound if tube.certified else None)
     return out if isinstance(out, tuple) else (_spread(out), None)
 
 
-def _pullback_tube_defect(field: LabField, tube: _Tube, span: float, start_radius: float,
-                          tol: float) -> tuple[float, float | None]:
+def _pullback_tube_defect(p: OscillatorParams, d: DriveSchedule, tube: _Tube, span: float,
+                          start_radius: float, tol: float) -> tuple[float, float | None]:
     """The pullback Cauchy defect at the end ``t0`` of the warm-up ``tube.run``,
     and the time from which it is a bound (``None`` when it is measured).
 
@@ -326,7 +344,9 @@ def _pullback_tube_defect(field: LabField, tube: _Tube, span: float, start_radiu
     span`` each step to the first node of the warm-up's grid at or after
     their start, then along that grid to ``G_j``, its first node at or after
     ``t0 - 0.75 span``.  From there they run as members of
-    :func:`_tube_defect` in the warm-up's tube.  A blow-up on the way to
+    :func:`_tube_defect` in the warm-up's tube.  The stretches to ``G_j``
+    are recorded, and where the tube certifies their error bounds
+    (:func:`_run_error`) start the members' E_m.  A blow-up on the way to
     ``G_j`` raises at once, the later start's run going first, as in
     :func:`chronotax.integrate.pullback`; one after ``G_j`` raises as in
     :func:`_tube_defect`.
@@ -335,12 +355,17 @@ def _pullback_tube_defect(field: LabField, tube: _Tube, span: float, start_radiu
     times = warmup.times
     t0 = float(times[-1])
     j = int(np.searchsorted(times, t0 - 0.75 * span))
+    field = LabField(p, d)
     members = []
+    errors = []
     for s in (t0 - 0.75 * span, t0 - span):
         i = int(np.searchsorted(times, s))
         grid = np.concatenate([time_grid(s, float(times[i]), warmup.dt), times[i + 1:j + 1]])
-        members.append(rk4_path(field, start_radius, 0.0, grid, record=False))
-    return _tube_defect(field, members, tube, tol, j)
+        path = rk4_path(field, start_radius, 0.0, grid)
+        members.append(path[-1].tolist())
+        if tube.certified:
+            errors.extend(_run_error(grid, path[:, 0], path[:, 1], p, d)[0])
+    return _tube_defect(p, d, members, tube, tol, j, errors or None)
 
 
 def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
@@ -379,45 +404,57 @@ def _refined_nodes(n: int, refine: int, m: int):
     return np.append(refine * np.arange(n - 1), m - 1)
 
 
-def _invariance_bound(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
-                      rate: float) -> float:
-    """Bound on the distance from ``track`` to the exact solution through its
-    first sample, inside a tube where the leading symmetric eigenvalue is at
-    most ``rate`` < 0.
+def _run_error(times, xs, ys, p: OscillatorParams, d: DriveSchedule,
+               rate: float | None = None, e=None):
+    """Bounds on the distance from recorded lab-frame runs to the exact
+    solutions through their first samples: ``(at the last node, largest
+    within the run)``, one of each per run.
 
-    On each step the track's cubic Hermite interpolant p has the samples as
-    nodes and the lab field there as slopes.  Its residual r = p' - f(p, t)
-    is sampled at :data:`_RESIDUAL_THETAS` of every step; rho_i is the
-    largest of the three.  Inside the tube the distance e(t) from p to the
-    solution obeys e' <= rate * e + |r| (Lohmiller & Slotine, Automatica 34,
-    1998; Söderlind, "The logarithmic norm", BIT 46, 2006), so from e = 0 at
-    the first sample, ``e_{i+1} <= exp(rate * h_i) * e_i + h_i * rho_i`` and
-    e <= ``e_i + h_i * rho_i`` within step i; the bound is the largest of
-    these.  With rho_i at most rho throughout it is at most about rho /
-    |rate|, and a residual confined to a few steps, as at a drive-schedule
-    knot between samples, costs only those steps' h_i * rho_i.  The
-    estimate needs the solution inside the tube, so it holds while it is
-    below the tube's radius.  The residual arrays span
-    :data:`_RESIDUAL_CHUNK` steps at a time.
+    ``xs`` and ``ys`` hold one run per row (or one run as a 1-D array) at
+    ``times``.  On each step the run's cubic Hermite interpolant p has the
+    samples as nodes and the lab field there as slopes.  Its residual
+    r = p' - f(p, t) is sampled at :data:`_RESIDUAL_THETAS` of every step;
+    rho_i is the largest of the three.  Where the leading symmetric
+    eigenvalue is at most mu_i around p on step i, the distance e(t) from p
+    to the solution obeys e' <= mu_i e + |r| (Lohmiller & Slotine,
+    Automatica 34, 1998; Söderlind, "The logarithmic norm", BIT 46, 2006),
+    so from ``e`` at the first sample (zero by default),
+    ``e_{i+1} <= exp(mu_i h_i) e_i + h_i rho_i`` and e <= ``e_i + h_i rho_i``
+    within step i.  mu_i is ``rate`` where given, the rate of a tube that
+    holds the solution (the bound then holds while it is below the tube's
+    radius).  Otherwise it is the closed form lambda_1 = eps_gamma (r_p -
+    r) - eps_a at the smallest radius of p on the step, sampled at the step
+    ends and the residual points, less ``e_i + h_i rho_i``, and at the
+    smallest pull over the step, from its ends and the pull's knots inside
+    it (exact for constant, linear and ``previous`` schedules).  With
+    rho_i at most rho and mu_i at most mu < 0 throughout the bound is at
+    most about rho / |mu|, and a residual confined to a few steps, as at a
+    drive-schedule knot between samples, costs only those steps'
+    h_i rho_i.  The residual arrays span :data:`_RESIDUAL_CHUNK` steps at
+    a time.
     """
-    times = track.times
-    xs = track.states[:, 0]
-    ys = track.states[:, 1]
-    last = times.size - 1
-    e = worst = 0.0
+    xs = np.atleast_2d(xs)
+    ys = np.atleast_2d(ys)
+    e = [0.0] * xs.shape[0] if e is None else list(e)
+    worst = [0.0] * xs.shape[0]
     decay = {}  # step width -> exp(rate * width)
+    eg = float(p.eps_gamma)
+    rp = float(p.r_p)
+    last = times.size - 1
     for i0 in range(0, last, _RESIDUAL_CHUNK):
         i1 = min(i0 + _RESIDUAL_CHUNK, last)
         t = times[i0:i1 + 1]
-        x = xs[i0:i1 + 1]
-        y = ys[i0:i1 + 1]
+        x = xs[:, i0:i1 + 1]
+        y = ys[:, i0:i1 + 1]
         fx, fy = field_lab_array(x, y, t, p, d)
-        fx0, fy0, fx1, fy1 = fx[:-1], fy[:-1], fx[1:], fy[1:]
+        fx0, fy0, fx1, fy1 = fx[:, :-1], fy[:, :-1], fx[:, 1:], fy[:, 1:]
         h = t[1:] - t[:-1]
-        ex = x[1:] - x[:-1]
-        ey = y[1:] - y[:-1]
-        t, x, y = t[:-1], x[:-1], y[:-1]
-        rho = np.zeros(h.size)
+        ex = x[:, 1:] - x[:, :-1]
+        ey = y[:, 1:] - y[:, :-1]
+        r = np.sqrt(x * x + y * y)
+        rmin = np.minimum(r[:, :-1], r[:, 1:])
+        t, x, y = t[:-1], x[:, :-1], y[:, :-1]
+        rho = np.zeros(ex.shape)
         for th in _RESIDUAL_THETAS:
             # Hermite basis: value weights of the far node and of the two
             # slopes, and their derivatives in theta
@@ -433,14 +470,42 @@ def _invariance_bound(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
             rx = dw * ex / h + da0 * fx0 + da1 * fx1 - gx
             ry = dw * ey / h + da0 * fy0 + da1 * fy1 - gy
             rho = np.maximum(rho, np.sqrt(rx * rx + ry * ry))
-        for hi, si in zip(h.tolist(), (h * rho).tolist()):
-            if e + si > worst:
-                worst = e + si
-            f = decay.get(hi)
-            if f is None:
-                f = decay[hi] = math.exp(rate * hi)
-            e = f * e + si
-    return worst
+            rmin = np.minimum(rmin, np.sqrt(px * px + py * py))
+        hs = h.tolist()
+        pulls = None if rate is not None else _step_min_pull(d, times[i0:i1 + 1]).tolist()
+        for m, steps in enumerate((h * rho).tolist()):
+            em, wm = e[m], worst[m]
+            if pulls is None:
+                for hi, si in zip(hs, steps):
+                    if em + si > wm:
+                        wm = em + si
+                    f = decay.get(hi)
+                    if f is None:
+                        f = decay[hi] = math.exp(rate * hi)
+                    em = f * em + si
+            else:
+                for hi, si, ri, ai in zip(hs, steps, rmin[m].tolist(), pulls):
+                    reach = em + si
+                    if reach > wm:
+                        wm = reach
+                    near = ri - reach if ri > reach else 0.0  # smallest radius within reach
+                    em = math.exp((eg * (rp - near) - ai) * hi) * em + si
+            e[m], worst[m] = em, wm
+    return e, worst
+
+
+def _step_min_pull(d: DriveSchedule, t):
+    """The smallest pull over each step between the instants ``t``: at the
+    step's ends and at the pull's knots inside it, which is exact for
+    constant, linear and ``previous`` schedules."""
+    ea = np.asarray(d.eps_a(t), dtype=float)
+    low = np.minimum(ea[:-1], ea[1:])
+    sched = d.eps_a
+    if not sched.is_constant:
+        inside = (sched.times > t[0]) & (sched.times < t[-1])
+        np.minimum.at(low, np.searchsorted(t, sched.times[inside]) - 1,
+                      sched.values[inside])
+    return low
 
 
 def _offending(scan) -> list[tuple[float, float]]:
@@ -465,7 +530,7 @@ def offending_intervals(d: DriveSchedule, p: OscillatorParams, t0: float, t1: fl
 
 
 def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
-                    dt: float = 1e-3, check_interval: float = 0.5,
+                    dt: float = DEFAULT_VERIFY_DT, check_interval: float = 0.5,
                     beta: float = DEFAULT_BETA, boundary_samples: int = 720,
                     sample_interval: float = 0.1, ladder=DEFAULT_RADIUS_LADDER,
                     ensemble_size: int = 8, seed: int = 2026,
@@ -474,7 +539,9 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
                     invariance_tol: float = DEFAULT_INVARIANCE_TOL) -> VerificationReport:
     """Full chronotaxicity certificate for a drive schedule over ``[t0, t1]``.
 
-    Every run steps by ``dt``.  ``check_interval`` spaces the classification
+    Every run steps by ``dt`` (:data:`DEFAULT_VERIFY_DT` by default, where
+    :func:`attractor_track` and the integrators default to 1e-3).
+    ``check_interval`` spaces the classification
     scan (the schedule knots inside the window join it) and ``beta`` is the
     contraction margin of the scan and of the trapping radius.  A tube is
     sized from ``ladder`` and checked at ``sample_interval`` instants
@@ -496,11 +563,14 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
       fits).  The tube certifies where there is a radius and both are < 0.
     - ``forward_defect``: the spread of the forward ensemble at ``t1``.
       Where the track's tube certifies it is a contraction bound taken from
-      ``forward_bound_from`` on; otherwise it is measured and
-      ``forward_bound_from`` is ``None``.
+      ``forward_bound_from`` on, which counts the members' own integration
+      error and so holds for the exact flow; otherwise it is the spread of
+      the numerical members, measured, and ``forward_bound_from`` is
+      ``None``.
     - ``pullback_defect``: the gap at ``t0`` of the runs from ``(2, 0)`` at
-      ``t0 - 0.75 span`` and ``t0 - span``, likewise a bound from
-      ``pullback_bound_from`` on where the warm-up's tube certifies.
+      ``t0 - 0.75 span`` and ``t0 - span``, likewise a bound for the exact
+      flow from ``pullback_bound_from`` on where the warm-up's tube
+      certifies, and otherwise measured.
     - ``invariance_defect``: the distance from the track to the exact
       solution through its first sample, a bound where the track's tube
       certifies and otherwise measured against a re-run at ``dt/2``
@@ -538,7 +608,6 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     failures = ["classification prescan found non-chronotaxic instants"] if intervals else []
     forward = pullback = (None, None)
     invariance = track = None
-    field = LabField(p, d)
     if not intervals:
         try:
             warmup, track = _track(d, p, t0, t1, dt, scan)
@@ -557,16 +626,17 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             failures.append(f"trapping check failed: {exc}")
         try:
             starts = _forward_starts(ensemble_size, seed, DEFAULT_START_RADIUS)
-            defect = _tube_defect(field, starts, tube, forward_tol)
+            defect = _tube_defect(p, d, starts, tube, forward_tol)
             warm = _certify_tube(warmup, p, d, ladder, beta, boundary_samples, sample_interval)
             # set together, so that a pullback blow-up leaves both unset
             forward, pullback = defect, _pullback_tube_defect(
-                field, warm, t1 - t0, DEFAULT_START_RADIUS, pullback_tol)
+                p, d, warm, t1 - t0, DEFAULT_START_RADIUS, pullback_tol)
         except ChronotaxError as exc:
             failures.append(f"attraction check failed: {exc}")
         try:
             if tube.certified:
-                invariance = _invariance_bound(track, p, d, tube.rate)
+                invariance = _run_error(track.times, track.states[:, 0],
+                                        track.states[:, 1], p, d, tube.rate)[1][0]
             else:
                 invariance = verify_invariance(track, p, d)
         except ChronotaxError as exc:

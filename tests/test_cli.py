@@ -1,6 +1,7 @@
 """Command-line interface: files produced, config precedence, exit codes."""
 
 import argparse
+import inspect
 import json
 import warnings
 
@@ -15,8 +16,10 @@ from chronotax import (
     continuation_sweep,
     region_map,
     save_params,
+    verify_schedule,
 )
 from chronotax.cli import _build_parser, _options, _resolve_system, main
+from chronotax.verify import DEFAULT_VERIFY_DT
 
 
 def read_csv(path):
@@ -406,6 +409,19 @@ def test_verify_verdicts(tmp_path):
     doc = json.loads(rep.read_text())
     assert doc["chronotaxic"] is False
     assert doc["offending_intervals"]
+
+
+def test_verify_steps_at_the_library_default(tmp_path, capsys):
+    # the flag's default is verify_schedule's, and the help names it
+    default = inspect.signature(verify_schedule).parameters["dt"].default
+    dt = next(a for a in subparsers()["verify"]._actions if a.dest == "dt")
+    assert dt.default == default == DEFAULT_VERIFY_DT
+    rep = tmp_path / "rep.json"
+    assert main(["verify", "--eps-a", "1.7", "--t1", "5", "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["dt"] == default
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"(default: {default})" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args", [

@@ -9,6 +9,7 @@ f0 = 1 (the admissibility correction kappa is then ~2.7e-9).
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -151,6 +152,17 @@ def test_rejects_a_bad_sampling_rate_at_entry(fs):
     x = np.random.default_rng(3).standard_normal(512)
     with pytest.raises(InvalidInputError, match="sampling rate"):
         cwt(x, fs, morlet_freq_grid(0.1, 2.0, 4))
+
+
+@pytest.mark.parametrize("freqs", [[0.5, math.nan], [0.5, math.inf], [math.nan, 0.5]])
+def test_rejects_non_finite_freqs_at_entry(freqs):
+    # a NaN frequency ran the whole transform before failing, and an infinite
+    # one returned a scalogram after divide-by-zero warnings
+    x = np.random.default_rng(3).standard_normal(512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="freqs must be finite and positive"):
+            cwt(x, 10.0, freqs)
 
 
 def test_rejects_bad_central_frequency():

@@ -45,6 +45,7 @@ from chronotax import (
     region_map,
     steady_state,
     trace_gamma,
+    verify_schedule,
 )
 from chronotax.integrate import rk4_path, time_grid
 from chronotax.model import pulled_field, pulled_jacobian
@@ -276,11 +277,13 @@ def test_fixed_points_match_quartic_oracle():
     eps_a=st.floats(0.05, 9.0),
     delta_omega=st.floats(-1.5, 1.5),
     eps_gamma=st.floats(1.0, 10.0),
-    r_p=st.floats(0.5, 2.0),
+    r_p=st.floats(0.5, 4.0),
 )
+# every point lay above the radius 2.5 that once capped them: 2 were kept of 3
+@example(eps_a=1.5, delta_omega=0.909, eps_gamma=3.306, r_p=2.618)
 def test_fixed_point_count_is_odd_at_and_around_the_folds(eps_a, delta_omega, eps_gamma, r_p):
     # index theory: nodes and foci outnumber saddles by one when no point is
-    # degenerate, and every fixed point has r <= r_p < r_max; at a fold the
+    # degenerate, and every fixed point has r <= r_p; at a fold the
     # double root is one point, so the count stays odd there too, and it is
     # 3 just inside the band between the folds and 1 just outside
     p = OscillatorParams(eps_gamma, 1.0, r_p)
@@ -712,15 +715,31 @@ def test_trace_gamma_rejects_bad_numbers(kwargs):
 
 
 
-@pytest.mark.parametrize("r_max", [math.nan, 0.0, -1.0])
-def test_find_fixed_points_refuses_a_bad_r_max(r_max):
-    # such an r_max kept no point at all, where the default keeps three
-    fp = FrozenParams(0.8, 0.5, P)
-    assert len(find_fixed_points(fp)) == 3
-    assert len(find_fixed_points(fp, r_max=math.inf)) == 3
-    for eps_a in (0.0, 0.8):
-        with pytest.raises(InvalidInputError, match="r_max"):
-            find_fixed_points(FrozenParams(eps_a, 0.5, P), r_max=r_max)
+#: a drive radius of 3, where every fixed point but the inner one lies
+#: above the absolute radius 2.5 that once capped them
+WIDE = OscillatorParams(7.0, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("eps_a, radii, kinds, label", [
+    (0.5, (0.0751, 2.9107, 2.9427),
+     [PointKind.UNSTABLE_FOCUS, PointKind.SADDLE, PointKind.STABLE_NODE], "type-I"),
+    (5.0, (2.9971,), [PointKind.STABLE_NODE], "type-II"),
+    (30.0, (2.9998,), [PointKind.STABLE_NODE], "type-III"),
+])
+def test_fixed_points_at_any_radius(eps_a, radii, kinds, label):
+    # 30 is above eps_c3 = eps_gamma r_p = 21, where the whole plane contracts
+    fp = FrozenParams(eps_a, 0.5, WIDE)
+    points = find_fixed_points(fp)
+    assert [q.kind for q in points] == kinds
+    assert [round(q.location.r, 4) for q in points] == list(radii)
+    assert all(q.location.r <= WIDE.r_p for q in points)
+    assert classify(fp).value == label
+
+
+def test_verify_schedule_passes_the_prescan_above_the_old_radius_cap():
+    report = verify_schedule(DriveSchedule.constant(30.0, 0.5), WIDE, 0.0, 5.0)
+    assert report.offending_intervals == []
+    assert report.radius is not None
 
 
 @pytest.mark.parametrize("eps_a, vertices", [(0.3, 8), (0.5, 12), (1.2, 10)])
@@ -782,7 +801,7 @@ def test_weak_pull_at_zero_detuning_keeps_the_saddle(exponent):
     eps_a=st.floats(0.0, 9.0),
     delta_omega=st.floats(-1.5, 1.5),
     eps_gamma=st.floats(1.0, 10.0),
-    r_p=st.floats(0.5, 2.0),
+    r_p=st.floats(0.5, 4.0),
 )
 @example(eps_a=0.0, delta_omega=0.5, eps_gamma=7.0, r_p=1.0)
 @example(eps_a=0.0, delta_omega=0.0, eps_gamma=7.0, r_p=1.0)

@@ -42,8 +42,9 @@ from chronotax.verify import (
     DEFAULT_INVARIANCE_TOL,
     DEFAULT_PULLBACK_TOL,
     DEFAULT_RADIUS_LADDER,
-    _invariance_bound,
+    DEFAULT_VERIFY_DT,
     _refined_nodes,
+    _run_error,
     _sample_indices,
 )
 
@@ -252,21 +253,29 @@ def per_member_forward_defect(p, d, t0, t1, dt, ensemble_size=8, seed=2026,
                    for x, y in forward_starts(ensemble_size, seed, start_radius)])
 
 
-def tube_defect(field, states, times, centers, radius, rate, tol):
+def tube_defect(p, d, states, times, centers, radius, rate, tol, errors=None):
     """The spread at ``times[-1]`` of ``states`` run on ``times``, and the time
-    it is bounded from, with one ``rk4_path`` run per member and tape block:
-    given a tube (``radius`` not None) around ``centers``, at the first block
-    end t_i before the end where every member is strictly inside the tube
-    and spread(t_i) * exp(rate * (t1 - t_i)) <= tol, that bound; else the
-    spread at t1."""
+    it is bounded from, with one recorded ``rk4_path`` run per member and
+    tape block: given a tube (``radius`` not None) around ``centers``, each
+    member's error bound E (:func:`reference_run_error`, from ``errors``,
+    zero by default) is carried block by block, and at the first block end
+    t_i before the end where every member is inside the tube by more than
+    its E and (spread(t_i) + 2 max E) * exp(rate * (t1 - t_i)) <= tol, that
+    bound; else the spread at t1."""
+    field = LabField(p, d)
+    errors = [0.0] * len(states) if errors is None else list(errors)
     last = times.size - 1
     for i0 in range(0, last, integrate.TAPE_BLOCK):
         i1 = min(i0 + integrate.TAPE_BLOCK, last)
-        states = [rk4_path(field, x, y, times[i0:i1 + 1], record=False) for x, y in states]
+        paths = [rk4_path(field, x, y, times[i0:i1 + 1]) for x, y in states]
+        states = [tuple(path[-1].tolist()) for path in paths]
         if radius is not None and i1 < last:
+            errors = [reference_run_error(times[i0:i1 + 1], path, p, d, e=e)[0]
+                      for path, e in zip(paths, errors)]
             off = np.array(states) - centers[i1]
-            bound = spread(states) * math.exp(rate * (times[-1] - times[i1]))
-            if np.all(np.hypot(off[:, 0], off[:, 1]) < radius) and bound <= tol:
+            bound = (spread(states) + 2.0 * max(errors)) * math.exp(
+                rate * (times[-1] - times[i1]))
+            if np.all(np.hypot(off[:, 0], off[:, 1]) + errors < radius) and bound <= tol:
                 return bound, float(times[i1])
     return spread(states), None
 
@@ -275,11 +284,11 @@ def tube_forward_defect(track, radius, rate, p, d, tol=DEFAULT_FORWARD_TOL, ense
     """The forward defect and the time it is bounded from, as ``verify_schedule``
     takes them from a certified tube around ``track`` (or measures them at
     t1 for ``radius`` None)."""
-    return tube_defect(LabField(p, d), forward_starts(ensemble_size), track.times,
-                       track.states, radius, rate, tol)
+    return tube_defect(p, d, forward_starts(ensemble_size), track.times, track.states,
+                       radius, rate, tol)
 
 
-def recorded_warmup(d, t0, t1, dt=1e-3, beta=1e-3):
+def recorded_warmup(d, t0, t1, dt=DEFAULT_VERIFY_DT, beta=1e-3):
     """The track's warm-up over ``[t0, t1]``, recorded from ``t0 - (t1 - t0)`` on."""
     scan = steady_state._scan(d, P, t0, t1, 0.5, beta)
     return steady_state._track(d, P, t0, t1, dt, scan)[0]
@@ -295,25 +304,31 @@ def warmup_tube(warmup, d, beta=1e-3):
     return (radius, max_lam) if max_lam < 0.0 and max_flux < 0.0 else (None, None)
 
 
-def tube_pullback_defect(d, t0, t1, dt=1e-3, beta=1e-3, tol=DEFAULT_PULLBACK_TOL):
+def tube_pullback_defect(d, t0, t1, dt=DEFAULT_VERIFY_DT, beta=1e-3,
+                         tol=DEFAULT_PULLBACK_TOL):
     """The pullback defect and the time it is bounded from, as ``verify_schedule``
     takes them from the warm-up of the track over ``[t0, t1]`` (grid G):
     the runs from (2, 0) at t0 - 0.75 span and t0 - span step to the first
     node of G at or after their start, then along G to its first node at or
     after t0 - 0.75 span; from there on, :func:`tube_defect` around the
-    warm-up with its certified tube."""
+    warm-up with its certified tube, each run's E starting from the error
+    bound of its recorded way there."""
     field = LabField(P, d)
     warmup = recorded_warmup(d, t0, t1, dt, beta)
     radius, rate = warmup_tube(warmup, d, beta)
     times = warmup.times
     span = t1 - t0
     j = int(np.flatnonzero(times >= t0 - 0.75 * span)[0])
-    states = []
+    states, errors = [], []
     for s in (t0 - 0.75 * span, t0 - span):
         i = int(np.flatnonzero(times >= s)[0])
-        x, y = rk4_path(field, 2.0, 0.0, time_grid(s, times[i], dt), record=False)
-        states.append(rk4_path(field, x, y, times[i:j + 1], record=False))
-    return tube_defect(field, states, times[j:], warmup.states[j:], radius, rate, tol)
+        grid = time_grid(s, times[i], dt)
+        lead = rk4_path(field, 2.0, 0.0, grid)
+        path = rk4_path(field, *lead[-1].tolist(), times[i:j + 1])
+        states.append(tuple(path[-1].tolist()))
+        e = reference_run_error(grid, lead, P, d)[0]
+        errors.append(reference_run_error(times[i:j + 1], path, P, d, e=e)[0])
+    return tube_defect(P, d, states, times[j:], warmup.states[j:], radius, rate, tol, errors)
 
 
 @pytest.mark.parametrize("drive", [D17, PULL], ids=["constant", "sampled"])
@@ -349,28 +364,9 @@ def bench_pull(seed):
     )
 
 
-@pytest.mark.parametrize("drive, steps, blocks, pullback_blocks", [
-    (bench_pull(1), 37_906, 3, 1),
-    (bench_pull(7919), 42_002, 5, 1),
-    (PULL, 73_746, 17, 15),
-], ids=["bench-seed-1", "bench-seed-7919", "pull"])
-def test_verification_work_counts(monkeypatch, drive, steps, blocks, pullback_blocks):
-    # RK4 steps as counted by the kernel, and drive tapes.  Separate runs
-    # would take 201,250 steps: the track's 10,000 warm-up and 15,000
-    # recorded steps, 8 x 15,000 for the forward ensemble, 11,250 + 15,000
-    # for the pullback and 30,000 for the invariance re-run at dt/2.  The
-    # forward members stop after the first `blocks` tape blocks, where all
-    # are inside the certified tube and its contraction bound meets the
-    # forward tolerance: 8 x 256 x blocks steps.  The certified tube also
-    # bounds the invariance defect, so the re-run at dt/2 does not run.
-    # The two pullback runs step from t = -11.25 and -15 to the warm-up's
-    # first node at t = -10 (1,250 + 5,000 steps), then run on the warm-up's
-    # grid and stop after the first `pullback_blocks` blocks, where both are
-    # inside its certified tube and its bound meets the pullback tolerance:
-    # 2 x 256 x pullback_blocks steps.
-    # Tapes: 40 (warm-up) + 59 (track) + blocks (ensemble) + 5 + 20
-    # (pullback to t = -10) + pullback_blocks = 124 + blocks +
-    # pullback_blocks, where separate runs build 379
+def verification_work(monkeypatch, drive, **kwargs):
+    """``verify_schedule(drive, P, 0, 15, **kwargs)``, with the lengths of
+    the RK4 step runs of the kernel and the sizes of the drive tapes built."""
     lengths = []
     real_steps = integrate._rk4_steps
 
@@ -388,7 +384,32 @@ def test_verification_work_counts(monkeypatch, drive, steps, blocks, pullback_bl
 
     monkeypatch.setattr(integrate, "_rk4_steps", counted_steps)
     monkeypatch.setattr(LabField, "rk4_tape", counted_tape)
-    report = verify_schedule(drive, P, 0.0, 15.0)
+    return verify_schedule(drive, P, 0.0, 15.0, **kwargs), lengths, builds
+
+
+@pytest.mark.parametrize("drive, steps, blocks, pullback_blocks", [
+    (bench_pull(1), 37_906, 3, 1),
+    (bench_pull(7919), 42_002, 5, 1),
+    (PULL, 73_746, 17, 15),
+], ids=["bench-seed-1", "bench-seed-7919", "pull"])
+def test_verification_work_counts(monkeypatch, drive, steps, blocks, pullback_blocks):
+    # RK4 steps as counted by the kernel, and drive tapes, at dt = 1e-3.
+    # Separate runs would take 201,250 steps: the track's 10,000 warm-up and
+    # 15,000 recorded steps, 8 x 15,000 for the forward ensemble,
+    # 11,250 + 15,000 for the pullback and 30,000 for the invariance re-run
+    # at dt/2.  The forward members stop after the first `blocks` tape
+    # blocks, where all are inside the certified tube and its contraction
+    # bound meets the forward tolerance: 8 x 256 x blocks steps.  The
+    # certified tube also bounds the invariance defect, so the re-run at
+    # dt/2 does not run.  The two pullback runs step from t = -11.25 and -15
+    # to the warm-up's first node at t = -10 (1,250 + 5,000 steps), then run
+    # on the warm-up's grid and stop after the first `pullback_blocks`
+    # blocks, where both are inside its certified tube and its bound meets
+    # the pullback tolerance: 2 x 256 x pullback_blocks steps.
+    # Tapes: 40 (warm-up) + 59 (track) + blocks (ensemble) + 5 + 20
+    # (pullback to t = -10) + pullback_blocks = 124 + blocks +
+    # pullback_blocks, where separate runs build 379
+    report, lengths, builds = verification_work(monkeypatch, drive, dt=1e-3)
     assert report.chronotaxic
     assert 0.0 < report.forward_defect <= report.thresholds["forward"]
     assert report.forward_bound_from == pytest.approx(blocks * 256 * 1e-3)
@@ -400,6 +421,23 @@ def test_verification_work_counts(monkeypatch, drive, steps, blocks, pullback_bl
     assert len(builds) == 124 + blocks + pullback_blocks
     assert sum(builds) == (10_000 + 15_000 + blocks * 256 + 1_250 + 5_000
                            + pullback_blocks * 256)
+
+
+@pytest.mark.parametrize("drive", [bench_pull(1), bench_pull(7919)],
+                         ids=["bench-seed-1", "bench-seed-7919"])
+def test_verification_work_counts_at_the_default_step(monkeypatch, drive):
+    # at dt = 2.5e-3 the warm-up takes 4,000 steps and the track 6,000; the
+    # forward members stop after 2 blocks and the pullback runs after 1, at
+    # the block ends t = 1.28 and -9.36, and the way to t = -10 takes 500 +
+    # 2,000 steps.  Tapes: 16 + 24 + 2 + 2 + 8 + 1
+    report, lengths, builds = verification_work(monkeypatch, drive)
+    assert report.dt == DEFAULT_VERIFY_DT == 2.5e-3
+    assert report.chronotaxic
+    assert report.forward_bound_from == pytest.approx(2 * 256 * DEFAULT_VERIFY_DT)
+    assert report.pullback_bound_from == pytest.approx(-10.0 + 256 * DEFAULT_VERIFY_DT)
+    assert sum(lengths) == 17_108 == 4_000 + 6_000 + 8 * 256 * 2 + 500 + 2_000 + 2 * 256
+    assert len(builds) == 53
+    assert sum(builds) == 4_000 + 6_000 + 2 * 256 + 500 + 2_000 + 256
 
 
 @settings(max_examples=10, deadline=None)
@@ -415,9 +453,10 @@ def test_forward_bound_holds_past_the_tube_entry(pulls):
     measured, _ = verify_attraction(P, drive, 0.0, 15.0, 1e-3)
     assert measured <= bound
     # and at every later block end the spread decays at least at the rate
-    # max_lambda_on_A from its value where the bound was taken
+    # max_lambda_on_A from its value where the bound was taken, which the
+    # bound holds together with twice the members' error bound
     rate = report.max_lambda_on_A
-    times = time_grid(0.0, 15.0, 1e-3)
+    times = time_grid(0.0, 15.0, report.dt)
     last = times.size - 1
     states = forward_starts()
     entry = None
@@ -427,7 +466,7 @@ def test_forward_bound_holds_past_the_tube_entry(pulls):
         t = float(times[i1])
         if t == report.forward_bound_from:
             entry = spread(states)
-            assert entry * math.exp(rate * (15.0 - t)) == bound
+            assert entry * math.exp(rate * (15.0 - t)) <= bound
         elif entry is not None:
             assert spread(states) <= entry * math.exp(rate * (t - report.forward_bound_from))
     assert entry is not None
@@ -447,6 +486,27 @@ def test_pullback_bound_holds_over_the_measured_gap(pulls):
     assert measured <= report.pullback_defect
 
 
+@settings(max_examples=3, deadline=None)
+@given(st.lists(st.floats(1.5, 6.0), min_size=5, max_size=5))
+@example(np.random.default_rng(1).uniform(1.5, 6.0, size=5).tolist())
+@example(np.random.default_rng(7919).uniform(1.5, 6.0, size=5).tolist())
+def test_defect_bounds_hold_over_re_runs_at_an_eighth_of_the_step(pulls):
+    # pull schedules of the scheduled benchmark verification at the default
+    # step; the forward and pullback bounds count the members' own error, so
+    # they bound the exact flow, for which runs at dt/8 stand in: the spread
+    # at t1 of the same forward members and the gap at t0 of the two
+    # pullback runs
+    drive = DriveSchedule(Schedule.sampled(np.linspace(0.0, 15.0, 5), pulls), FREQ)
+    report = verify_schedule(drive, P, 0.0, 15.0)
+    assert report.dt == DEFAULT_VERIFY_DT
+    assume(report.forward_bound_from is not None or report.pullback_bound_from is not None)
+    forward, pullback = verify_attraction(P, drive, 0.0, 15.0, report.dt / 8)
+    if report.forward_bound_from is not None:
+        assert forward <= report.forward_defect
+    if report.pullback_bound_from is not None:
+        assert pullback <= report.pullback_defect
+
+
 @pytest.mark.parametrize("t1", [10.0, 5.0])
 def test_pullback_runs_join_the_warm_up_mid_grid(t1):
     # D17's warm-up window (10) is longer than 0.75 span: the run from
@@ -462,7 +522,7 @@ def test_pullback_runs_join_the_warm_up_mid_grid(t1):
     # no block end meets the tolerance over so short a window: measured at
     # t0, within rounding of the runs on their own grids
     assert report.pullback_bound_from is None
-    _, measured = verify_attraction(P, D17, 0.0, t1, 1e-3)
+    _, measured = verify_attraction(P, D17, 0.0, t1, report.dt)
     assert abs(report.pullback_defect - measured) <= 1e-12
     assert report.pullback_defect > DEFAULT_PULLBACK_TOL
     assert not report.chronotaxic
@@ -483,7 +543,7 @@ def test_pullback_is_measured_without_a_warm_up_tube():
     report = verify_schedule(STALL_BEFORE_WINDOW, P, 0.0, 15.0)
     assert report.pullback_bound_from is None
     assert report.pullback_defect == tube_pullback_defect(STALL_BEFORE_WINDOW, 0.0, 15.0)[0]
-    _, measured = verify_attraction(P, STALL_BEFORE_WINDOW, 0.0, 15.0, 1e-3)
+    _, measured = verify_attraction(P, STALL_BEFORE_WINDOW, 0.0, 15.0, report.dt)
     assert abs(report.pullback_defect - measured) <= 1e-12
     # the verdict of the measured pullback, and of every other stage
     assert report.chronotaxic
@@ -536,20 +596,24 @@ def test_invariance_defect_detects_tampering():
     assert verify_invariance(fake, P, D17) > 5e-3
 
 
-def reference_invariance_bound(track, p, d, rate):
-    """The invariance bound of a certified tube, step by step with the scalar
-    field: the residual r = p' - f(p, t) of the track's cubic Hermite
-    interpolant at the Gauss-Legendre points and the midpoint of each step,
-    rho_i the largest, and the bound the largest e_i + h_i rho_i for
-    e_0 = 0, e_{i+1} = exp(rate h_i) e_i + h_i rho_i."""
+def reference_run_error(times, states, p, d, rate=None, e=0.0):
+    """The error bound of a recorded run, step by step with the scalar field:
+    the residual r = p' - f(p, t) of the run's cubic Hermite interpolant at
+    the Gauss-Legendre points and the midpoint of each step, rho_i the
+    largest; mu_i = rate, or else eps_gamma (r_p - r) - eps_a at r, the
+    smallest radius of p at the step ends and those points less e_i +
+    h_i rho_i (at least 0), and eps_a, the smallest pull at the step ends
+    and the knots inside; e_{i+1} = exp(mu_i h_i) e_i + h_i rho_i from
+    ``e``.  Returns e at the last node and the largest e_i + h_i rho_i."""
     def f(x, y, t):
         return field_lab(CartesianState(x, y), t, p, d)
 
-    times = track.times.tolist()
-    xs = track.states[:, 0].tolist()
-    ys = track.states[:, 1].tolist()
+    times = np.asarray(times).tolist()
+    xs = states[:, 0].tolist()
+    ys = states[:, 1].tolist()
+    knots = [] if d.eps_a.is_constant else d.eps_a.times.tolist()
     thetas = (0.5 - math.sqrt(3.0) / 6.0, 0.5, 0.5 + math.sqrt(3.0) / 6.0)
-    e = worst = 0.0
+    worst = 0.0
     for i in range(len(times) - 1):
         t, x, y = times[i], xs[i], ys[i]
         h = times[i + 1] - t
@@ -558,6 +622,8 @@ def reference_invariance_bound(track, p, d, rate):
         fx0, fy0 = f(x, y, t)
         fx1, fy1 = f(xs[i + 1], ys[i + 1], times[i + 1])
         rho = 0.0
+        radius = min(math.sqrt(x * x + y * y),
+                     math.sqrt(xs[i + 1] * xs[i + 1] + ys[i + 1] * ys[i + 1]))
         for th in thetas:
             # Hermite basis h01, h10, h11 and their derivatives
             w = th * th * (3.0 - 2.0 * th)
@@ -566,14 +632,28 @@ def reference_invariance_bound(track, p, d, rate):
             dw = 6.0 * th * (1.0 - th)
             da0 = (1.0 - th) * (1.0 - 3.0 * th)
             da1 = th * (3.0 * th - 2.0)
-            gx, gy = f(x + w * ex + h * (a0 * fx0 + a1 * fx1),
-                       y + w * ey + h * (a0 * fy0 + a1 * fy1), t + th * h)
+            px = x + w * ex + h * (a0 * fx0 + a1 * fx1)
+            py = y + w * ey + h * (a0 * fy0 + a1 * fy1)
+            gx, gy = f(px, py, t + th * h)
             rx = dw * ex / h + da0 * fx0 + da1 * fx1 - gx
             ry = dw * ey / h + da0 * fy0 + da1 * fy1 - gy
             rho = max(rho, math.sqrt(rx * rx + ry * ry))
+            radius = min(radius, math.sqrt(px * px + py * py))
         worst = max(worst, e + h * rho)
-        e = math.exp(rate * h) * e + h * rho
-    return worst
+        if rate is None:
+            pull = min(float(d.eps_a(s)) for s in
+                       [t, times[i + 1]] + [k for k in knots if t < k < times[i + 1]])
+            mu = p.eps_gamma * (p.r_p - max(radius - (e + h * rho), 0.0)) - pull
+        else:
+            mu = rate
+        e = math.exp(mu * h) * e + h * rho
+    return e, worst
+
+
+def reference_invariance_bound(track, p, d, rate):
+    """The invariance bound of a certified tube: the largest e_i + h_i rho_i
+    of :func:`reference_run_error` at the tube's rate, from e_0 = 0."""
+    return reference_run_error(track.times, track.states, p, d, rate)[1]
 
 
 def tube_rate(track, drive):
@@ -589,9 +669,30 @@ def test_invariance_bound_equals_the_scalar_reference():
     # 5,000 steps: the bound's residual arrays run in chunks of 1,024
     track = track17()
     rate = tube_rate(track, D17)
-    bound = _invariance_bound(track, P, D17, rate)
+    _, (bound,) = _run_error(track.times, track.states[:, 0], track.states[:, 1], P, D17, rate)
     assert bound == reference_invariance_bound(track, P, D17, rate)
     assert 0.0 < bound < 1e-9
+
+
+@pytest.mark.parametrize("drive", [
+    D17,
+    DriveSchedule(Schedule.sampled([0.0, 0.33351, 0.7, 2.0], [3.0, 1.0, 4.0, 2.0]), FREQ),
+    DriveSchedule(Schedule.sampled([0.0, 0.33351, 0.7, 2.0], [3.0, 1.0, 4.0, 2.0],
+                                   "previous"), FREQ),
+], ids=["constant", "linear", "previous"])
+def test_member_error_bound_equals_the_scalar_reference(drive):
+    # the forward members and one from the origin, where the nearest radius
+    # is 0, over 1,500 steps (the residual arrays run in chunks of 1,024)
+    # from a start error of 1e-9; the pull's knots at 0.33351 and 0.7 fall
+    # inside steps, where they are the smallest pull of a step
+    times = time_grid(0.0, 1.5, 1e-3)
+    field = LabField(P, drive)
+    runs = [rk4_path(field, x, y, times) for x, y in forward_starts() + [(0.0, 0.0)]]
+    e, worst = _run_error(times, np.array([r[:, 0] for r in runs]),
+                          np.array([r[:, 1] for r in runs]), P, drive, e=[1e-9] * len(runs))
+    assert list(zip(e, worst)) == [reference_run_error(times, r, P, drive, e=1e-9)
+                                   for r in runs]
+    assert all(0.0 < b < math.inf for b in e)
 
 
 def test_invariance_bound_detects_tampering():
@@ -606,7 +707,7 @@ def test_invariance_bound_detects_tampering():
     moved = track.states + 0.01
     for states in (bent, moved):
         fake = Trajectory(track.t0, track.dt, track.times, states, "lab")
-        assert _invariance_bound(fake, P, D17, rate) > 5e-3
+        assert _run_error(fake.times, states[:, 0], states[:, 1], P, D17, rate)[1][0] > 5e-3
 
 
 @settings(max_examples=10, deadline=None)
