@@ -162,7 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
     model_flags(sp)
     sp.add_argument("--t0", type=float, default=0.0, help="start of the verification window")
     sp.add_argument("--t1", type=float, default=30.0, help="end of the verification window")
-    sp.add_argument("--dt", type=float, default=DEFAULT_VERIFY_DT, help="fixed step of every run")
+    sp.add_argument("--dt", type=float, default=DEFAULT_VERIFY_DT,
+                    help="fixed step of the attractor track (the probe runs step at up "
+                         "to 4 dt)")
     sp.add_argument("--check-interval", type=float, default=0.5,
                     help="classification sampling interval")
     sp.add_argument("--beta", type=float, default=DEFAULT_BETA, help="contraction margin")

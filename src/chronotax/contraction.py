@@ -133,10 +133,6 @@ class ContractionMap:
     eps_a: float
     time: float
 
-    def contraction_mask(self) -> np.ndarray:
-        """Cells of the contraction region (both eigenvalues at or below -beta)."""
-        return self.classes == BOTH_NEGATIVE
-
     def non_contraction_present(self) -> bool:
         return bool(np.any(self.classes != BOTH_NEGATIVE))
 

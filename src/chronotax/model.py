@@ -56,9 +56,6 @@ class CartesianState:
     def radius(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def as_array(self) -> FloatArray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class PolarState:

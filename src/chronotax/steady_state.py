@@ -810,18 +810,29 @@ def _scan(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             for t in _check_times(d, t0, t1, interval).tolist()]
 
 
+def _warmup_window(scan, max_window: float = 500.0) -> float:
+    """How long before the window the warm-up starts: ten contraction times
+    of the slowest instant of a scan whose every instant is chronotaxic, at
+    least 10 and at most ``max_window``."""
+    slowest = min(-attractor.lambda_max_sym for _, _, attractor in scan)
+    return min(max(10.0 / slowest, 10.0), max_window)
+
+
 def _track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: float,
-           scan, max_window: float = 500.0) -> tuple[Trajectory, Trajectory]:
+           scan, max_window: float = 500.0,
+           warmup_dt: float | None = None) -> tuple[Trajectory, Trajectory]:
     """The warm-up and the attractor track over ``[t0, t1]``, from a scan whose
     every instant is chronotaxic.  The warm-up runs the frozen attractor a
     pullback window before ``t0`` forward to ``t0`` on ``time_grid(t0 -
-    window, t0, dt)``, recorded from its first node at or after ``t0 - (t1 -
-    t0)``, so it holds at most as many samples as the track.  The track runs
-    from the warm-up's last sample on ``time_grid(t0, t1, dt)``.  Raises
+    window, t0, warmup_dt)`` (``warmup_dt`` is ``dt`` by default), recorded
+    from its first node at or after ``t0 - (t1 - t0)``, so at ``dt`` it
+    holds at most as many samples as the track.  The track runs from the
+    warm-up's last sample on ``time_grid(t0, t1, dt)``.  Raises
     :class:`NotChronotaxicError` when the frozen system at ``t0 - window``,
     before the scanned window, has no stable point."""
-    slowest = min(-attractor.lambda_max_sym for _, _, attractor in scan)
-    window = min(max(10.0 / slowest, 10.0), max_window)
+    window = _warmup_window(scan, max_window)
+    if warmup_dt is None:
+        warmup_dt = dt
 
     fp0 = frozen_at(p, d, t0 - window)
     stable = [q for q in find_fixed_points(fp0) if q.is_stable]
@@ -833,12 +844,13 @@ def _track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: floa
     x0 = u * math.cos(a) - v * math.sin(a)
     y0 = u * math.sin(a) + v * math.cos(a)
     field = LabField(p, d)
-    times = time_grid(t0 - window, t0, dt)
+    times = time_grid(t0 - window, t0, warmup_dt)
     i = int(np.searchsorted(times, t0 - (t1 - t0)))
     if i > 0:
         x0, y0 = rk4_path(field, x0, y0, times[:i + 1], record=False)
     times = times[i:]
-    warmup = Trajectory(float(times[0]), dt, times, rk4_path(field, x0, y0, times), "lab")
+    warmup = Trajectory(float(times[0]), warmup_dt, times, rk4_path(field, x0, y0, times),
+                        "lab")
     x, y = warmup.states[-1].tolist()
     times = time_grid(t0, t1, dt)
     return warmup, Trajectory(t0, dt, times, rk4_path(field, x, y, times), "lab")

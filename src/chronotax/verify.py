@@ -34,15 +34,18 @@ from .integrate import (
     time_grid,
 )
 from .model import CartesianState, DriveSchedule, OscillatorParams, field_lab_array
-from .steady_state import _scan, _track
+from .steady_state import _scan, _track, _warmup_window
 
 #: geometric radius ladder for the auto-selected trapping disk
 DEFAULT_RADIUS_LADDER = tuple(0.02 * 2.0**k for k in range(8))
 
-#: step of every run of :func:`verify_schedule`.  Its error is part of the
-#: forward, pullback and invariance bounds, so it need not be the
+#: step of the attractor track of :func:`verify_schedule`.  Its error is part
+#: of the forward, pullback and invariance bounds, so it need not be the
 #: integrators' finer default step.
 DEFAULT_VERIFY_DT = 2.5e-3
+#: most track steps a probe run of :func:`verify_schedule` takes at once
+#: (:func:`_probe_stride`)
+_MAX_PROBE_STRIDE = 4
 
 DEFAULT_FORWARD_TOL = 1e-6
 DEFAULT_PULLBACK_TOL = 1e-6
@@ -230,8 +233,11 @@ def verify_attraction(p: OscillatorParams, d: DriveSchedule, t0: float, t1: floa
     (:func:`chronotax.integrate._rk4_ensemble`).
     Pullback: runs the same fixed start from two receding start times,
     ``t0 - 0.75 span`` and ``t0 - span``, and returns the gap between their
-    evaluations at ``t0`` (the Cauchy defect).
+    evaluations at ``t0`` (the Cauchy defect).  A bad ``ensemble_size``,
+    ``seed`` or ``start_radius`` is refused before any work
+    (:func:`_check_ensemble`).
     """
+    _check_ensemble(ensemble_size, seed, start_radius)
     starts = _forward_starts(ensemble_size, seed, start_radius)
     finals = _rk4_ensemble(LabField(p, d), starts, time_grid(t0, t1, dt), record=False)
     span = t1 - t0
@@ -240,10 +246,25 @@ def verify_attraction(p: OscillatorParams, d: DriveSchedule, t0: float, t1: floa
     return _spread(finals), math.hypot(last.x - prev.x, last.y - prev.y)
 
 
+def _check_ensemble(ensemble_size: int, seed: int, start_radius: float) -> None:
+    """Refuse an ``ensemble_size`` that is not an integer of at least 2, a
+    ``seed`` that is not a non-negative integer and a ``start_radius`` that
+    is not finite and positive."""
+    def integer(v):
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+    if not (integer(ensemble_size) and ensemble_size >= 2):
+        raise InvalidInputError(
+            f"ensemble_size must be an integer of at least 2, got {ensemble_size!r}")
+    if not (integer(seed) and seed >= 0):
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+    if not (math.isfinite(start_radius) and start_radius > 0.0):
+        raise InvalidInputError(
+            f"start_radius must be finite and positive, got {start_radius!r}")
+
+
 def _forward_starts(ensemble_size: int, seed: int, start_radius: float):
     """The forward ensemble's seeded starts, scattered in an annulus."""
-    if ensemble_size < 2:
-        raise InvalidInputError("need an ensemble of at least 2 starts")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, ensemble_size)
     radii = rng.uniform(0.25 * start_radius, start_radius, ensemble_size)
@@ -255,6 +276,28 @@ def _spread(finals) -> float:
     finals = np.array(finals)
     diff = finals[:, None, :] - finals[None, :, :]
     return float(np.max(np.hypot(diff[..., 0], diff[..., 1])))
+
+
+def _probe_stride(p: OscillatorParams, d: DriveSchedule, start: float, t1: float,
+                  dt: float) -> int:
+    """How many track steps of ``dt`` a probe run takes at once: the largest
+    k <= :data:`_MAX_PROBE_STRIDE` with k dt L <= 1/2, or 1.
+
+    L = eps_gamma (r_p + 2R) + eps_a + |omega0|, with R = max(r_p,
+    :data:`DEFAULT_START_RADIUS`) and eps_a the largest pull over ``[start,
+    t1]`` (at its ends and the pull's knots inside, exact for constant,
+    linear and ``previous`` schedules), bounds the norm of the lab-frame
+    Jacobian over the disk of radius R in which the probes start.  At
+    k dt L <= 1/2 RK4 stays far inside its stability interval (Hairer,
+    Norsett & Wanner, *Solving ODEs II*, section IV.2).
+    """
+    sched = d.eps_a
+    pulls = [float(sched(start)), float(sched(t1))]
+    if not sched.is_constant:
+        pulls.extend(sched.values[(sched.times > start) & (sched.times < t1)].tolist())
+    radius = max(p.r_p, DEFAULT_START_RADIUS)
+    lip = p.eps_gamma * (p.r_p + 2.0 * radius) + max(pulls) + abs(p.omega0)
+    return next((k for k in range(_MAX_PROBE_STRIDE, 1, -1) if k * dt * lip <= 0.5), 1)
 
 
 @dataclass(frozen=True)
@@ -294,25 +337,26 @@ def _certify_tube(run: Trajectory, p: OscillatorParams, d: DriveSchedule, ladder
 
 
 def _tube_defect(p: OscillatorParams, d: DriveSchedule, starts, tube: _Tube, tol: float,
-                 start: int = 0, errors=None) -> tuple[float, float | None]:
-    """Spread at the end of ``tube.run`` of the members ``starts`` run on its
-    grid from node ``start``, and the time from which it is a bound (``None``
-    when it is measured).
+                 nodes, errors=None) -> tuple[float, float | None]:
+    """Spread at the end of ``tube.run`` of the members ``starts`` run on the
+    nodes ``nodes`` of its grid (ascending indices, ending on its last), and
+    the time from which it is a bound (``None`` when it is measured).
 
     The members run one tape block at a time.  Where the tube certifies,
     each member's distance from the exact solution through its start is
-    bounded block by block (:func:`_run_error`), from ``errors`` at node
-    ``start`` (zero by default), as E_m.  The run stops at the first block
-    end ``t_i`` before the end ``t1`` where ``|x_m - c(t_i)| + E_m`` is below
-    ``tube.radius`` for every member, c being the run, and ``(spread(t_i) +
-    2 max E_m) * exp(tube.rate * (t1 - t_i))`` is at most ``tol``; that
+    bounded block by block on the members' own grid (:func:`_run_error`),
+    from ``errors`` at the first node (zero by default), as E_m.  The run
+    stops at the first block end ``t_i`` before the end ``t1`` where
+    ``|x_m - c(t_i)| + E_m`` is below ``tube.radius`` for every member, c
+    being the run, and ``(spread(t_i) + 2 max E_m) * exp(tube.rate * (t1 -
+    t_i))`` is at most ``tol``; that
     bound, which holds for the exact members, is the defect.  Otherwise the
     members run to ``t1`` and their spread there, a measurement, is the
     defect.  A member's blow-up raises as in
     :func:`chronotax.integrate._rk4_ensemble`.
     """
     run = tube.run
-    times = run.times[start:]
+    times = run.times[nodes]
     t1 = float(times[-1])
     heads = list(starts)  # the members' states at the start of the block
     errors = [0.0] * len(heads) if errors is None else list(errors)
@@ -322,7 +366,7 @@ def _tube_defect(p: OscillatorParams, d: DriveSchedule, starts, tube: _Tube, tol
         ys = np.array([[y, *py] for (_, y), (_, py) in zip(heads, paths)])
         errors[:] = _run_error(times[i0:i1 + 1], xs, ys, p, d, e=errors)[0]
         heads[:] = [(px[-1], py[-1]) for px, py in paths]
-        cx, cy = run.states[start + i1]
+        cx, cy = run.states[nodes[i1]]
         b = (_spread(heads) + 2.0 * max(errors)) * math.exp(
             tube.rate * (t1 - float(times[i1])))
         if b <= tol and all(math.hypot(x - cx, y - cy) + e < tube.radius
@@ -341,9 +385,9 @@ def _pullback_tube_defect(p: OscillatorParams, d: DriveSchedule, tube: _Tube, sp
     and the time from which it is a bound (``None`` when it is measured).
 
     The runs from ``(start_radius, 0)`` at ``t0 - 0.75 span`` and ``t0 -
-    span`` each step to the first node of the warm-up's grid at or after
-    their start, then along that grid to ``G_j``, its first node at or after
-    ``t0 - 0.75 span``.  From there they run as members of
+    span`` each step at the warm-up's step to the first node of its grid at
+    or after their start, then along that grid to ``G_j``, its first node
+    at or after ``t0 - 0.75 span``.  From there they run as members of
     :func:`_tube_defect` in the warm-up's tube.  The stretches to ``G_j``
     are recorded, and where the tube certifies their error bounds
     (:func:`_run_error`) start the members' E_m.  A blow-up on the way to
@@ -365,7 +409,7 @@ def _pullback_tube_defect(p: OscillatorParams, d: DriveSchedule, tube: _Tube, sp
         members.append(path[-1].tolist())
         if tube.certified:
             errors.extend(_run_error(grid, path[:, 0], path[:, 1], p, d)[0])
-    return _tube_defect(p, d, members, tube, tol, j, errors or None)
+    return _tube_defect(p, d, members, tube, tol, np.arange(j, times.size), errors or None)
 
 
 def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
@@ -539,8 +583,15 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
                     invariance_tol: float = DEFAULT_INVARIANCE_TOL) -> VerificationReport:
     """Full chronotaxicity certificate for a drive schedule over ``[t0, t1]``.
 
-    Every run steps by ``dt`` (:data:`DEFAULT_VERIFY_DT` by default, where
-    :func:`attractor_track` and the integrators default to 1e-3).
+    The attractor track steps by ``dt`` (:data:`DEFAULT_VERIFY_DT` by
+    default, where :func:`attractor_track` and the integrators default to
+    1e-3).  The probe runs (the track's warm-up, the forward ensemble and
+    both pullback runs) step by k ``dt``, k the largest integer of at most
+    4 whose k ``dt`` keeps RK4 far inside its stability interval on the
+    disk the probes start in, and at least 1 (:func:`_probe_stride`); each
+    bound counts their own integration error at that step.  The forward
+    members run on every k-th node of the track's grid and its last; the
+    warm-up on ``time_grid(t0 - window, t0, k dt)``.
     ``check_interval`` spaces the classification
     scan (the schedule knots inside the window join it) and ``beta`` is the
     contraction margin of the scan and of the trapping radius.  A tube is
@@ -565,12 +616,12 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
       Where the track's tube certifies it is a contraction bound taken from
       ``forward_bound_from`` on, which counts the members' own integration
       error and so holds for the exact flow; otherwise it is the spread of
-      the numerical members, measured, and ``forward_bound_from`` is
-      ``None``.
+      the numerical members at their step k ``dt``, measured, and
+      ``forward_bound_from`` is ``None``.
     - ``pullback_defect``: the gap at ``t0`` of the runs from ``(2, 0)`` at
       ``t0 - 0.75 span`` and ``t0 - span``, likewise a bound for the exact
       flow from ``pullback_bound_from`` on where the warm-up's tube
-      certifies, and otherwise measured.
+      certifies, and otherwise measured on the runs at k ``dt``.
     - ``invariance_defect``: the distance from the track to the exact
       solution through its first sample, a bound where the track's tube
       certifies and otherwise measured against a re-run at ``dt/2``
@@ -587,8 +638,9 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     with ``t1 > t0``, the track's grid ``time_grid(t0, t1, dt)`` must hold
     at least 3 samples, ``dt``, ``check_interval``, ``sample_interval``,
     ``beta`` and the three tolerances must be finite and positive,
-    ``ladder`` must hold finite positive radii, and ``boundary_samples``
-    must be at least :data:`MIN_BOUNDARY_SAMPLES`.
+    ``ladder`` must hold finite positive radii, ``boundary_samples`` must
+    be at least :data:`MIN_BOUNDARY_SAMPLES`, ``ensemble_size`` an integer
+    of at least 2 and ``seed`` a non-negative integer.
     """
     for name, value in (("dt", dt), ("forward_tol", forward_tol),
                         ("pullback_tol", pullback_tol), ("invariance_tol", invariance_tol)):
@@ -599,6 +651,7 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     if boundary_samples < MIN_BOUNDARY_SAMPLES:
         raise InvalidInputError(f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples, "
                                 f"got {boundary_samples!r}")
+    _check_ensemble(ensemble_size, seed, DEFAULT_START_RADIUS)
     samples = time_grid(t0, t1, dt).size
     if samples < 3:
         raise InvalidInputError(f"the track over [{t0!r}, {t1!r}] at dt={dt!r} has "
@@ -609,8 +662,10 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     forward = pullback = (None, None)
     invariance = track = None
     if not intervals:
+        # the probes run from t0 - span (pullback) or t0 - window (warm-up)
+        k = _probe_stride(p, d, t0 - max(t1 - t0, _warmup_window(scan)), t1, dt)
         try:
-            warmup, track = _track(d, p, t0, t1, dt, scan)
+            warmup, track = _track(d, p, t0, t1, dt, scan, warmup_dt=k * dt)
         except ChronotaxError as exc:
             failures.append(f"attractor tracking failed: {exc}")
 
@@ -626,7 +681,10 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             failures.append(f"trapping check failed: {exc}")
         try:
             starts = _forward_starts(ensemble_size, seed, DEFAULT_START_RADIUS)
-            defect = _tube_defect(p, d, starts, tube, forward_tol)
+            # every k-th node of the track's grid, and its last
+            n = track.times.size
+            defect = _tube_defect(p, d, starts, tube, forward_tol,
+                                  np.append(np.arange(0, n - 1, k), n - 1))
             warm = _certify_tube(warmup, p, d, ladder, beta, boundary_samples, sample_interval)
             # set together, so that a pullback blow-up leaves both unset
             forward, pullback = defect, _pullback_tube_defect(

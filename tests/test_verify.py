@@ -280,55 +280,86 @@ def tube_defect(p, d, states, times, centers, radius, rate, tol, errors=None):
     return spread(states), None
 
 
-def tube_forward_defect(track, radius, rate, p, d, tol=DEFAULT_FORWARD_TOL, ensemble_size=8):
+def probe_stride(p, d, t0, t1, dt, beta=1e-3):
+    """How many track steps the probe runs of ``verify_schedule`` over
+    [t0, t1] take at once: the largest k <= 4 with k dt L <= 1/2, else 1.
+    L = eps_gamma (r_p + 2 max(r_p, 2)) + |omega0| + the largest pull at
+    the ends of [t0 - max(span, window), t1] and the pull's knots inside,
+    the window being the warm-up's: ten contraction times of the slowest
+    scanned instant, within [10, 500]."""
+    scan = steady_state._scan(d, p, t0, t1, 0.5, beta)
+    window = min(max(10.0 / min(-a.lambda_max_sym for _, _, a in scan), 10.0), 500.0)
+    start = t0 - max(t1 - t0, window)
+    knots = [] if d.eps_a.is_constant else [s for s in d.eps_a.times.tolist()
+                                           if start < s < t1]
+    pull = max(float(d.eps_a(s)) for s in [start, t1] + knots)
+    lip = p.eps_gamma * (p.r_p + 2.0 * max(p.r_p, 2.0)) + pull + abs(p.omega0)
+    k = 1
+    for candidate in (2, 3, 4):
+        if candidate * dt * lip <= 0.5:
+            k = candidate
+    return k
+
+
+def tube_forward_defect(track, radius, rate, p, d, tol=DEFAULT_FORWARD_TOL, ensemble_size=8,
+                        k=1):
     """The forward defect and the time it is bounded from, as ``verify_schedule``
     takes them from a certified tube around ``track`` (or measures them at
-    t1 for ``radius`` None)."""
-    return tube_defect(p, d, forward_starts(ensemble_size), track.times, track.states,
-                       radius, rate, tol)
+    t1 for ``radius`` None), the members running on every ``k``-th node of
+    the track's grid and its last."""
+    nodes = list(range(0, track.times.size - 1, k)) + [track.times.size - 1]
+    return tube_defect(p, d, forward_starts(ensemble_size), track.times[nodes],
+                       track.states[nodes], radius, rate, tol)
 
 
-def recorded_warmup(d, t0, t1, dt=DEFAULT_VERIFY_DT, beta=1e-3):
-    """The track's warm-up over ``[t0, t1]``, recorded from ``t0 - (t1 - t0)`` on."""
-    scan = steady_state._scan(d, P, t0, t1, 0.5, beta)
-    return steady_state._track(d, P, t0, t1, dt, scan)[0]
+def warmed_track(d, t0, t1, dt=DEFAULT_VERIFY_DT, beta=1e-3, k=1, p=P):
+    """The track's warm-up at ``k dt`` over ``[t0, t1]``, recorded from
+    ``t0 - (t1 - t0)`` on, and the track at ``dt`` from its last sample."""
+    scan = steady_state._scan(d, p, t0, t1, 0.5, beta)
+    return steady_state._track(d, p, t0, t1, dt, scan, warmup_dt=k * dt)
 
 
-def warmup_tube(warmup, d, beta=1e-3):
+def recorded_warmup(d, t0, t1, dt=DEFAULT_VERIFY_DT, beta=1e-3, k=1, p=P):
+    """The track's warm-up at ``k dt`` over ``[t0, t1]``, recorded from
+    ``t0 - (t1 - t0)`` on."""
+    return warmed_track(d, t0, t1, dt, beta, k, p)[0]
+
+
+def warmup_tube(warmup, d, beta=1e-3, p=P):
     """Radius and eigenvalue bound of the certified tube around ``warmup``,
     or ``(None, None)``."""
-    radius = select_trapping_radius(warmup, P, d, beta=beta)
+    radius = select_trapping_radius(warmup, p, d, beta=beta)
     if radius is None:
         return None, None
-    max_lam, max_flux = verify_trapping(TrappingCandidate(warmup, radius, 720), P, d)
+    max_lam, max_flux = verify_trapping(TrappingCandidate(warmup, radius, 720), p, d)
     return (radius, max_lam) if max_lam < 0.0 and max_flux < 0.0 else (None, None)
 
 
 def tube_pullback_defect(d, t0, t1, dt=DEFAULT_VERIFY_DT, beta=1e-3,
-                         tol=DEFAULT_PULLBACK_TOL):
+                         tol=DEFAULT_PULLBACK_TOL, k=1, p=P):
     """The pullback defect and the time it is bounded from, as ``verify_schedule``
-    takes them from the warm-up of the track over ``[t0, t1]`` (grid G):
-    the runs from (2, 0) at t0 - 0.75 span and t0 - span step to the first
-    node of G at or after their start, then along G to its first node at or
-    after t0 - 0.75 span; from there on, :func:`tube_defect` around the
-    warm-up with its certified tube, each run's E starting from the error
-    bound of its recorded way there."""
-    field = LabField(P, d)
-    warmup = recorded_warmup(d, t0, t1, dt, beta)
-    radius, rate = warmup_tube(warmup, d, beta)
+    takes them from the warm-up at ``k dt`` of the track over ``[t0, t1]``
+    (grid G): the runs from (2, 0) at t0 - 0.75 span and t0 - span step at
+    ``k dt`` to the first node of G at or after their start, then along G
+    to its first node at or after t0 - 0.75 span; from there on,
+    :func:`tube_defect` around the warm-up with its certified tube, each
+    run's E starting from the error bound of its recorded way there."""
+    field = LabField(p, d)
+    warmup = recorded_warmup(d, t0, t1, dt, beta, k, p)
+    radius, rate = warmup_tube(warmup, d, beta, p)
     times = warmup.times
     span = t1 - t0
     j = int(np.flatnonzero(times >= t0 - 0.75 * span)[0])
     states, errors = [], []
     for s in (t0 - 0.75 * span, t0 - span):
         i = int(np.flatnonzero(times >= s)[0])
-        grid = time_grid(s, times[i], dt)
+        grid = time_grid(s, times[i], k * dt)
         lead = rk4_path(field, 2.0, 0.0, grid)
         path = rk4_path(field, *lead[-1].tolist(), times[i:j + 1])
         states.append(tuple(path[-1].tolist()))
-        e = reference_run_error(grid, lead, P, d)[0]
-        errors.append(reference_run_error(times[i:j + 1], path, P, d, e=e)[0])
-    return tube_defect(P, d, states, times[j:], warmup.states[j:], radius, rate, tol, errors)
+        e = reference_run_error(grid, lead, p, d)[0]
+        errors.append(reference_run_error(times[i:j + 1], path, p, d, e=e)[0])
+    return tube_defect(p, d, states, times[j:], warmup.states[j:], radius, rate, tol, errors)
 
 
 @pytest.mark.parametrize("drive", [D17, PULL], ids=["constant", "sampled"])
@@ -388,56 +419,110 @@ def verification_work(monkeypatch, drive, **kwargs):
 
 
 @pytest.mark.parametrize("drive, steps, blocks, pullback_blocks", [
-    (bench_pull(1), 37_906, 3, 1),
-    (bench_pull(7919), 42_002, 5, 1),
-    (PULL, 73_746, 17, 15),
+    (bench_pull(1), 21_623, 1, 1),
+    (bench_pull(7919), 23_671, 2, 1),
+    (PULL, 31_351, 5, 4),
 ], ids=["bench-seed-1", "bench-seed-7919", "pull"])
 def test_verification_work_counts(monkeypatch, drive, steps, blocks, pullback_blocks):
-    # RK4 steps as counted by the kernel, and drive tapes, at dt = 1e-3.
-    # Separate runs would take 201,250 steps: the track's 10,000 warm-up and
-    # 15,000 recorded steps, 8 x 15,000 for the forward ensemble,
-    # 11,250 + 15,000 for the pullback and 30,000 for the invariance re-run
-    # at dt/2.  The forward members stop after the first `blocks` tape
+    # RK4 steps as counted by the kernel, and drive tapes, at dt = 1e-3,
+    # where the probe runs step at 4 dt.  Separate runs at dt would take
+    # 201,250 steps: the track's 10,000 warm-up and 15,000 recorded steps,
+    # 8 x 15,000 for the forward ensemble, 11,250 + 15,000 for the pullback
+    # and 30,000 for the invariance re-run at dt/2.  The warm-up takes 2,500
+    # steps of 4 dt and the track 15,000.  The forward members run on every
+    # 4th node of the track's grid and stop after the first `blocks` tape
     # blocks, where all are inside the certified tube and its contraction
     # bound meets the forward tolerance: 8 x 256 x blocks steps.  The
     # certified tube also bounds the invariance defect, so the re-run at
-    # dt/2 does not run.  The two pullback runs step from t = -11.25 and -15
-    # to the warm-up's first node at t = -10 (1,250 + 5,000 steps), then run
-    # on the warm-up's grid and stop after the first `pullback_blocks`
-    # blocks, where both are inside its certified tube and its bound meets
-    # the pullback tolerance: 2 x 256 x pullback_blocks steps.
-    # Tapes: 40 (warm-up) + 59 (track) + blocks (ensemble) + 5 + 20
-    # (pullback to t = -10) + pullback_blocks = 124 + blocks +
+    # dt/2 does not run.  The two pullback runs step at 4 dt from t = -11.25
+    # and -15 to the warm-up's first node at t = -10 (313 + 1,250 steps,
+    # the first closing on a short step), then run on the warm-up's grid
+    # and stop after the first `pullback_blocks` blocks, where both are
+    # inside its certified tube and its bound meets the pullback tolerance:
+    # 2 x 256 x pullback_blocks steps.
+    # Tapes: 10 (warm-up) + 59 (track) + blocks (ensemble) + 2 + 5
+    # (pullback to t = -10) + pullback_blocks = 76 + blocks +
     # pullback_blocks, where separate runs build 379
+    assert probe_stride(P, drive, 0.0, 15.0, 1e-3) == 4
     report, lengths, builds = verification_work(monkeypatch, drive, dt=1e-3)
     assert report.chronotaxic
     assert 0.0 < report.forward_defect <= report.thresholds["forward"]
-    assert report.forward_bound_from == pytest.approx(blocks * 256 * 1e-3)
+    assert report.forward_bound_from == pytest.approx(blocks * 256 * 4e-3)
     assert 0.0 < report.pullback_defect <= report.thresholds["pullback"]
-    assert report.pullback_bound_from == pytest.approx(-10.0 + pullback_blocks * 256 * 1e-3)
+    assert report.pullback_bound_from == pytest.approx(-10.0 + pullback_blocks * 256 * 4e-3)
     assert sum(lengths) == steps
-    assert steps == (10_000 + 15_000 + 8 * 256 * blocks + 1_250 + 5_000
+    assert steps == (2_500 + 15_000 + 8 * 256 * blocks + 313 + 1_250
                      + 2 * 256 * pullback_blocks)
-    assert len(builds) == 124 + blocks + pullback_blocks
-    assert sum(builds) == (10_000 + 15_000 + blocks * 256 + 1_250 + 5_000
+    assert len(builds) == 76 + blocks + pullback_blocks
+    assert sum(builds) == (2_500 + 15_000 + blocks * 256 + 313 + 1_250
                            + pullback_blocks * 256)
 
 
 @pytest.mark.parametrize("drive", [bench_pull(1), bench_pull(7919)],
                          ids=["bench-seed-1", "bench-seed-7919"])
 def test_verification_work_counts_at_the_default_step(monkeypatch, drive):
-    # at dt = 2.5e-3 the warm-up takes 4,000 steps and the track 6,000; the
-    # forward members stop after 2 blocks and the pullback runs after 1, at
-    # the block ends t = 1.28 and -9.36, and the way to t = -10 takes 500 +
-    # 2,000 steps.  Tapes: 16 + 24 + 2 + 2 + 8 + 1
+    # at dt = 2.5e-3 the probe runs step at 4 dt = 0.01: the warm-up takes
+    # 1,000 steps and the track 6,000 at dt; the forward members and the
+    # pullback runs stop after 1 block each, at the block ends t = 2.56 and
+    # -7.44, and the way to t = -10 takes 125 + 500 steps.
+    # Tapes: 4 + 24 + 1 + 1 + 2 + 1
+    assert probe_stride(P, drive, 0.0, 15.0, DEFAULT_VERIFY_DT) == 4
     report, lengths, builds = verification_work(monkeypatch, drive)
     assert report.dt == DEFAULT_VERIFY_DT == 2.5e-3
     assert report.chronotaxic
-    assert report.forward_bound_from == pytest.approx(2 * 256 * DEFAULT_VERIFY_DT)
-    assert report.pullback_bound_from == pytest.approx(-10.0 + 256 * DEFAULT_VERIFY_DT)
-    assert sum(lengths) == 17_108 == 4_000 + 6_000 + 8 * 256 * 2 + 500 + 2_000 + 2 * 256
-    assert len(builds) == 53
-    assert sum(builds) == 4_000 + 6_000 + 2 * 256 + 500 + 2_000 + 256
+    assert report.forward_bound_from == pytest.approx(256 * 4 * DEFAULT_VERIFY_DT)
+    assert report.pullback_bound_from == pytest.approx(-10.0 + 256 * 4 * DEFAULT_VERIFY_DT)
+    assert sum(lengths) == 10_185 == 1_000 + 6_000 + 8 * 256 + 125 + 500 + 2 * 256
+    assert len(builds) == 33
+    assert sum(builds) == 1_000 + 6_000 + 256 + 125 + 500 + 256
+
+
+#: a stiff oscillator whose probes cannot step beyond the track's step, and a
+#: pull under which it certifies both tubes
+STIFF = OscillatorParams(100.0, 1.0, 1.0)
+STIFF_DRIVE = DriveSchedule.constant(20.0, STIFF.omega0 - 0.5)
+
+
+@pytest.mark.parametrize("p, drive, t1, dt, k", [
+    (P, bench_pull(1), 15.0, DEFAULT_VERIFY_DT, 4),
+    (P, bench_pull(7919), 15.0, DEFAULT_VERIFY_DT, 4),
+    (P, PULL, 15.0, 1e-3, 4),
+    (P, D17, 5.0, 0.0049, 2),
+    (OscillatorParams(1.0, 1.0, 1.0), DriveSchedule.constant(1.7, 0.5), 0.5, 0.4, 1),
+    (STIFF, STIFF_DRIVE, 15.0, DEFAULT_VERIFY_DT, 1),
+], ids=["bench-seed-1", "bench-seed-7919", "pull-1e-3", "d17-short", "gentle-0.4", "stiff"])
+def test_probe_stride_equals_the_scalar_reference(p, drive, t1, dt, k):
+    scan = steady_state._scan(drive, p, 0.0, t1, 0.5, 1e-3)
+    start = -max(t1, steady_state._warmup_window(scan))
+    assert verify._probe_stride(p, drive, start, t1, dt) == probe_stride(p, drive, 0.0, t1, dt)
+    assert probe_stride(p, drive, 0.0, t1, dt) == k
+
+
+def test_a_stiff_set_probes_at_the_track_step():
+    # k = 1: the warm-up and every probe run step at dt, which is the
+    # report of the stages run at one step throughout, bit for bit
+    assert probe_stride(STIFF, STIFF_DRIVE, 0.0, 15.0, DEFAULT_VERIFY_DT) == 1
+    report = verify_schedule(STIFF_DRIVE, STIFF, 0.0, 15.0)
+    assert report.chronotaxic
+    expected = staged_report(STIFF_DRIVE, 0.0, 15.0, DEFAULT_VERIFY_DT, 1e-3, STIFF)
+    assert report.to_dict() == expected.to_dict()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(1.5, 6.0), min_size=5, max_size=5),
+       st.sampled_from([DEFAULT_VERIFY_DT, 1e-3]))
+@example(np.random.default_rng(1).uniform(1.5, 6.0, size=5).tolist(), DEFAULT_VERIFY_DT)
+@example(np.random.default_rng(7919).uniform(1.5, 6.0, size=5).tolist(), 1e-3)
+def test_the_probe_stride_keeps_the_verdict(pulls, dt):
+    # pull schedules of the scheduled benchmark verification: the verdict,
+    # the failures and the radius equal those with every probe at dt
+    drive = DriveSchedule(Schedule.sampled(np.linspace(0.0, 15.0, 5), pulls), FREQ)
+    report = verify_schedule(drive, P, 0.0, 15.0, dt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_MAX_PROBE_STRIDE", 1)
+        single = verify_schedule(drive, P, 0.0, 15.0, dt)
+    assert ((report.chronotaxic, report.failures, report.radius)
+            == (single.chronotaxic, single.failures, single.radius))
 
 
 @settings(max_examples=10, deadline=None)
@@ -513,16 +598,18 @@ def test_pullback_runs_join_the_warm_up_mid_grid(t1):
     # t0 - span steps along the warm-up's grid, recorded from t0 - span on,
     # to its first node at or after t0 - 0.75 span, where the other run joins
     span = t1
-    warmup = recorded_warmup(D17, 0.0, t1)
+    k = probe_stride(P, D17, 0.0, t1, DEFAULT_VERIFY_DT)
+    assert k == 4
+    warmup = recorded_warmup(D17, 0.0, t1, k=k)
     assert warmup.times[0] == pytest.approx(-span)
     assert warmup.times[0] < -0.75 * span
     report = verify_schedule(D17, P, 0.0, t1)
-    expected = tube_pullback_defect(D17, 0.0, t1)
+    expected = tube_pullback_defect(D17, 0.0, t1, k=k)
     assert (report.pullback_defect, report.pullback_bound_from) == expected
     # no block end meets the tolerance over so short a window: measured at
-    # t0, within rounding of the runs on their own grids
+    # t0, within rounding of the runs on their own grids at the probe step
     assert report.pullback_bound_from is None
-    _, measured = verify_attraction(P, D17, 0.0, t1, report.dt)
+    _, measured = verify_attraction(P, D17, 0.0, t1, k * report.dt)
     assert abs(report.pullback_defect - measured) <= 1e-12
     assert report.pullback_defect > DEFAULT_PULLBACK_TOL
     assert not report.chronotaxic
@@ -538,12 +625,14 @@ STALL_BEFORE_WINDOW = DriveSchedule(
 
 
 def test_pullback_is_measured_without_a_warm_up_tube():
-    assert warmup_tube(recorded_warmup(STALL_BEFORE_WINDOW, 0.0, 15.0),
+    k = probe_stride(P, STALL_BEFORE_WINDOW, 0.0, 15.0, DEFAULT_VERIFY_DT)
+    assert warmup_tube(recorded_warmup(STALL_BEFORE_WINDOW, 0.0, 15.0, k=k),
                        STALL_BEFORE_WINDOW) == (None, None)
     report = verify_schedule(STALL_BEFORE_WINDOW, P, 0.0, 15.0)
     assert report.pullback_bound_from is None
-    assert report.pullback_defect == tube_pullback_defect(STALL_BEFORE_WINDOW, 0.0, 15.0)[0]
-    _, measured = verify_attraction(P, STALL_BEFORE_WINDOW, 0.0, 15.0, report.dt)
+    assert report.pullback_defect == tube_pullback_defect(STALL_BEFORE_WINDOW, 0.0, 15.0,
+                                                          k=k)[0]
+    _, measured = verify_attraction(P, STALL_BEFORE_WINDOW, 0.0, 15.0, k * report.dt)
     assert abs(report.pullback_defect - measured) <= 1e-12
     # the verdict of the measured pullback, and of every other stage
     assert report.chronotaxic
@@ -896,12 +985,43 @@ def test_verify_schedule_solves_each_instant_once(fixed_point_solves):
     ((0.0, 15.0), {tol: value})
     for tol in ("forward_tol", "pullback_tol", "invariance_tol")
     for value in (math.nan, math.inf, 0.0, -1.0)
+] + [
+    ((0.0, 3.0), {"ensemble_size": 1}),
+    ((0.0, 3.0), {"ensemble_size": 2.5}),
+    ((0.0, 3.0), {"ensemble_size": True}),
+    ((0.0, 3.0), {"seed": -3}),
+    ((0.0, 3.0), {"seed": 1.5}),
+    ((0.0, 3.0), {"seed": None}),
 ])
 def test_verify_schedule_refuses_bad_input_before_any_work(fixed_point_solves,
                                                            window, kwargs):
     with pytest.raises(InvalidInputError):
         verify_schedule(D17, P, *window, **kwargs)
     assert fixed_point_solves == []
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"start_radius": math.nan},
+    {"start_radius": math.inf},
+    {"start_radius": -1.0},
+    {"start_radius": 0.0},
+    {"ensemble_size": 1},
+    {"ensemble_size": 2.5},
+    {"seed": -3},
+    {"seed": 1.5},
+])
+def test_verify_attraction_refuses_bad_input_before_any_work(monkeypatch, kwargs):
+    steps = []
+    real = integrate._rk4_steps
+
+    def counted(f, x, y, tape):
+        steps.append(len(tape))
+        return real(f, x, y, tape)
+
+    monkeypatch.setattr(integrate, "_rk4_steps", counted)
+    with pytest.raises(InvalidInputError):
+        verify_attraction(P, D17, 0.0, 3.0, 1e-2, **kwargs)
+    assert steps == []
 
 
 #: the entry points that take a contraction margin, called with ``beta``
@@ -940,11 +1060,12 @@ def test_scans_refuse_a_bad_window_or_interval(fixed_point_solves, t0, t1,
     assert fixed_point_solves == []
 
 
-@pytest.mark.parametrize("drive", [PULL, DIPPED, bench_pull(1), bench_pull(7919)],
-                         ids=["pull", "dip", "bench-seed-1", "bench-seed-7919"])
-def test_verify_schedule_equals_staged_report(drive):
-    t0, t1, dt, beta = 0.0, 15.0, 1e-3, 1e-3
-    n, intervals = offending_intervals(drive, P, t0, t1, 0.5, beta)
+def staged_report(drive, t0, t1, dt, beta, p=P):
+    """The report of ``verify_schedule(drive, p, t0, t1, dt, 0.5, beta)``
+    from its stages run one after another, for a drive that either fails
+    the prescan or certifies both tubes; the warm-up and the probe runs step
+    at :func:`probe_stride` times ``dt``."""
+    n, intervals = offending_intervals(drive, p, t0, t1, 0.5, beta)
     staged = dict(
         window=(t0, t1), dt=dt, beta=beta, times_checked=n,
         offending_intervals=intervals,
@@ -952,29 +1073,37 @@ def test_verify_schedule_equals_staged_report(drive):
                     "invariance": DEFAULT_INVARIANCE_TOL},
     )
     if intervals:
-        expected = VerificationReport(
+        return VerificationReport(
             chronotaxic=False,
             failures=["classification prescan found non-chronotaxic instants"],
             **staged,
         )
-    else:
-        track = attractor_track(drive, P, t0, t1, dt, 0.5, beta)
-        radius = select_trapping_radius(track, P, drive, beta=beta)
-        max_lam, max_flux = verify_trapping(TrappingCandidate(track, radius, 720), P, drive)
-        forward, bound_from = tube_forward_defect(track, radius, max_lam, P, drive)
-        assert bound_from is not None
-        pb, pb_from = tube_pullback_defect(drive, t0, t1, dt, beta)
-        assert pb_from is not None
-        # the measured gap of the runs from t0 - 0.75 span and t0 - span
-        _, measured = verify_attraction(P, drive, t0, t1, dt)
-        assert measured <= pb
-        expected = VerificationReport(
-            chronotaxic=True, radius=radius, max_lambda_on_A=max_lam,
-            max_inward_defect=max_flux, forward_defect=forward,
-            forward_bound_from=bound_from, pullback_defect=pb, pullback_bound_from=pb_from,
-            invariance_defect=reference_invariance_bound(track, P, drive, max_lam),
-            **staged,
-        )
+    k = probe_stride(p, drive, t0, t1, dt, beta)
+    # the track starts from the warm-up at k dt
+    _, track = warmed_track(drive, t0, t1, dt, beta, k, p)
+    radius = select_trapping_radius(track, p, drive, beta=beta)
+    max_lam, max_flux = verify_trapping(TrappingCandidate(track, radius, 720), p, drive)
+    forward, bound_from = tube_forward_defect(track, radius, max_lam, p, drive, k=k)
+    assert bound_from is not None
+    pb, pb_from = tube_pullback_defect(drive, t0, t1, dt, beta, k=k, p=p)
+    assert pb_from is not None
+    # the measured gap of the runs from t0 - 0.75 span and t0 - span
+    _, measured = verify_attraction(p, drive, t0, t1, dt)
+    assert measured <= pb
+    return VerificationReport(
+        chronotaxic=True, radius=radius, max_lambda_on_A=max_lam,
+        max_inward_defect=max_flux, forward_defect=forward,
+        forward_bound_from=bound_from, pullback_defect=pb, pullback_bound_from=pb_from,
+        invariance_defect=reference_invariance_bound(track, p, drive, max_lam),
+        **staged,
+    )
+
+
+@pytest.mark.parametrize("drive", [PULL, DIPPED, bench_pull(1), bench_pull(7919)],
+                         ids=["pull", "dip", "bench-seed-1", "bench-seed-7919"])
+def test_verify_schedule_equals_staged_report(drive):
+    t0, t1, dt, beta = 0.0, 15.0, 1e-3, 1e-3
+    expected = staged_report(drive, t0, t1, dt, beta)
     assert verify_schedule(drive, P, t0, t1, dt, 0.5, beta).to_dict() == expected.to_dict()
 
 
@@ -1046,8 +1175,6 @@ def staged_failures(drive, t0, t1, dt, ensemble_size):
     (0.3, 8),    # forward members leave it, the track does not
     (0.4, 8),    # the track leaves it in its recorded stretch
     (0.5, 8),    # ... and in its warm-up
-    (0.3, 1),    # too small an ensemble, beside a failing trapping check
-    (0.4, 1),    # ... behind a failing track, where it is never reported
 ])
 def test_failures_equal_the_separate_stages(dt, ensemble_size):
     # a member's blow-up costs neither the track nor the stages after it,
