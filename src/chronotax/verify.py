@@ -5,9 +5,10 @@ every sampled instant classifies chronotaxic; a moving disk around the
 tracked attractor (a tube) stays inside the contraction region and traps the
 flow; forward ensembles collapse and pullback runs converge; and the track
 lies near the exact solution through its first sample.  Where a tube
-certifies, the attraction and invariance defects are contraction bounds
-taken from it rather than measurements; the README's design notes derive
-them.
+certifies, the attraction defects are contraction bounds taken from it
+rather than measurements.  The invariance defect is always a bound, at the
+closed-form contraction rate, with or without a tube.  The README's design
+notes derive them.
 
 Verdicts are sampling-based in time, not proofs; the report carries every
 margin so callers can tighten the sampling.
@@ -77,10 +78,7 @@ class TrappingCandidate:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise InvalidInputError(f"trapping radius must be finite and positive, "
                                     f"got {self.radius!r}")
-        if self.boundary_samples < MIN_BOUNDARY_SAMPLES:
-            raise InvalidInputError(
-                f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples"
-            )
+        _check_boundary_samples(self.boundary_samples)
         if self.track.frame != "lab":
             raise InvalidInputError("trapping candidates live in the lab frame")
 
@@ -117,6 +115,19 @@ class VerificationReport:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
             fh.write("\n")
+
+
+def _integer(v) -> bool:
+    """Whether ``v`` is an integer, ``bool`` excluded."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_boundary_samples(boundary_samples: int) -> None:
+    """Refuse a ``boundary_samples`` that is not an integer of at least
+    :data:`MIN_BOUNDARY_SAMPLES`."""
+    if not (_integer(boundary_samples) and boundary_samples >= MIN_BOUNDARY_SAMPLES):
+        raise InvalidInputError(f"boundary_samples must be an integer of at least "
+                                f"{MIN_BOUNDARY_SAMPLES}, got {boundary_samples!r}")
 
 
 def _check_sampling(sample_interval: float, ladder=None) -> None:
@@ -250,13 +261,10 @@ def _check_ensemble(ensemble_size: int, seed: int, start_radius: float) -> None:
     """Refuse an ``ensemble_size`` that is not an integer of at least 2, a
     ``seed`` that is not a non-negative integer and a ``start_radius`` that
     is not finite and positive."""
-    def integer(v):
-        return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-    if not (integer(ensemble_size) and ensemble_size >= 2):
+    if not (_integer(ensemble_size) and ensemble_size >= 2):
         raise InvalidInputError(
             f"ensemble_size must be an integer of at least 2, got {ensemble_size!r}")
-    if not (integer(seed) and seed >= 0):
+    if not (_integer(seed) and seed >= 0):
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     if not (math.isfinite(start_radius) and start_radius > 0.0):
         raise InvalidInputError(
@@ -308,7 +316,9 @@ class _Tube:
     ``None`` where no rung fits; ``rate`` and ``flux`` are the
     ``(max_lambda, max_inward_defect)`` of :func:`verify_trapping` at that
     radius, or at the smallest rung where none fits.  All three are ``None``
-    for a run too short to check.
+    for a run too short to check.  ``rate`` decays only the forward and
+    pullback spreads (:func:`_tube_defect`); every error bound
+    (:func:`_run_error`) takes the closed-form rate instead.
     """
 
     run: Trajectory
@@ -416,20 +426,22 @@ def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
                       refine: int = 2) -> float:
     """Deviation between the track and a re-integration from its first sample.
 
-    The re-integration runs at ``dt/refine`` so it is an independent solve
-    (the same step size would retrace the identical arithmetic); the defect
-    is the largest state distance at the track's own sample times.  A track
+    A stage function and a measured reference, like
+    :func:`verify_attraction`: :func:`verify_schedule` does not call it, and
+    bounds its ``invariance_defect`` by :func:`_run_error` instead.  The
+    re-integration runs at ``dt/refine`` so it is an independent solve (the
+    same step size would retrace the identical arithmetic); the defect is
+    the largest state distance at the track's own sample times.  A track
     that is a solution keeps this at integrator-error level; one that is
     not, such as a bent one, shows its departure here.  A track offset from
     the true attractor from its first sample on is re-integrated from that
-    offset start and follows it, so this check does not see the offset;
-    catching it is the pullback check's job.  The track's samples are those
-    of ``time_grid(t0, t1, dt)``, as :func:`attractor_track` records them,
-    and the re-run is read at its node ``refine * k`` for the track's
-    ``k``-th (:func:`_refined_nodes`).  ``refine`` must be an integer of at
-    least 2.
+    offset start and follows it, so this check does not see the offset.
+    The track's samples are those of ``time_grid(t0, t1, dt)``, as
+    :func:`attractor_track` records them, and the re-run is read at its
+    node ``refine * k`` for the track's ``k``-th (:func:`_refined_nodes`).
+    ``refine`` must be an integer of at least 2.
     """
-    if not (isinstance(refine, numbers.Integral) and refine >= 2):
+    if not (_integer(refine) and refine >= 2):
         raise InvalidInputError(f"refine must be an integer >= 2, got {refine!r}")
     if track.frame != "lab":
         raise InvalidInputError("invariance check expects a lab-frame track")
@@ -448,8 +460,7 @@ def _refined_nodes(n: int, refine: int, m: int):
     return np.append(refine * np.arange(n - 1), m - 1)
 
 
-def _run_error(times, xs, ys, p: OscillatorParams, d: DriveSchedule,
-               rate: float | None = None, e=None):
+def _run_error(times, xs, ys, p: OscillatorParams, d: DriveSchedule, e=None):
     """Bounds on the distance from recorded lab-frame runs to the exact
     solutions through their first samples: ``(at the last node, largest
     within the run)``, one of each per run.
@@ -464,24 +475,22 @@ def _run_error(times, xs, ys, p: OscillatorParams, d: DriveSchedule,
     Automatica 34, 1998; Söderlind, "The logarithmic norm", BIT 46, 2006),
     so from ``e`` at the first sample (zero by default),
     ``e_{i+1} <= exp(mu_i h_i) e_i + h_i rho_i`` and e <= ``e_i + h_i rho_i``
-    within step i.  mu_i is ``rate`` where given, the rate of a tube that
-    holds the solution (the bound then holds while it is below the tube's
-    radius).  Otherwise it is the closed form lambda_1 = eps_gamma (r_p -
-    r) - eps_a at the smallest radius of p on the step, sampled at the step
-    ends and the residual points, less ``e_i + h_i rho_i``, and at the
+    within step i.  mu_i is the closed form
+    lambda_1 = eps_gamma (r_p - r) - eps_a, which holds anywhere and needs
+    no tube: r is the smallest radius of p on the step, sampled at the step
+    ends and the residual points, less ``e_i + h_i rho_i``, and eps_a the
     smallest pull over the step, from its ends and the pull's knots inside
-    it (exact for constant, linear and ``previous`` schedules).  With
-    rho_i at most rho and mu_i at most mu < 0 throughout the bound is at
-    most about rho / |mu|, and a residual confined to a few steps, as at a
+    it (exact for constant, linear and ``previous`` schedules).  With rho_i
+    at most rho and mu_i at most mu < 0 throughout the bound is at most
+    about rho / |mu|, and a residual confined to a few steps, as at a
     drive-schedule knot between samples, costs only those steps'
-    h_i rho_i.  The residual arrays span :data:`_RESIDUAL_CHUNK` steps at
-    a time.
+    h_i rho_i.  Where mu_i > 0 the bound grows, without limit over a long
+    run.  The residual arrays span :data:`_RESIDUAL_CHUNK` steps at a time.
     """
     xs = np.atleast_2d(xs)
     ys = np.atleast_2d(ys)
     e = [0.0] * xs.shape[0] if e is None else list(e)
     worst = [0.0] * xs.shape[0]
-    decay = {}  # step width -> exp(rate * width)
     eg = float(p.eps_gamma)
     rp = float(p.r_p)
     last = times.size - 1
@@ -516,24 +525,15 @@ def _run_error(times, xs, ys, p: OscillatorParams, d: DriveSchedule,
             rho = np.maximum(rho, np.sqrt(rx * rx + ry * ry))
             rmin = np.minimum(rmin, np.sqrt(px * px + py * py))
         hs = h.tolist()
-        pulls = None if rate is not None else _step_min_pull(d, times[i0:i1 + 1]).tolist()
+        pulls = _step_min_pull(d, times[i0:i1 + 1]).tolist()
         for m, steps in enumerate((h * rho).tolist()):
             em, wm = e[m], worst[m]
-            if pulls is None:
-                for hi, si in zip(hs, steps):
-                    if em + si > wm:
-                        wm = em + si
-                    f = decay.get(hi)
-                    if f is None:
-                        f = decay[hi] = math.exp(rate * hi)
-                    em = f * em + si
-            else:
-                for hi, si, ri, ai in zip(hs, steps, rmin[m].tolist(), pulls):
-                    reach = em + si
-                    if reach > wm:
-                        wm = reach
-                    near = ri - reach if ri > reach else 0.0  # smallest radius within reach
-                    em = math.exp((eg * (rp - near) - ai) * hi) * em + si
+            for hi, si, ri, ai in zip(hs, steps, rmin[m].tolist(), pulls):
+                reach = em + si
+                if reach > wm:
+                    wm = reach
+                near = ri - reach if ri > reach else 0.0  # smallest radius within reach
+                em = math.exp((eg * (rp - near) - ai) * hi) * em + si
             e[m], worst[m] = em, wm
     return e, worst
 
@@ -622,25 +622,25 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
       ``t0 - 0.75 span`` and ``t0 - span``, likewise a bound for the exact
       flow from ``pullback_bound_from`` on where the warm-up's tube
       certifies, and otherwise measured on the runs at k ``dt``.
-    - ``invariance_defect``: the distance from the track to the exact
-      solution through its first sample, a bound where the track's tube
-      certifies and otherwise measured against a re-run at ``dt/2``
-      (:func:`verify_invariance`).
+    - ``invariance_defect``: a bound on the distance from the track to the
+      exact solution through its first sample, at the closed-form
+      contraction rate (:func:`_run_error`), whether or not the tube
+      certifies; ``None`` where the bound is not finite.
     - ``chronotaxic``: no failure, a certified tube and every defect within
       its threshold.
 
     Stage failures are recorded in ``failures``, never raised, in this
     order: the prescan, the tracking, the trapping check (no rung fits, the
     flux is not inward, or it raised), the attraction check and the
-    invariance check.  A member's blow-up fails the attraction check and
-    leaves the track standing.  Bad input is refused with
+    invariance check (a bound that is not finite).  A member's blow-up
+    fails the attraction check and leaves the track standing.  Bad input is refused with
     :class:`InvalidInputError` before any work: the window must be finite
     with ``t1 > t0``, the track's grid ``time_grid(t0, t1, dt)`` must hold
     at least 3 samples, ``dt``, ``check_interval``, ``sample_interval``,
     ``beta`` and the three tolerances must be finite and positive,
     ``ladder`` must hold finite positive radii, ``boundary_samples`` must
-    be at least :data:`MIN_BOUNDARY_SAMPLES`, ``ensemble_size`` an integer
-    of at least 2 and ``seed`` a non-negative integer.
+    be an integer of at least :data:`MIN_BOUNDARY_SAMPLES`, ``ensemble_size``
+    an integer of at least 2 and ``seed`` a non-negative integer.
     """
     for name, value in (("dt", dt), ("forward_tol", forward_tol),
                         ("pullback_tol", pullback_tol), ("invariance_tol", invariance_tol)):
@@ -648,9 +648,7 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
     _check_beta(beta)
     _check_sampling(sample_interval, ladder)
-    if boundary_samples < MIN_BOUNDARY_SAMPLES:
-        raise InvalidInputError(f"need at least {MIN_BOUNDARY_SAMPLES} boundary samples, "
-                                f"got {boundary_samples!r}")
+    _check_boundary_samples(boundary_samples)
     _check_ensemble(ensemble_size, seed, DEFAULT_START_RADIUS)
     samples = time_grid(t0, t1, dt).size
     if samples < 3:
@@ -691,14 +689,10 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
                 p, d, warm, t1 - t0, DEFAULT_START_RADIUS, pullback_tol)
         except ChronotaxError as exc:
             failures.append(f"attraction check failed: {exc}")
-        try:
-            if tube.certified:
-                invariance = _run_error(track.times, track.states[:, 0],
-                                        track.states[:, 1], p, d, tube.rate)[1][0]
-            else:
-                invariance = verify_invariance(track, p, d)
-        except ChronotaxError as exc:
-            failures.append(f"invariance check failed: {exc}")
+        invariance = _run_error(track.times, track.states[:, 0], track.states[:, 1], p, d)[1][0]
+        if not math.isfinite(invariance):
+            failures.append("invariance check failed: the bound is not finite")
+            invariance = None
 
     return VerificationReport(
         chronotaxic=(not failures and tube.certified and forward[0] <= forward_tol

@@ -1,5 +1,6 @@
 """Trapping-region, attraction, and invariance certificates."""
 
+import json
 import math
 
 import numpy as np
@@ -70,8 +71,9 @@ def test_candidate_validation():
     track = track17()
     with pytest.raises(InvalidInputError):
         TrappingCandidate(track, -0.1)
-    with pytest.raises(InvalidInputError):
-        TrappingCandidate(track, 0.1, boundary_samples=8)
+    for samples in (8, 63, 100.5, "720", True):
+        with pytest.raises(InvalidInputError, match="boundary_samples"):
+            TrappingCandidate(track, 0.1, boundary_samples=samples)
     rot = track.to_rotating(D17)
     with pytest.raises(InvalidInputError):
         TrappingCandidate(rot, 0.1)
@@ -433,11 +435,11 @@ def test_verification_work_counts(monkeypatch, drive, steps, blocks, pullback_bl
     # 4th node of the track's grid and stop after the first `blocks` tape
     # blocks, where all are inside the certified tube and its contraction
     # bound meets the forward tolerance: 8 x 256 x blocks steps.  The
-    # certified tube also bounds the invariance defect, so the re-run at
-    # dt/2 does not run.  The two pullback runs step at 4 dt from t = -11.25
-    # and -15 to the warm-up's first node at t = -10 (313 + 1,250 steps,
-    # the first closing on a short step), then run on the warm-up's grid
-    # and stop after the first `pullback_blocks` blocks, where both are
+    # invariance defect is a bound, so no re-run at dt/2 runs.  The two
+    # pullback runs step at 4 dt from t = -11.25 and -15 to the warm-up's
+    # first node at t = -10 (313 + 1,250 steps, the first closing on a
+    # short step), then run on the warm-up's grid and stop after the
+    # first `pullback_blocks` blocks, where both are
     # inside its certified tube and its bound meets the pullback tolerance:
     # 2 x 256 x pullback_blocks steps.
     # Tapes: 10 (warm-up) + 59 (track) + blocks (ensemble) + 2 + 5
@@ -685,15 +687,15 @@ def test_invariance_defect_detects_tampering():
     assert verify_invariance(fake, P, D17) > 5e-3
 
 
-def reference_run_error(times, states, p, d, rate=None, e=0.0):
+def reference_run_error(times, states, p, d, e=0.0):
     """The error bound of a recorded run, step by step with the scalar field:
     the residual r = p' - f(p, t) of the run's cubic Hermite interpolant at
     the Gauss-Legendre points and the midpoint of each step, rho_i the
-    largest; mu_i = rate, or else eps_gamma (r_p - r) - eps_a at r, the
-    smallest radius of p at the step ends and those points less e_i +
-    h_i rho_i (at least 0), and eps_a, the smallest pull at the step ends
-    and the knots inside; e_{i+1} = exp(mu_i h_i) e_i + h_i rho_i from
-    ``e``.  Returns e at the last node and the largest e_i + h_i rho_i."""
+    largest; mu_i = eps_gamma (r_p - r) - eps_a at r, the smallest radius of
+    p at the step ends and those points less e_i + h_i rho_i (at least 0),
+    and eps_a, the smallest pull at the step ends and the knots inside;
+    e_{i+1} = exp(mu_i h_i) e_i + h_i rho_i from ``e``.  Returns e at the
+    last node and the largest e_i + h_i rho_i."""
     def f(x, y, t):
         return field_lab(CartesianState(x, y), t, p, d)
 
@@ -729,37 +731,18 @@ def reference_run_error(times, states, p, d, rate=None, e=0.0):
             rho = max(rho, math.sqrt(rx * rx + ry * ry))
             radius = min(radius, math.sqrt(px * px + py * py))
         worst = max(worst, e + h * rho)
-        if rate is None:
-            pull = min(float(d.eps_a(s)) for s in
-                       [t, times[i + 1]] + [k for k in knots if t < k < times[i + 1]])
-            mu = p.eps_gamma * (p.r_p - max(radius - (e + h * rho), 0.0)) - pull
-        else:
-            mu = rate
+        pull = min(float(d.eps_a(s)) for s in
+                   [t, times[i + 1]] + [k for k in knots if t < k < times[i + 1]])
+        mu = p.eps_gamma * (p.r_p - max(radius - (e + h * rho), 0.0)) - pull
         e = math.exp(mu * h) * e + h * rho
     return e, worst
-
-
-def reference_invariance_bound(track, p, d, rate):
-    """The invariance bound of a certified tube: the largest e_i + h_i rho_i
-    of :func:`reference_run_error` at the tube's rate, from e_0 = 0."""
-    return reference_run_error(track.times, track.states, p, d, rate)[1]
-
-
-def tube_rate(track, drive):
-    """The certified tube's eigenvalue bound around ``track``, as ``verify_schedule``
-    takes it."""
-    radius = select_trapping_radius(track, P, drive)
-    max_lam, max_flux = verify_trapping(TrappingCandidate(track, radius), P, drive)
-    assert max_lam < 0.0 and max_flux < 0.0
-    return max_lam
 
 
 def test_invariance_bound_equals_the_scalar_reference():
     # 5,000 steps: the bound's residual arrays run in chunks of 1,024
     track = track17()
-    rate = tube_rate(track, D17)
-    _, (bound,) = _run_error(track.times, track.states[:, 0], track.states[:, 1], P, D17, rate)
-    assert bound == reference_invariance_bound(track, P, D17, rate)
+    _, (bound,) = _run_error(track.times, track.states[:, 0], track.states[:, 1], P, D17)
+    assert bound == reference_run_error(track.times, track.states, P, D17)[1]
     assert 0.0 < bound < 1e-9
 
 
@@ -790,29 +773,48 @@ def test_invariance_bound_detects_tampering():
     # re-run at dt/2 starts from that moved sample, so the bound is what
     # tells it from a solution
     track = track17()
-    rate = tube_rate(track, D17)
     bent = track.states.copy()
     bent[len(bent) // 2:, 0] += 0.01
     moved = track.states + 0.01
     for states in (bent, moved):
-        fake = Trajectory(track.t0, track.dt, track.times, states, "lab")
-        assert _run_error(fake.times, states[:, 0], states[:, 1], P, D17, rate)[1][0] > 5e-3
+        assert _run_error(track.times, states[:, 0], states[:, 1], P, D17)[1][0] > 5e-3
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.lists(st.floats(1.5, 6.0), min_size=5, max_size=5))
-@example(np.random.default_rng(1).uniform(1.5, 6.0, size=5).tolist())
-def test_invariance_bound_holds_over_the_re_runs(pulls):
-    # pull schedules of the scheduled benchmark verification; wherever the
-    # tube certifies, the reported defect bounds the distance to the exact
-    # solution, for which the re-run at dt/8 stands in
-    drive = DriveSchedule(Schedule.sampled(np.linspace(0.0, 15.0, 5), pulls), FREQ)
-    report = verify_schedule(drive, P, 0.0, 15.0)
-    assume(report.radius is not None and report.max_lambda_on_A < 0.0
-           and report.max_inward_defect < 0.0)
-    track = attractor_track(drive, P, 0.0, 15.0, 1e-3)
+@given(st.lists(st.floats(1.5, 6.0), min_size=5, max_size=5), st.just(DEFAULT_VERIFY_DT))
+@example(np.random.default_rng(1).uniform(1.5, 6.0, size=5).tolist(), DEFAULT_VERIFY_DT)
+# PULL, whose tube certifies at dt = 0.1 and 0.2 and not at 0.3
+@example([2.5, 4.0, 3.0, 5.5], 0.1)
+@example([2.5, 4.0, 3.0, 5.5], 0.2)
+@example([2.5, 4.0, 3.0, 5.5], 0.3)
+def test_invariance_bound_holds_over_the_re_runs(pulls, dt):
+    # pull schedules of the scheduled benchmark verification, knots evenly
+    # spaced over [0, 15]; with or without a certified tube, the reported
+    # defect bounds the distance from the report's own track to the exact
+    # solution through its first sample, for which re-runs at dt/2 and dt/8
+    # stand in
+    drive = DriveSchedule(Schedule.sampled(np.linspace(0.0, 15.0, len(pulls)), pulls), FREQ)
+    report = verify_schedule(drive, P, 0.0, 15.0, dt)
+    _, track = warmed_track(drive, 0.0, 15.0, dt, k=probe_stride(P, drive, 0.0, 15.0, dt))
     assert verify_invariance(track, P, drive, refine=8) <= report.invariance_defect
     assert verify_invariance(track, P, drive) <= report.invariance_defect
+
+
+def test_a_bound_that_is_not_finite_is_a_failure():
+    # PULL's tube does not certify at dt = 0.25; the track's residual puts
+    # the closed-form rate at the origin, where it is positive, and over
+    # 4,000 steps the bound overflows.  It is recorded as a failure, and the
+    # report holds no inf
+    report = verify_schedule(PULL, P, 0.0, 1000.0, 0.25, check_interval=5.0)
+    assert report.failures == ["boundary flux is not strictly inward",
+                               "invariance check failed: the bound is not finite"]
+    assert report.invariance_defect is None
+    assert not report.chronotaxic
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in a report")
+
+    assert json.loads(report.to_json(), parse_constant=refuse) == report.to_dict()
 
 
 def nearest_nodes(fine, times):
@@ -908,8 +910,6 @@ def test_report_serialization(tmp_path):
     }
     path = tmp_path / "report.json"
     report.save(path)
-    import json
-
     loaded = json.loads(path.read_text())
     assert loaded["chronotaxic"] == report.chronotaxic
     assert loaded["window"] == [0.0, 10.0]
@@ -981,6 +981,9 @@ def test_verify_schedule_solves_each_instant_once(fixed_point_solves):
     ((0.0, 3.0), {"ladder": (0.02, math.inf)}),
     ((0.0, 3.0), {"boundary_samples": 8}),
     ((0.0, 3.0), {"boundary_samples": 63}),
+    ((0.0, 3.0), {"boundary_samples": 100.5}),
+    ((0.0, 3.0), {"boundary_samples": "720"}),
+    ((0.0, 3.0), {"boundary_samples": True}),
 ] + [
     ((0.0, 15.0), {tol: value})
     for tol in ("forward_tol", "pullback_tol", "invariance_tol")
@@ -1094,7 +1097,7 @@ def staged_report(drive, t0, t1, dt, beta, p=P):
         chronotaxic=True, radius=radius, max_lambda_on_A=max_lam,
         max_inward_defect=max_flux, forward_defect=forward,
         forward_bound_from=bound_from, pullback_defect=pb, pullback_bound_from=pb_from,
-        invariance_defect=reference_invariance_bound(track, p, drive, max_lam),
+        invariance_defect=reference_run_error(track.times, track.states, p, drive)[1],
         **staged,
     )
 
@@ -1126,8 +1129,9 @@ def test_both_tubes_are_certified_through_the_public_checks(monkeypatch):
 def staged_failures(drive, t0, t1, dt, ensemble_size):
     """Report fields of the certificate's stages run one after another, each
     failure recorded as ``verify_schedule`` records it; where the tube
-    certifies, the forward and invariance defects are the reference bounds,
-    and the pullback defect is :func:`tube_pullback_defect` throughout."""
+    certifies, the forward defect is the reference bound, the pullback
+    defect is :func:`tube_pullback_defect` throughout, and the invariance
+    defect is the reference bound at the closed-form rate in every case."""
     failures = []
     out = dict(radius=None, max_lambda_on_A=None, max_inward_defect=None,
                forward_defect=None, forward_bound_from=None, pullback_defect=None,
@@ -1159,14 +1163,7 @@ def staged_failures(drive, t0, t1, dt, ensemble_size):
         out["pullback_defect"], out["pullback_bound_from"] = pullback
     except ChronotaxError as exc:
         failures.append(f"attraction check failed: {exc}")
-    try:
-        if tube_ok:
-            out["invariance_defect"] = reference_invariance_bound(
-                track, P, drive, out["max_lambda_on_A"])
-        else:
-            out["invariance_defect"] = verify_invariance(track, P, drive)
-    except ChronotaxError as exc:
-        failures.append(f"invariance check failed: {exc}")
+    out["invariance_defect"] = reference_run_error(track.times, track.states, P, drive)[1]
     return dict(out, failures=failures)
 
 
