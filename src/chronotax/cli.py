@@ -450,6 +450,8 @@ def _load_trajectory_csv(path, column):
     if t.size < 3:
         raise ConfigError("trajectory too short for analysis")
     steps = np.diff(t)
+    if not np.all(steps > 0.0):  # NaN fails this test too
+        raise InvalidInputError("trajectory times must increase from sample to sample")
     # a final partial step is allowed in trajectory files; trim it
     if abs(steps[-1] - steps[0]) > 1e-9 * steps[0]:
         t, x, steps = t[:-1], x[:-1], steps[:-1]

@@ -48,16 +48,16 @@ NONE_NEGATIVE, ONE_NEGATIVE, BOTH_NEGATIVE = 0, 1, 2
 
 
 def jacobian_analytic(s: CartesianState, t: float, p: OscillatorParams,
-                      d: DriveSchedule, r_min: float = R_MIN) -> FloatArray:
+                      d: DriveSchedule) -> FloatArray:
     """Closed-form Jacobian of the laboratory field at state ``s``.
 
-    Raises :class:`SingularityError` within ``r_min`` of the origin, where
-    the radial terms ``x^2/r`` are undefined.
+    Raises :class:`SingularityError` within :data:`chronotax.model.R_MIN`
+    of the origin, where the radial terms ``x^2/r`` are undefined.
     """
     r = math.hypot(s.x, s.y)
-    if r <= r_min:
+    if r <= R_MIN:
         raise SingularityError(
-            f"Jacobian entries undefined at r={r!r} (guard radius {r_min:g})"
+            f"Jacobian entries undefined at r={r!r} (guard radius {R_MIN:g})"
         )
     a, b, c, e = pulled_jacobian(s.x, s.y, p.eps_gamma, p.omega0, p.r_p, float(d.eps_a(t)))
     return np.array([[a, b], [c, e]])

@@ -17,10 +17,10 @@ from .errors import InvalidInputError
 BLOCK_FORMAT = "chronotax-block-1"
 
 
-def write_csv(path, header: str, columns, fmt: str = "%.15g") -> None:
-    """Comma-separated table with the given header line."""
+def write_csv(path, header: str, columns) -> None:
+    """Comma-separated table with the given header line, 15 significant digits."""
     data = np.column_stack(columns)
-    np.savetxt(path, data, fmt=fmt, delimiter=",", header=header, comments="")
+    np.savetxt(path, data, fmt="%.15g", delimiter=",", header=header, comments="")
 
 
 def write_block(path, meta: dict, arrays: dict) -> None:

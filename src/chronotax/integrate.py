@@ -81,8 +81,8 @@ class Trajectory:
             raise InvalidInputError("trajectory must hold at least one sample")
         if self.states.shape != (self.times.size, 2):
             raise InvalidInputError("states must be (n, 2) matching times")
-        if self.dt <= 0.0:
-            raise InvalidInputError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise InvalidInputError(f"dt must be finite and positive, got {self.dt!r}")
         if self.times.size > 1 and np.any(np.diff(self.times) <= 0.0):
             raise InvalidInputError("times must be strictly increasing")
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.states))):
@@ -150,7 +150,7 @@ def rk4_path(field: LabField, x0: float, y0: float, times: FloatArray,
     return _rk4_ensemble(field, [(x0, y0)], times, record)[0]
 
 
-def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool, stop=None):
+def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool):
     """:func:`rk4_path` of ``field`` from each of ``starts`` over one grid ``times``.
 
     Returns one result per start, as :func:`rk4_path` returns it.  Each
@@ -161,13 +161,6 @@ def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool, stop
     raise: that of the lowest-index member leaving the guard radius, at its
     own time.  Members after it stop there, as their results can no longer
     matter; the members before it run to the end.
-
-    ``stop``, where given, is called after every block but the last while
-    no member has left the guard radius, with the grid indices of the
-    block's start and end and each member's states at the block's nodes
-    after its start, as lists ``(xs, ys)``.  The first value it returns
-    that is not ``None`` ends the run and is returned in place of the
-    results.
     """
     n = times.size
     states = []
@@ -192,7 +185,6 @@ def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool, stop
         t = times[i0:i1]
         h = times[i0 + 1:i1 + 1] - t
         tape = field.rk4_tape(t, h)
-        paths = []
         for j, (x, y) in enumerate(states):
             xs, ys = _rk4_steps(field, x, y, tape)
             if len(xs) < i1 - i0:
@@ -200,14 +192,9 @@ def _rk4_ensemble(field: LabField, starts, times: FloatArray, record: bool, stop
                 del states[j:]
                 break
             states[j] = xs[-1], ys[-1]
-            paths.append((xs, ys))
             if record:
                 outs[j][i0 + 1:i1 + 1, 0] = xs
                 outs[j][i0 + 1:i1 + 1, 1] = ys
-        if stop is not None and failed is None and i1 < n - 1:
-            result = stop(i0, i1, paths)
-            if result is not None:
-                return result
     if failed is not None:
         raise failed
     return outs if record else states

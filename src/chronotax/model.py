@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -72,17 +71,6 @@ class PolarState:
         _require_finite("state component", self.r, self.psi)
         if self.r < 0.0:
             raise InvalidInputError(f"radius must be non-negative, got {self.r}")
-
-
-def to_polar(s: CartesianState) -> PolarState:
-    """Cartesian to polar; the origin maps to (r=0, psi=0)."""
-    r = math.hypot(s.x, s.y)
-    psi = math.atan2(s.y, s.x) if r > 0.0 else 0.0
-    return PolarState(r, psi)
-
-
-def to_cartesian(s: PolarState) -> CartesianState:
-    return CartesianState(s.r * math.cos(s.psi), s.r * math.sin(s.psi))
 
 
 # --- Parameters ---
@@ -224,21 +212,6 @@ class Schedule:
         )
 
 
-ScheduleLike = Union[Schedule, float, int]
-
-
-def as_schedule(value: ScheduleLike) -> Schedule:
-    """Coerce a number to a constant schedule; pass schedules through."""
-    if isinstance(value, Schedule):
-        return value
-    try:
-        return Schedule.constant(float(value))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"cannot read {value!r} as a schedule") from exc
-
-
 @dataclass(frozen=True)
 class DriveSchedule:
     """Time course of the drive: pull strength, drive frequency, initial drive angle.
@@ -354,17 +327,16 @@ def field_lab_array(x: FloatArray, y: FloatArray, t, p: OscillatorParams,
                         d.eps_a(t), *d.drive_point(t, p.r_p))
 
 
-def field_rotating(s: PolarState, t: float, p: OscillatorParams, d: DriveSchedule,
-                   r_min: float = R_MIN):
+def field_rotating(s: PolarState, t: float, p: OscillatorParams, d: DriveSchedule):
     """Velocity (dr/dt, dpsi/dt) in the frame co-rotating with the drive point.
 
-    Raises :class:`SingularityError` within ``r_min`` of the origin, where
-    the phase rate is undefined.
+    Raises :class:`SingularityError` within :data:`R_MIN` of the origin,
+    where the phase rate is undefined.
     """
     _require_finite("time", t)
-    if s.r <= r_min:
+    if s.r <= R_MIN:
         raise SingularityError(
-            f"rotating-frame field undefined at r={s.r!r} (guard radius {r_min:g})"
+            f"rotating-frame field undefined at r={s.r!r} (guard radius {R_MIN:g})"
         )
     eps_a = float(d.eps_a(t))
     d_omega = p.omega0 - float(d.omega_p(t))

@@ -810,30 +810,26 @@ def _scan(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             for t in _check_times(d, t0, t1, interval).tolist()]
 
 
-def _warmup_window(scan, max_window: float = 500.0) -> float:
+def _warmup_window(scan) -> float:
     """How long before the window the warm-up starts: ten contraction times
     of the slowest instant of a scan whose every instant is chronotaxic, at
-    least 10 and at most ``max_window``."""
+    least 10 and at most 500."""
     slowest = min(-attractor.lambda_max_sym for _, _, attractor in scan)
-    return min(max(10.0 / slowest, 10.0), max_window)
+    return min(max(10.0 / slowest, 10.0), 500.0)
 
 
 def _track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: float,
-           scan, max_window: float = 500.0,
-           warmup_dt: float | None = None) -> tuple[Trajectory, Trajectory]:
+           scan, warmup_dt: float) -> tuple[Trajectory, Trajectory]:
     """The warm-up and the attractor track over ``[t0, t1]``, from a scan whose
     every instant is chronotaxic.  The warm-up runs the frozen attractor a
-    pullback window before ``t0`` forward to ``t0`` on ``time_grid(t0 -
-    window, t0, warmup_dt)`` (``warmup_dt`` is ``dt`` by default), recorded
-    from its first node at or after ``t0 - (t1 - t0)``, so at ``dt`` it
-    holds at most as many samples as the track.  The track runs from the
+    pullback window (:func:`_warmup_window`) before ``t0`` forward to ``t0``
+    on ``time_grid(t0 - window, t0, warmup_dt)``, recorded from its first
+    node at or after ``t0 - (t1 - t0)``, so at ``warmup_dt = dt`` it holds
+    at most as many samples as the track.  The track runs from the
     warm-up's last sample on ``time_grid(t0, t1, dt)``.  Raises
     :class:`NotChronotaxicError` when the frozen system at ``t0 - window``,
     before the scanned window, has no stable point."""
-    window = _warmup_window(scan, max_window)
-    if warmup_dt is None:
-        warmup_dt = dt
-
+    window = _warmup_window(scan)
     fp0 = frozen_at(p, d, t0 - window)
     stable = [q for q in find_fixed_points(fp0) if q.is_stable]
     if not stable:
@@ -858,15 +854,15 @@ def _track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float, dt: floa
 
 def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
                     dt: float, check_interval: float = 0.5,
-                    beta: float = DEFAULT_BETA,
-                    max_window: float = 500.0) -> Trajectory:
+                    beta: float = DEFAULT_BETA) -> Trajectory:
     """Track the time-dependent point attractor over ``[t0, t1]``.
 
     Requires every sampled instant to classify chronotaxic (refused
     otherwise, naming the offending time).  The track starts from the frozen
     attractor a pullback window before ``t0`` (at least ten contraction
-    times, measured from the slowest sampled instant) so that by ``t0`` the
-    state carries no memory of the start, then records the forward solution.
+    times, measured from the slowest sampled instant, and at most 500) so
+    that by ``t0`` the state carries no memory of the start, then records
+    the forward solution; the warm-up steps at ``dt`` too.
     """
     scan = _scan(d, p, t0, t1, check_interval, beta)
     for t, cls, attractor in scan:
@@ -874,4 +870,4 @@ def attractor_track(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             raise NotChronotaxicError(
                 f"parameters at t={t:g} classify as {cls.value}", time=t
             )
-    return _track(d, p, t0, t1, dt, scan, max_window)[1]
+    return _track(d, p, t0, t1, dt, scan, dt)[1]

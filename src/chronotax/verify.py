@@ -10,8 +10,12 @@ rather than measurements.  The invariance defect is always a bound, at the
 closed-form contraction rate, with or without a tube.  The README's design
 notes derive them.
 
-Verdicts are sampling-based in time, not proofs; the report carries every
-margin so callers can tighten the sampling.
+Verdicts are sampling-based in time, not proofs.  The report carries every
+margin; :func:`verify_schedule` samples at fixed settings, and a caller
+tightens the sampling through the stage functions: ``sample_interval`` of
+:func:`verify_trapping` and :func:`select_trapping_radius`,
+``boundary_samples`` of :class:`TrappingCandidate` and ``refine`` of
+:func:`verify_invariance`.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 from .contraction import DEFAULT_BETA, _check_beta, sym_eigs_radial
 from .errors import ChronotaxError, InvalidInputError
 from .integrate import (
+    TAPE_BLOCK,
     LabField,
     Trajectory,
     _rk4_ensemble,
@@ -37,7 +42,7 @@ from .integrate import (
 from .model import CartesianState, DriveSchedule, OscillatorParams, field_lab_array
 from .steady_state import _scan, _track, _warmup_window
 
-#: geometric radius ladder for the auto-selected trapping disk
+#: geometric radius ladder for the auto-selected trapping disk, ascending
 DEFAULT_RADIUS_LADDER = tuple(0.02 * 2.0**k for k in range(8))
 
 #: step of the attractor track of :func:`verify_schedule`.  Its error is part
@@ -48,11 +53,15 @@ DEFAULT_VERIFY_DT = 2.5e-3
 #: (:func:`_probe_stride`)
 _MAX_PROBE_STRIDE = 4
 
+#: the report's ``thresholds``
 DEFAULT_FORWARD_TOL = 1e-6
 DEFAULT_PULLBACK_TOL = 1e-6
 DEFAULT_INVARIANCE_TOL = 1e-4
 #: outer radius of the annulus the forward ensemble starts in
 DEFAULT_START_RADIUS = 2.0
+#: size and seed of the forward ensemble
+_ENSEMBLE_SIZE = 8
+_ENSEMBLE_SEED = 2026
 
 MIN_BOUNDARY_SAMPLES = 64
 
@@ -78,7 +87,10 @@ class TrappingCandidate:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise InvalidInputError(f"trapping radius must be finite and positive, "
                                     f"got {self.radius!r}")
-        _check_boundary_samples(self.boundary_samples)
+        if not (_integer(self.boundary_samples)
+                and self.boundary_samples >= MIN_BOUNDARY_SAMPLES):
+            raise InvalidInputError(f"boundary_samples must be an integer of at least "
+                                    f"{MIN_BOUNDARY_SAMPLES}, got {self.boundary_samples!r}")
         if self.track.frame != "lab":
             raise InvalidInputError("trapping candidates live in the lab frame")
 
@@ -108,8 +120,8 @@ class VerificationReport:
         return dict(asdict(self), window=list(self.window),
                     offending_intervals=[list(iv) for iv in self.offending_intervals])
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -122,23 +134,11 @@ def _integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _check_boundary_samples(boundary_samples: int) -> None:
-    """Refuse a ``boundary_samples`` that is not an integer of at least
-    :data:`MIN_BOUNDARY_SAMPLES`."""
-    if not (_integer(boundary_samples) and boundary_samples >= MIN_BOUNDARY_SAMPLES):
-        raise InvalidInputError(f"boundary_samples must be an integer of at least "
-                                f"{MIN_BOUNDARY_SAMPLES}, got {boundary_samples!r}")
-
-
-def _check_sampling(sample_interval: float, ladder=None) -> None:
-    """Refuse a ``sample_interval`` that is not finite and positive, and a
-    ``ladder`` (where given) that does not hold finite positive radii."""
+def _check_sampling(sample_interval: float) -> None:
+    """Refuse a ``sample_interval`` that is not finite and positive."""
     if not (math.isfinite(sample_interval) and sample_interval > 0.0):
         raise InvalidInputError(
             f"sample_interval must be finite and positive, got {sample_interval!r}")
-    if ladder is not None and not (
-            len(ladder) > 0 and all(math.isfinite(r) and r > 0.0 for r in ladder)):
-        raise InvalidInputError(f"ladder must hold finite positive radii, got {ladder!r}")
 
 
 def _sample_indices(n: int, dt: float, sample_interval: float) -> list[int]:
@@ -212,20 +212,20 @@ def _tube_max_lambda(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
 
 
 def select_trapping_radius(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
-                           ladder=DEFAULT_RADIUS_LADDER, beta: float = DEFAULT_BETA,
+                           beta: float = DEFAULT_BETA,
                            sample_interval: float = 0.1) -> float | None:
-    """Largest ladder radius whose disk stays inside the contraction region.
+    """Largest rung of :data:`DEFAULT_RADIUS_LADDER` whose disk stays inside
+    the contraction region.
 
     Returns None when even the smallest rung pokes out of the region at some
     sampled time.  Refuses a ``sample_interval`` or ``beta`` that is not
-    finite and positive, a ladder that does not hold finite positive radii,
-    and a track of fewer than 3 samples.
+    finite and positive, and a track of fewer than 3 samples.
     """
-    _check_sampling(sample_interval, ladder)
+    _check_sampling(sample_interval)
     _check_beta(beta)
     indices = _sample_indices(track.times.size, track.dt, sample_interval)
     best = None
-    for radius in sorted(ladder):
+    for radius in DEFAULT_RADIUS_LADDER:
         if _tube_max_lambda(track, p, d, radius, indices) <= -beta:
             best = radius
         else:
@@ -234,48 +234,32 @@ def select_trapping_radius(track: Trajectory, p: OscillatorParams, d: DriveSched
 
 
 def verify_attraction(p: OscillatorParams, d: DriveSchedule, t0: float, t1: float,
-                      dt: float, ensemble_size: int = 8, seed: int = 2026,
-                      start_radius: float = DEFAULT_START_RADIUS) -> tuple[float, float]:
+                      dt: float) -> tuple[float, float]:
     """Forward and pullback attraction defects over ``[t0, t1]``.
 
-    Forward: integrates a seeded ensemble of starts scattered in an annulus
-    and returns the largest pairwise distance at ``t1``.  The members share
+    Forward: integrates the forward ensemble (:func:`_forward_starts`) and
+    returns the largest pairwise distance at ``t1``.  The members share
     one grid, so each block's drive tape is built once for all of them
     (:func:`chronotax.integrate._rk4_ensemble`).
-    Pullback: runs the same fixed start from two receding start times,
-    ``t0 - 0.75 span`` and ``t0 - span``, and returns the gap between their
-    evaluations at ``t0`` (the Cauchy defect).  A bad ``ensemble_size``,
-    ``seed`` or ``start_radius`` is refused before any work
-    (:func:`_check_ensemble`).
+    Pullback: runs the fixed start ``(DEFAULT_START_RADIUS, 0)`` from two
+    receding start times, ``t0 - 0.75 span`` and ``t0 - span``, and returns
+    the gap between their evaluations at ``t0`` (the Cauchy defect).
     """
-    _check_ensemble(ensemble_size, seed, start_radius)
-    starts = _forward_starts(ensemble_size, seed, start_radius)
-    finals = _rk4_ensemble(LabField(p, d), starts, time_grid(t0, t1, dt), record=False)
+    finals = _rk4_ensemble(LabField(p, d), _forward_starts(), time_grid(t0, t1, dt),
+                           record=False)
     span = t1 - t0
-    prev, last = pullback(CartesianState(start_radius, 0.0),
+    prev, last = pullback(CartesianState(DEFAULT_START_RADIUS, 0.0),
                           [t0 - span * 0.75, t0 - span], t0, dt, p, d)
     return _spread(finals), math.hypot(last.x - prev.x, last.y - prev.y)
 
 
-def _check_ensemble(ensemble_size: int, seed: int, start_radius: float) -> None:
-    """Refuse an ``ensemble_size`` that is not an integer of at least 2, a
-    ``seed`` that is not a non-negative integer and a ``start_radius`` that
-    is not finite and positive."""
-    if not (_integer(ensemble_size) and ensemble_size >= 2):
-        raise InvalidInputError(
-            f"ensemble_size must be an integer of at least 2, got {ensemble_size!r}")
-    if not (_integer(seed) and seed >= 0):
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (math.isfinite(start_radius) and start_radius > 0.0):
-        raise InvalidInputError(
-            f"start_radius must be finite and positive, got {start_radius!r}")
-
-
-def _forward_starts(ensemble_size: int, seed: int, start_radius: float):
-    """The forward ensemble's seeded starts, scattered in an annulus."""
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * math.pi, ensemble_size)
-    radii = rng.uniform(0.25 * start_radius, start_radius, ensemble_size)
+def _forward_starts():
+    """The forward ensemble's starts: :data:`_ENSEMBLE_SIZE` points drawn with
+    seed :data:`_ENSEMBLE_SEED`, scattered in the annulus between a quarter
+    of :data:`DEFAULT_START_RADIUS` and all of it."""
+    rng = np.random.default_rng(_ENSEMBLE_SEED)
+    angles = rng.uniform(0.0, 2.0 * math.pi, _ENSEMBLE_SIZE)
+    radii = rng.uniform(0.25 * DEFAULT_START_RADIUS, DEFAULT_START_RADIUS, _ENSEMBLE_SIZE)
     return [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
 
 
@@ -333,16 +317,16 @@ class _Tube:
         return self.radius is not None and self.rate < 0.0 and self.flux < 0.0
 
 
-def _certify_tube(run: Trajectory, p: OscillatorParams, d: DriveSchedule, ladder,
-                  beta: float, boundary_samples: int, sample_interval: float) -> _Tube:
+def _certify_tube(run: Trajectory, p: OscillatorParams, d: DriveSchedule,
+                  beta: float) -> _Tube:
     """The tube around ``run``: :func:`select_trapping_radius`, then
-    :func:`verify_trapping` at the radius found or at the smallest rung."""
+    :func:`verify_trapping` at the radius found or at the smallest rung,
+    both at their default sampling."""
     if run.times.size < 3:
         return _Tube(run)
-    radius = select_trapping_radius(run, p, d, ladder, beta, sample_interval)
-    probe = radius if radius is not None else min(ladder)
-    rate, flux = verify_trapping(TrappingCandidate(run, probe, boundary_samples), p, d,
-                                 sample_interval)
+    radius = select_trapping_radius(run, p, d, beta)
+    probe = radius if radius is not None else DEFAULT_RADIUS_LADDER[0]
+    rate, flux = verify_trapping(TrappingCandidate(run, probe), p, d)
     return _Tube(run, radius, rate, flux)
 
 
@@ -352,50 +336,51 @@ def _tube_defect(p: OscillatorParams, d: DriveSchedule, starts, tube: _Tube, tol
     nodes ``nodes`` of its grid (ascending indices, ending on its last), and
     the time from which it is a bound (``None`` when it is measured).
 
-    The members run one tape block at a time.  Where the tube certifies,
-    each member's distance from the exact solution through its start is
-    bounded block by block on the members' own grid (:func:`_run_error`),
-    from ``errors`` at the first node (zero by default), as E_m.  The run
-    stops at the first block end ``t_i`` before the end ``t1`` where
-    ``|x_m - c(t_i)| + E_m`` is below ``tube.radius`` for every member, c
-    being the run, and ``(spread(t_i) + 2 max E_m) * exp(tube.rate * (t1 -
-    t_i))`` is at most ``tol``; that
+    The members run one tape block (:data:`chronotax.integrate.TAPE_BLOCK`
+    steps) at a time, recorded, each block by one
+    :func:`chronotax.integrate._rk4_ensemble` call, so a blow-up raises that
+    of the lowest-index member in the first block where any member blows
+    up.  Where the tube certifies, each member's distance from the exact
+    solution through its start is bounded block by block on the members'
+    own grid (:func:`_run_error`), from ``errors`` at the first node (zero
+    by default), as E_m.  The run stops at the first block end ``t_i``
+    before the end ``t1`` where ``|x_m - c(t_i)| + E_m`` is below
+    ``tube.radius`` for every member, c being the run, and ``(spread(t_i) +
+    2 max E_m) * exp(tube.rate * (t1 - t_i))`` is at most ``tol``; that
     bound, which holds for the exact members, is the defect.  Otherwise the
     members run to ``t1`` and their spread there, a measurement, is the
-    defect.  A member's blow-up raises as in
-    :func:`chronotax.integrate._rk4_ensemble`.
+    defect.
     """
     run = tube.run
     times = run.times[nodes]
-    t1 = float(times[-1])
-    heads = list(starts)  # the members' states at the start of the block
-    errors = [0.0] * len(heads) if errors is None else list(errors)
-
-    def bound(i0, i1, paths):
-        xs = np.array([[x, *px] for (x, _), (px, _) in zip(heads, paths)])
-        ys = np.array([[y, *py] for (_, y), (_, py) in zip(heads, paths)])
-        errors[:] = _run_error(times[i0:i1 + 1], xs, ys, p, d, e=errors)[0]
-        heads[:] = [(px[-1], py[-1]) for px, py in paths]
-        cx, cy = run.states[nodes[i1]]
-        b = (_spread(heads) + 2.0 * max(errors)) * math.exp(
-            tube.rate * (t1 - float(times[i1])))
-        if b <= tol and all(math.hypot(x - cx, y - cy) + e < tube.radius
-                            for (x, y), e in zip(heads, errors)):
-            return b, float(times[i1])
-        return None
-
-    out = _rk4_ensemble(LabField(p, d), starts, times, False,
-                        bound if tube.certified else None)
-    return out if isinstance(out, tuple) else (_spread(out), None)
+    last = times.size - 1
+    field = LabField(p, d)
+    heads = starts  # the members' states at the start of the block
+    errors = [0.0] * len(heads) if errors is None else errors
+    for i0 in range(0, last, TAPE_BLOCK):
+        i1 = min(i0 + TAPE_BLOCK, last)
+        paths = np.array(_rk4_ensemble(field, heads, times[i0:i1 + 1], True))
+        heads = paths[:, -1].tolist()
+        if tube.certified and i1 < last:
+            errors = _run_error(times[i0:i1 + 1], paths[..., 0], paths[..., 1], p, d,
+                                e=errors)[0]
+            cx, cy = run.states[nodes[i1]]
+            b = (_spread(heads) + 2.0 * max(errors)) * math.exp(
+                tube.rate * float(times[last] - times[i1]))
+            if b <= tol and all(math.hypot(x - cx, y - cy) + e < tube.radius
+                                for (x, y), e in zip(heads, errors)):
+                return b, float(times[i1])
+    return _spread(heads), None
 
 
-def _pullback_tube_defect(p: OscillatorParams, d: DriveSchedule, tube: _Tube, span: float,
-                          start_radius: float, tol: float) -> tuple[float, float | None]:
+def _pullback_tube_defect(p: OscillatorParams, d: DriveSchedule, tube: _Tube,
+                          span: float) -> tuple[float, float | None]:
     """The pullback Cauchy defect at the end ``t0`` of the warm-up ``tube.run``,
-    and the time from which it is a bound (``None`` when it is measured).
+    and the time from which it is a bound (``None`` when it is measured),
+    against :data:`DEFAULT_PULLBACK_TOL`.
 
-    The runs from ``(start_radius, 0)`` at ``t0 - 0.75 span`` and ``t0 -
-    span`` each step at the warm-up's step to the first node of its grid at
+    The runs from ``(DEFAULT_START_RADIUS, 0)`` at ``t0 - 0.75 span`` and
+    ``t0 - span`` each step at the warm-up's step to the first node of its grid at
     or after their start, then along that grid to ``G_j``, its first node
     at or after ``t0 - 0.75 span``.  From there they run as members of
     :func:`_tube_defect` in the warm-up's tube.  The stretches to ``G_j``
@@ -415,11 +400,12 @@ def _pullback_tube_defect(p: OscillatorParams, d: DriveSchedule, tube: _Tube, sp
     for s in (t0 - 0.75 * span, t0 - span):
         i = int(np.searchsorted(times, s))
         grid = np.concatenate([time_grid(s, float(times[i]), warmup.dt), times[i + 1:j + 1]])
-        path = rk4_path(field, start_radius, 0.0, grid)
+        path = rk4_path(field, DEFAULT_START_RADIUS, 0.0, grid)
         members.append(path[-1].tolist())
         if tube.certified:
             errors.extend(_run_error(grid, path[:, 0], path[:, 1], p, d)[0])
-    return _tube_defect(p, d, members, tube, tol, np.arange(j, times.size), errors or None)
+    return _tube_defect(p, d, members, tube, DEFAULT_PULLBACK_TOL, np.arange(j, times.size),
+                        errors or None)
 
 
 def verify_invariance(track: Trajectory, p: OscillatorParams, d: DriveSchedule,
@@ -575,12 +561,7 @@ def offending_intervals(d: DriveSchedule, p: OscillatorParams, t0: float, t1: fl
 
 def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
                     dt: float = DEFAULT_VERIFY_DT, check_interval: float = 0.5,
-                    beta: float = DEFAULT_BETA, boundary_samples: int = 720,
-                    sample_interval: float = 0.1, ladder=DEFAULT_RADIUS_LADDER,
-                    ensemble_size: int = 8, seed: int = 2026,
-                    forward_tol: float = DEFAULT_FORWARD_TOL,
-                    pullback_tol: float = DEFAULT_PULLBACK_TOL,
-                    invariance_tol: float = DEFAULT_INVARIANCE_TOL) -> VerificationReport:
+                    beta: float = DEFAULT_BETA) -> VerificationReport:
     """Full chronotaxicity certificate for a drive schedule over ``[t0, t1]``.
 
     The attractor track steps by ``dt`` (:data:`DEFAULT_VERIFY_DT` by
@@ -595,12 +576,14 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     ``check_interval`` spaces the classification
     scan (the schedule knots inside the window join it) and ``beta`` is the
     contraction margin of the scan and of the trapping radius.  A tube is
-    sized from ``ladder`` and checked at ``sample_interval`` instants
-    against ``boundary_samples`` boundary points, around the track and
-    around its warm-up (the run that brings the frozen attractor before the
-    window to the track's start).  ``ensemble_size`` and ``seed`` draw the
-    forward ensemble, and the three tolerances are the report's
-    ``thresholds``.  The README's design notes derive each bound.
+    sized from :data:`DEFAULT_RADIUS_LADDER` and checked at the default
+    sampling of :func:`verify_trapping` (instants 0.1 apart, 720 boundary
+    points), around the track and around its warm-up (the run that brings
+    the frozen attractor before the window to the track's start).  The
+    forward ensemble is :func:`_forward_starts`, and the thresholds are
+    :data:`DEFAULT_FORWARD_TOL`, :data:`DEFAULT_PULLBACK_TOL` and
+    :data:`DEFAULT_INVARIANCE_TOL`.  The README's design notes derive each
+    bound.
 
     Report fields:
 
@@ -626,6 +609,7 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
       exact solution through its first sample, at the closed-form
       contraction rate (:func:`_run_error`), whether or not the tube
       certifies; ``None`` where the bound is not finite.
+    - ``thresholds``: the three tolerances, by defect.
     - ``chronotaxic``: no failure, a certified tube and every defect within
       its threshold.
 
@@ -633,23 +617,13 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     order: the prescan, the tracking, the trapping check (no rung fits, the
     flux is not inward, or it raised), the attraction check and the
     invariance check (a bound that is not finite).  A member's blow-up
-    fails the attraction check and leaves the track standing.  Bad input is refused with
-    :class:`InvalidInputError` before any work: the window must be finite
-    with ``t1 > t0``, the track's grid ``time_grid(t0, t1, dt)`` must hold
-    at least 3 samples, ``dt``, ``check_interval``, ``sample_interval``,
-    ``beta`` and the three tolerances must be finite and positive,
-    ``ladder`` must hold finite positive radii, ``boundary_samples`` must
-    be an integer of at least :data:`MIN_BOUNDARY_SAMPLES`, ``ensemble_size``
-    an integer of at least 2 and ``seed`` a non-negative integer.
+    fails the attraction check and leaves the track standing.  Bad input
+    is refused with :class:`InvalidInputError` before any work: the window
+    must be finite with ``t1 > t0``, ``dt``, ``check_interval`` and
+    ``beta`` must be finite and positive, and the track's grid
+    ``time_grid(t0, t1, dt)`` must hold at least 3 samples.
     """
-    for name, value in (("dt", dt), ("forward_tol", forward_tol),
-                        ("pullback_tol", pullback_tol), ("invariance_tol", invariance_tol)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
     _check_beta(beta)
-    _check_sampling(sample_interval, ladder)
-    _check_boundary_samples(boundary_samples)
-    _check_ensemble(ensemble_size, seed, DEFAULT_START_RADIUS)
     samples = time_grid(t0, t1, dt).size
     if samples < 3:
         raise InvalidInputError(f"the track over [{t0!r}, {t1!r}] at dt={dt!r} has "
@@ -670,7 +644,7 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
     tube = _Tube(track)
     if track is not None:
         try:
-            tube = _certify_tube(track, p, d, ladder, beta, boundary_samples, sample_interval)
+            tube = _certify_tube(track, p, d, beta)
             if tube.radius is None:
                 failures.append("no ladder radius stays inside the contraction region")
             elif tube.flux >= 0.0:
@@ -678,15 +652,13 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
         except ChronotaxError as exc:
             failures.append(f"trapping check failed: {exc}")
         try:
-            starts = _forward_starts(ensemble_size, seed, DEFAULT_START_RADIUS)
             # every k-th node of the track's grid, and its last
             n = track.times.size
-            defect = _tube_defect(p, d, starts, tube, forward_tol,
+            defect = _tube_defect(p, d, _forward_starts(), tube, DEFAULT_FORWARD_TOL,
                                   np.append(np.arange(0, n - 1, k), n - 1))
-            warm = _certify_tube(warmup, p, d, ladder, beta, boundary_samples, sample_interval)
+            warm = _certify_tube(warmup, p, d, beta)
             # set together, so that a pullback blow-up leaves both unset
-            forward, pullback = defect, _pullback_tube_defect(
-                p, d, warm, t1 - t0, DEFAULT_START_RADIUS, pullback_tol)
+            forward, pullback = defect, _pullback_tube_defect(p, d, warm, t1 - t0)
         except ChronotaxError as exc:
             failures.append(f"attraction check failed: {exc}")
         invariance = _run_error(track.times, track.states[:, 0], track.states[:, 1], p, d)[1][0]
@@ -695,14 +667,15 @@ def verify_schedule(d: DriveSchedule, p: OscillatorParams, t0: float, t1: float,
             invariance = None
 
     return VerificationReport(
-        chronotaxic=(not failures and tube.certified and forward[0] <= forward_tol
-                     and pullback[0] <= pullback_tol and invariance <= invariance_tol),
+        chronotaxic=(not failures and tube.certified and forward[0] <= DEFAULT_FORWARD_TOL
+                     and pullback[0] <= DEFAULT_PULLBACK_TOL
+                     and invariance <= DEFAULT_INVARIANCE_TOL),
         window=(t0, t1), dt=dt, beta=beta, times_checked=len(scan),
         offending_intervals=intervals, radius=tube.radius, max_lambda_on_A=tube.rate,
         max_inward_defect=tube.flux, forward_defect=forward[0],
         forward_bound_from=forward[1], pullback_defect=pullback[0],
         pullback_bound_from=pullback[1], invariance_defect=invariance,
-        thresholds={"forward": forward_tol, "pullback": pullback_tol,
-                    "invariance": invariance_tol},
+        thresholds={"forward": DEFAULT_FORWARD_TOL, "pullback": DEFAULT_PULLBACK_TOL,
+                    "invariance": DEFAULT_INVARIANCE_TOL},
         failures=failures,
     )

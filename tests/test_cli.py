@@ -2,6 +2,7 @@
 
 import argparse
 import inspect
+import io
 import json
 import warnings
 
@@ -11,15 +12,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronotax import (
+    CartesianState,
     DriveSchedule,
     OscillatorParams,
+    PolarState,
+    Trajectory,
+    VerificationReport,
+    attractor_track,
     continuation_sweep,
+    field_rotating,
+    jacobian_analytic,
     region_map,
     save_params,
+    select_trapping_radius,
+    verify_attraction,
     verify_schedule,
 )
+from chronotax import export
 from chronotax.cli import _build_parser, _options, _resolve_system, main
-from chronotax.verify import DEFAULT_VERIFY_DT
+from chronotax.integrate import time_grid
+from chronotax.model import R_MIN
+from chronotax.verify import DEFAULT_RADIUS_LADDER, DEFAULT_VERIFY_DT
 
 
 def read_csv(path):
@@ -412,16 +425,62 @@ def test_verify_verdicts(tmp_path):
 
 
 def test_verify_steps_at_the_library_default(tmp_path, capsys):
-    # the flag's default is verify_schedule's, and the help names it
-    default = inspect.signature(verify_schedule).parameters["dt"].default
-    dt = next(a for a in subparsers()["verify"]._actions if a.dest == "dt")
-    assert dt.default == default == DEFAULT_VERIFY_DT
+    # every optional parameter of verify_schedule is a flag of the command
+    # with the library's default, and the help names it
+    optional = {name: par.default
+                for name, par in inspect.signature(verify_schedule).parameters.items()
+                if par.default is not inspect.Parameter.empty}
+    flags = {a.dest: a.default for a in subparsers()["verify"]._actions}
+    assert {name: flags.get(name) for name in optional} == optional
+    assert optional["dt"] == DEFAULT_VERIFY_DT
     rep = tmp_path / "rep.json"
     assert main(["verify", "--eps-a", "1.7", "--t1", "5", "--out", str(rep)]) == 0
-    assert json.loads(rep.read_text())["dt"] == default
+    doc = json.loads(rep.read_text())
+    assert (doc["dt"], doc["beta"]) == (optional["dt"], optional["beta"])
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
-    assert f"(default: {default})" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert all(f"(default: {default})" in out for default in optional.values())
+
+
+P7 = OscillatorParams(7.0, 1.0, 1.0)
+D17 = DriveSchedule.constant(1.7, 0.5)
+#: each keyword that became a constant, at the default it had, by the call
+#: that took it
+GONE_KNOBS = [
+    (entry, call, name, value)
+    for entry, call, defaults in [
+        ("verify_schedule", lambda **kw: verify_schedule(D17, P7, 0.0, 3.0, **kw),
+         dict(boundary_samples=720, sample_interval=0.1, ladder=DEFAULT_RADIUS_LADDER,
+              ensemble_size=8, seed=2026, forward_tol=1e-6, pullback_tol=1e-6,
+              invariance_tol=1e-4)),
+        ("verify_attraction", lambda **kw: verify_attraction(P7, D17, 0.0, 3.0, 1e-2, **kw),
+         dict(ensemble_size=8, seed=2026, start_radius=2.0)),
+        ("select_trapping_radius", lambda **kw: select_trapping_radius(
+            Trajectory(0.0, 0.1, time_grid(0.0, 1.0, 0.1), np.tile([0.6, 0.0], (11, 1))),
+            P7, D17, **kw), dict(ladder=DEFAULT_RADIUS_LADDER)),
+        ("attractor_track", lambda **kw: attractor_track(D17, P7, 0.0, 3.0, 1e-2, **kw),
+         dict(max_window=500.0)),
+        ("jacobian_analytic", lambda **kw: jacobian_analytic(
+            CartesianState(1.0, 0.0), 0.0, P7, D17, **kw), dict(r_min=R_MIN)),
+        ("field_rotating", lambda **kw: field_rotating(
+            PolarState(1.0, 0.0), 0.0, P7, D17, **kw), dict(r_min=R_MIN)),
+        ("to_json", lambda **kw: VerificationReport(False, (0.0, 1.0), 0.1, 1e-3, 3).to_json(
+            **kw), dict(indent=2)),
+        ("write_csv", lambda **kw: export.write_csv(io.StringIO(), "t", [np.zeros(2)], **kw),
+         dict(fmt="%.15g")),
+    ]
+    for name, value in defaults.items()
+]
+
+
+@pytest.mark.parametrize("entry, call, name, value", GONE_KNOBS,
+                         ids=[f"{entry}-{name}" for entry, _, name, _ in GONE_KNOBS])
+def test_verify_knobs_are_gone(entry, call, name, value):
+    # the ensemble, the ladder, the sampling, the thresholds and the output
+    # formats are fixed: each keyword is refused, even at its old default
+    with pytest.raises(TypeError, match=name):
+        call(**{name: value})
 
 
 @pytest.mark.parametrize("args", [
@@ -461,6 +520,16 @@ def test_cwt_missing_column(tmp_path):
     traj = tmp_path / "traj.csv"
     main(["simulate", "--t1", "10", "--dt", "0.1", "--out", str(traj)])
     assert main(["cwt", "--input", str(traj), "--column", "z"]) == 2
+
+
+@pytest.mark.parametrize("times", [(1, 1, 1), (0, 1, 1, 2), (2, 1, 0)])
+def test_cwt_refuses_times_that_do_not_advance(tmp_path, capsys, times):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,x\n" + "".join(f"{t},{0.5 + 0.1 * i}\n" for i, t in enumerate(times)))
+    sc = tmp_path / "sc.csv"
+    assert main(["cwt", "--input", str(traj), "--out", str(sc)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not sc.exists()
 
 
 def test_cwt_requires_input():

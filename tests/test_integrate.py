@@ -241,6 +241,13 @@ def test_start_outside_guard_radius_is_blow_up(x0):
 def test_trajectory_validation():
     with pytest.raises(Exception):
         Trajectory(0.0, 0.1, np.array([0.0, 0.1]), np.zeros((3, 2)), "lab")
+    # a step that is not finite is refused as bad input, before any check
+    # that would divide by it
+    times = np.linspace(0.0, 1.0, 11)
+    states = np.tile([0.6, 0.0], (11, 1))
+    for dt in (math.nan, math.inf, -math.inf, 0.0, -0.1):
+        with pytest.raises(InvalidInputError, match="dt"):
+            Trajectory(0.0, dt, times, states)
 
 
 def test_integrators_run_only_a_lab_field():

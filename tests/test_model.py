@@ -13,15 +13,12 @@ from chronotax import (
     OscillatorParams,
     PolarState,
     Schedule,
-    as_schedule,
     field_lab,
     field_rotating,
     load_params,
     params_from_dict,
     params_to_dict,
     save_params,
-    to_cartesian,
-    to_polar,
 )
 
 P = OscillatorParams(eps_gamma=7.0, omega0=1.0, r_p=1.0)
@@ -85,15 +82,6 @@ def test_rotational_symmetry_without_drive():
         assert abs(dyr - (s * dx + c * dy)) < 1e-12
 
 
-def test_polar_round_trip():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        s = CartesianState(*rng.uniform(-3, 3, size=2))
-        back = to_cartesian(to_polar(s))
-        assert abs(back.x - s.x) < 1e-12
-        assert abs(back.y - s.y) < 1e-12
-
-
 def test_polar_validation():
     with pytest.raises(InvalidInputError):
         PolarState(-0.5, 0.0)
@@ -148,8 +136,6 @@ def test_schedule_validation():
         Schedule.sampled([0.0], [1.0])
     with pytest.raises(InvalidInputError):
         Schedule.sampled([0.0, 1.0], [1.0, 2.0], interp="cubic")
-    with pytest.raises(InvalidInputError):
-        as_schedule("fast")
 
 
 def test_drive_validation():
