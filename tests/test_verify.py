@@ -964,6 +964,8 @@ def test_verify_schedule_solves_each_instant_once(fixed_point_solves):
     ((0.0, 3.0), {"dt": 0.0}),
     ((0.0, 3.0), {"dt": -1e-3}),
     ((0.0, 0.5), {"dt": 0.5}),      # a track grid of two samples
+    ((0.0, 3.0), {"check_interval": math.inf}),
+    ((0.0, 3.0), {"check_interval": -1.0}),
     ((0.0, 3.0), {"beta": 0.0}),
     ((0.0, 3.0), {"beta": math.inf}),
 ])
